@@ -49,15 +49,16 @@
 //! the simulator's scheduler relies on. The deep pass proves the *user
 //! code* never breaks confinement; it does not re-verify the kernel.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use qm_core::json::{Envelope, JsonBuf};
 use qm_isa::asm::Object;
 use qm_isa::isa::{Instruction, Opcode, SrcMode, REG_DUMMY};
 use qm_isa::{UWord, Word};
 
+use crate::decoded::{DecodedCode, Points, Succs};
 use crate::diag::{Code, Diagnostic, Report};
-use crate::domain::{fold, AbsV};
+use crate::domain::{fold, AbsV, Consts};
 use crate::wiring::{
     depth_bounds, replay_buffered, replay_rendezvous, ChanId, EventKind, WiringPass,
 };
@@ -329,51 +330,92 @@ impl DeepReport {
     }
 }
 
-/// Abstract state at one program point: window slots (missing = Top),
-/// the plain globals `r17..r28`, and the last produced result.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Abstract state at one program point: the 16 window slots, the plain
+/// globals `r17..r28` (at index `n - 16`), and the last produced result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DState {
-    slots: BTreeMap<u8, AbsV>,
+    slots: [AbsV; 16],
     globals: [AbsV; 13],
     result: AbsV,
 }
 
 impl DState {
-    fn entry() -> DState {
-        DState {
-            slots: BTreeMap::new(),
-            globals: std::array::from_fn(|_| AbsV::Top),
-            result: AbsV::Top,
-        }
-    }
+    const ENTRY: DState =
+        DState { slots: [AbsV::Top; 16], globals: [AbsV::Top; 13], result: AbsV::Top };
 
-    fn merge(&self, other: &DState, widen: bool) -> DState {
-        let op = |a: &AbsV, b: &AbsV| if widen { a.widen(b) } else { a.join(b) };
-        let keys: BTreeSet<u8> = self.slots.keys().chain(other.slots.keys()).copied().collect();
-        let mut slots = BTreeMap::new();
-        for k in keys {
-            let a = self.slots.get(&k).cloned().unwrap_or(AbsV::Top);
-            let b = other.slots.get(&k).cloned().unwrap_or(AbsV::Top);
-            let j = op(&a, &b);
-            if j != AbsV::Top {
-                slots.insert(k, j);
+    /// Join (or, with `widen`, widen) `other` into this state; true when
+    /// this state changed.
+    fn merge_from(&mut self, other: &DState, widen: bool) -> bool {
+        let mut changed = false;
+        let mut merge = |a: &mut AbsV, b: &AbsV| {
+            let m = if widen { a.widen(b) } else { a.join(b) };
+            if m != *a {
+                *a = m;
+                changed = true;
             }
+        };
+        for (a, b) in self.slots.iter_mut().zip(&other.slots) {
+            merge(a, b);
         }
-        DState {
-            slots,
-            globals: std::array::from_fn(|i| op(&self.globals[i], &other.globals[i])),
-            result: op(&self.result, &other.result),
+        for (a, b) in self.globals.iter_mut().zip(&other.globals) {
+            merge(a, b);
+        }
+        merge(&mut self.result, &other.result);
+        changed
+    }
+}
+
+/// Why a path leaves the analysis: the confinement loss at one
+/// instruction, rendered into [`DeepReport::confinement_loss`].
+#[derive(Debug, Clone, Copy)]
+enum Escape {
+    RunsOff,
+    Undecodable,
+    BranchRunsOff,
+    BadBranchTarget(UWord),
+    RuntimeBranch(Opcode),
+    KernelReturn(Opcode),
+    PointerWrite(u8),
+    RuntimeTrapEntry,
+    UnknownTrapEntry(Word),
+    BadForkTarget(UWord),
+    RuntimeForkTarget,
+    Budget,
+}
+
+impl std::fmt::Display for Escape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Escape::RunsOff => write!(f, "execution runs off the code or into data words"),
+            Escape::Undecodable => write!(f, "execution reaches an undecodable word"),
+            Escape::BranchRunsOff => write!(f, "branch fall-through runs off the code"),
+            Escape::BadBranchTarget(t) => {
+                write!(f, "branch target {t:#x} is not an instruction start")
+            }
+            Escape::RuntimeBranch(op) => {
+                write!(f, "`{op}`: branch offset depends on a runtime value")
+            }
+            Escape::KernelReturn(op) => write!(f, "`{op}`: kernel-mode return in user code"),
+            Escape::PointerWrite(d) => {
+                write!(f, "write to r{d} moves the queue or program pointer")
+            }
+            Escape::RuntimeTrapEntry => write!(f, "trap: kernel entry depends on a runtime value"),
+            Escape::UnknownTrapEntry(e) => write!(f, "trap: unknown kernel entry {e}"),
+            Escape::BadForkTarget(t) => write!(f, "fork target {t:#x} is not a code entry point"),
+            Escape::RuntimeForkTarget => write!(f, "fork target depends on a runtime value"),
+            Escape::Budget => write!(f, "analysis budget exceeded"),
         }
     }
 }
 
-/// Everything one transfer step says.
+/// Everything one transfer step says besides the out-state.
+#[derive(Debug, Clone, Copy, Default)]
 struct DStep {
-    out: DState,
-    succs: Vec<UWord>,
-    forks: Vec<UWord>,
-    /// Confinement loss at this instruction (reason); ends the path.
-    escape: Option<String>,
+    succs: Succs,
+    /// Constant fork targets, all code entry points.
+    forks: Option<Consts>,
+    /// Confinement loss at this instruction; ends the path.
+    escape: Option<Escape>,
     /// A `fetch`/`store` here: (`is_store`, address operand value).
     mem: Option<(bool, AbsV)>,
 }
@@ -381,132 +423,93 @@ struct DStep {
 /// What one context's fixpoint produced.
 struct CtxOut {
     label: String,
-    visited: BTreeSet<UWord>,
-    /// Per mem-op site: (is_store, joined address value).
-    mem: BTreeMap<UWord, (bool, AbsV)>,
+    /// Program points, ascending.
+    visited: Vec<UWord>,
+    /// Per mem-op site, ascending: (pc, is_store, address value).
+    mem: Vec<(UWord, bool, AbsV)>,
     escapes: Vec<(UWord, String)>,
     forks: BTreeSet<UWord>,
 }
 
+/// One program point of the context under analysis.
+struct DPoint {
+    /// The in-state: the join over every path seen so far.
+    state: DState,
+    /// Joins into `state` so far; past [`WIDEN_AFTER`] they widen.
+    joins: usize,
+    /// The latest step from `state`.
+    last: Option<DStep>,
+}
+
 struct DeepPass<'a> {
-    obj: &'a Object,
-    end: UWord,
-    starts: Option<HashSet<UWord>>,
-    symbols: Vec<(String, UWord)>,
+    code: &'a DecodedCode<'a>,
+    points: Points<'a, DPoint>,
 }
 
 impl<'a> DeepPass<'a> {
-    fn new(obj: &'a Object) -> Self {
-        let starts = if obj.has_verify_meta() {
-            Some(obj.instr_addrs().iter().copied().collect())
-        } else {
-            None
-        };
-        let mut symbols: Vec<(String, UWord)> =
-            obj.symbols().iter().map(|(n, &a)| (n.clone(), a)).collect();
-        symbols.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        DeepPass { obj, end: obj.base() + obj.size_bytes(), starts, symbols }
-    }
-
-    fn decode_at(&self, addr: UWord) -> Option<(Instruction, UWord)> {
-        if addr < self.obj.base() || addr >= self.end || !(addr - self.obj.base()).is_multiple_of(4)
-        {
-            return None;
-        }
-        let idx = ((addr - self.obj.base()) / 4) as usize;
-        let hi = (idx + 3).min(self.obj.words().len());
-        #[allow(clippy::cast_possible_truncation)]
-        Instruction::decode(&self.obj.words()[idx..hi]).ok().map(|(i, used)| (i, 4 * used as UWord))
-    }
-
-    fn is_instr_start(&self, addr: UWord) -> bool {
-        match &self.starts {
-            Some(s) => s.contains(&addr),
-            None => self.decode_at(addr).is_some(),
-        }
+    fn new(code: &'a DecodedCode<'a>) -> Self {
+        DeepPass { code, points: Points::new(code) }
     }
 
     fn read_src(mode: SrcMode, state: &DState) -> AbsV {
         match mode {
-            SrcMode::Window(n) => state.slots.get(&n).cloned().unwrap_or(AbsV::Top),
-            SrcMode::Global(n) if (17..=28).contains(&n) => {
-                state.globals[(n - 16) as usize].clone()
-            }
+            SrcMode::Window(n) => state.slots[usize::from(n)],
+            SrcMode::Global(n) if (17..=28).contains(&n) => state.globals[usize::from(n - 16)],
             SrcMode::Global(_) => AbsV::Top,
-            SrcMode::Imm(v) => AbsV::OneOf(vec![Word::from(v)]),
-            SrcMode::ImmWord(v) => AbsV::OneOf(vec![v]),
+            SrcMode::Imm(v) => AbsV::OneOf(Consts::one(Word::from(v))),
+            SrcMode::ImmWord(v) => AbsV::OneOf(Consts::one(v)),
         }
     }
 
     fn advance(state: &mut DState, qp_inc: u8) {
-        if qp_inc == 0 {
-            return;
-        }
-        state.slots = state
-            .slots
-            .iter()
-            .filter(|(&k, _)| k >= qp_inc)
-            .map(|(&k, v)| (k - qp_inc, v.clone()))
-            .collect();
+        let k = usize::from(qp_inc);
+        state.slots.copy_within(k.., 0);
+        state.slots[16 - k..].fill(AbsV::Top);
     }
 
     /// Write a destination (post-advance). `Err` is the confinement
     /// escape for `pc`/`qp`/`pom`.
-    fn write_dst(state: &mut DState, dst: u8, v: &AbsV) -> Result<(), String> {
+    fn write_dst(state: &mut DState, dst: u8, v: AbsV) -> Result<(), Escape> {
         match dst {
             d if d < 16 => {
-                if *v == AbsV::Top {
-                    state.slots.remove(&d);
-                } else {
-                    state.slots.insert(d, v.clone());
-                }
+                state.slots[usize::from(d)] = v;
                 Ok(())
             }
             REG_DUMMY => Ok(()),
             d if d < 29 => {
-                state.globals[(d - 16) as usize] = v.clone();
+                state.globals[usize::from(d - 16)] = v;
                 Ok(())
             }
-            d => Err(format!("write to r{d} moves the queue or program pointer")),
+            d => Err(Escape::PointerWrite(d)),
         }
     }
 
     fn fall_through(&self, addr: UWord, size: UWord, out: &mut DStep) {
         let next = addr + size;
-        if next >= self.end || !self.is_instr_start(next) {
-            out.escape = Some("execution runs off the code or into data words".into());
+        if !self.code.is_instr_start(next) {
+            out.escape = Some(Escape::RunsOff);
         } else {
             out.succs.push(next);
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn step(&self, addr: UWord, in_state: &DState) -> DStep {
-        let mut out = DStep {
-            out: in_state.clone(),
-            succs: Vec::new(),
-            forks: Vec::new(),
-            escape: None,
-            mem: None,
+    fn step(&self, addr: UWord, in_state: &DState) -> (DState, DStep) {
+        let mut state = *in_state;
+        let mut out = DStep::default();
+        let Some((instr, size)) = self.code.instr_at(addr) else {
+            out.escape = Some(Escape::Undecodable);
+            return (state, out);
         };
-        let Some((instr, size)) = self.decode_at(addr) else {
-            out.escape = Some("execution reaches an undecodable word".into());
-            return out;
-        };
-        match instr {
+        match *instr {
             Instruction::Dup { two, off1, off2, .. } => {
                 // Offsets past the resident window spill to the local
                 // queue page — still private state under confinement,
                 // and invisible to `SrcMode::Window` reads.
-                let v = in_state.result.clone();
-                let offs: &[u8] = if two { &[off1, off2] } else { &[off1] };
-                for &off in offs {
+                let offs = [off1, off2];
+                for &off in &offs[..if two { 2 } else { 1 }] {
                     if off < 16 {
-                        if v == AbsV::Top {
-                            out.out.slots.remove(&off);
-                        } else {
-                            out.out.slots.insert(off, v.clone());
-                        }
+                        state.slots[usize::from(off)] = in_state.result;
                     }
                 }
                 self.fall_through(addr, size, &mut out);
@@ -516,14 +519,14 @@ impl<'a> DeepPass<'a> {
                 let b = Self::read_src(src2, in_state);
                 match op {
                     Opcode::Bne | Opcode::Beq => {
-                        Self::advance(&mut out.out, qp_inc);
+                        Self::advance(&mut state, qp_inc);
                         let taken = a.singleton().map(|v| (v != 0) == (op == Opcode::Bne));
                         let next = addr + size;
                         if taken != Some(true) {
-                            if next < self.end && self.is_instr_start(next) {
+                            if self.code.is_instr_start(next) {
                                 out.succs.push(next);
                             } else {
-                                out.escape = Some("branch fall-through runs off the code".into());
+                                out.escape = Some(Escape::BranchRunsOff);
                             }
                         }
                         if taken != Some(false) {
@@ -531,72 +534,61 @@ impl<'a> DeepPass<'a> {
                                 Some(off) => {
                                     #[allow(clippy::cast_sign_loss)]
                                     let target = next.wrapping_add(off as UWord);
-                                    if self.is_instr_start(target) {
+                                    if self.code.is_instr_start(target) {
                                         out.succs.push(target);
                                     } else {
-                                        out.escape = Some(format!(
-                                            "branch target {target:#x} is not an instruction start"
-                                        ));
+                                        out.escape = Some(Escape::BadBranchTarget(target));
                                     }
                                 }
-                                None => {
-                                    out.escape = Some(format!(
-                                        "`{op}`: branch offset depends on a runtime value"
-                                    ));
-                                }
+                                None => out.escape = Some(Escape::RuntimeBranch(op)),
                             }
-                        }
-                        if out.escape.is_some() {
-                            out.succs.clear();
                         }
                     }
                     Opcode::Trap | Opcode::Ftrap => {
-                        Self::advance(&mut out.out, qp_inc);
-                        self.step_trap(addr, size, &a, &b, dst1, dst2, &mut out);
+                        Self::advance(&mut state, qp_inc);
+                        self.step_trap(addr, size, &a, &b, dst1, dst2, &mut state, &mut out);
                     }
-                    Opcode::Fret | Opcode::Rett => {
-                        out.escape = Some(format!("`{op}`: kernel-mode return in user code"));
-                    }
+                    Opcode::Fret | Opcode::Rett => out.escape = Some(Escape::KernelReturn(op)),
                     Opcode::Send => {
-                        Self::advance(&mut out.out, qp_inc);
+                        Self::advance(&mut state, qp_inc);
                         self.fall_through(addr, size, &mut out);
                     }
                     Opcode::Recv => {
-                        Self::advance(&mut out.out, qp_inc);
-                        if let Err(e) = Self::write_dst(&mut out.out, dst1, &AbsV::Top)
-                            .and_then(|()| Self::write_dst(&mut out.out, dst2, &AbsV::Top))
+                        Self::advance(&mut state, qp_inc);
+                        if let Err(e) = Self::write_dst(&mut state, dst1, AbsV::Top)
+                            .and_then(|()| Self::write_dst(&mut state, dst2, AbsV::Top))
                         {
                             out.escape = Some(e);
                         } else {
-                            out.out.result = AbsV::Top;
+                            state.result = AbsV::Top;
                             self.fall_through(addr, size, &mut out);
                         }
                     }
                     Opcode::Fetch | Opcode::Fchb | Opcode::Store | Opcode::Storb => {
-                        Self::advance(&mut out.out, qp_inc);
+                        Self::advance(&mut state, qp_inc);
                         let is_store = matches!(op, Opcode::Store | Opcode::Storb);
-                        out.mem = Some((is_store, a.clone()));
+                        out.mem = Some((is_store, a));
                         if is_store {
                             self.fall_through(addr, size, &mut out);
-                        } else if let Err(e) = Self::write_dst(&mut out.out, dst1, &AbsV::Top)
-                            .and_then(|()| Self::write_dst(&mut out.out, dst2, &AbsV::Top))
+                        } else if let Err(e) = Self::write_dst(&mut state, dst1, AbsV::Top)
+                            .and_then(|()| Self::write_dst(&mut state, dst2, AbsV::Top))
                         {
                             out.escape = Some(e);
                         } else {
-                            out.out.result = AbsV::Top;
+                            state.result = AbsV::Top;
                             self.fall_through(addr, size, &mut out);
                         }
                     }
                     _ => {
                         // ALU / compare.
-                        Self::advance(&mut out.out, qp_inc);
+                        Self::advance(&mut state, qp_inc);
                         let v = fold(op, &a, &b);
-                        if let Err(e) = Self::write_dst(&mut out.out, dst1, &v)
-                            .and_then(|()| Self::write_dst(&mut out.out, dst2, &v))
+                        if let Err(e) = Self::write_dst(&mut state, dst1, v)
+                            .and_then(|()| Self::write_dst(&mut state, dst2, v))
                         {
                             out.escape = Some(e);
                         } else {
-                            out.out.result = v;
+                            state.result = v;
                             self.fall_through(addr, size, &mut out);
                         }
                     }
@@ -606,7 +598,7 @@ impl<'a> DeepPass<'a> {
         if out.escape.is_some() {
             out.succs.clear();
         }
-        out
+        (state, out)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -618,46 +610,44 @@ impl<'a> DeepPass<'a> {
         arg: &AbsV,
         dst1: u8,
         dst2: u8,
+        state: &mut DState,
         out: &mut DStep,
     ) {
         let Some(entry) = entry.singleton() else {
-            out.escape = Some("trap: kernel entry depends on a runtime value".into());
+            out.escape = Some(Escape::RuntimeTrapEntry);
             return;
         };
         let Some(results) = crate::traps::result_count(entry) else {
-            out.escape = Some(format!("trap: unknown kernel entry {entry}"));
+            out.escape = Some(Escape::UnknownTrapEntry(entry));
             return;
         };
         if crate::traps::is_fork(entry) {
-            match arg.constants() {
-                Some(targets) => {
-                    for &t in targets {
-                        #[allow(clippy::cast_sign_loss)]
-                        let t = t as UWord;
-                        if self.is_instr_start(t) {
-                            out.forks.push(t);
-                        } else {
-                            out.escape =
-                                Some(format!("fork target {t:#x} is not a code entry point"));
-                            return;
-                        }
-                    }
-                }
-                None => {
-                    out.escape = Some("fork target depends on a runtime value".into());
-                    return;
-                }
+            let AbsV::OneOf(targets) = arg else {
+                out.escape = Some(Escape::RuntimeForkTarget);
+                return;
+            };
+            #[allow(clippy::cast_sign_loss)]
+            let bad =
+                targets.as_slice().iter().position(|&t| !self.code.is_instr_start(t as UWord));
+            if let Some(i) = bad {
+                // The targets before the bad one are still followed.
+                out.forks = (i > 0).then(|| targets.prefix(i));
+                #[allow(clippy::cast_sign_loss)]
+                let t = targets.as_slice()[i] as UWord;
+                out.escape = Some(Escape::BadForkTarget(t));
+                return;
             }
+            out.forks = Some(*targets);
         }
         if results >= 1 {
-            if let Err(e) = Self::write_dst(&mut out.out, dst1, &AbsV::Top) {
+            if let Err(e) = Self::write_dst(state, dst1, AbsV::Top) {
                 out.escape = Some(e);
                 return;
             }
-            out.out.result = AbsV::Top;
+            state.result = AbsV::Top;
         }
         if results >= 2 {
-            if let Err(e) = Self::write_dst(&mut out.out, dst2, &AbsV::Top) {
+            if let Err(e) = Self::write_dst(state, dst2, AbsV::Top) {
                 out.escape = Some(e);
                 return;
             }
@@ -668,69 +658,64 @@ impl<'a> DeepPass<'a> {
         self.fall_through(addr, size, out);
     }
 
-    /// Run one context to its fixpoint and deterministically re-step it
-    /// to collect mem sites, forks and escapes.
-    fn analyze_context(&self, entry: UWord) -> CtxOut {
-        let label = names::pc_span(&self.symbols, entry);
-        let mut states: HashMap<UWord, DState> = HashMap::new();
-        let mut visits: HashMap<UWord, usize> = HashMap::new();
-        states.insert(entry, DState::entry());
-        let mut work: VecDeque<UWord> = VecDeque::from([entry]);
+    /// Run one context to its fixpoint and collect, from each point's
+    /// last step, its mem site, forks and escape. The worklist pops a
+    /// point after every change to its state, so that last step saw the
+    /// fixpoint; only a budget stop steps every point again.
+    fn analyze_context(&mut self, entry: UWord) -> CtxOut {
+        self.points.start(entry, DPoint { state: DState::ENTRY, joins: 0, last: None });
         let mut rounds = 0usize;
         let mut budget_escape = None;
-        while let Some(addr) = work.pop_front() {
+        while let Some(i) = self.points.pop() {
             rounds += 1;
-            if rounds > 300 * self.obj.words().len().max(1) {
+            let addr = self.points.addr(i);
+            if rounds > self.code.round_budget() {
                 // Widening makes this unreachable; treat a hit as an
                 // escape rather than silently under-approximating.
-                budget_escape = Some((addr, "analysis budget exceeded".to_string()));
+                budget_escape = Some((addr, Escape::Budget.to_string()));
                 break;
             }
-            let in_state = states[&addr].clone();
-            let step = self.step(addr, &in_state);
-            for succ in step.succs {
-                match states.get(&succ) {
-                    None => {
-                        states.insert(succ, step.out.clone());
-                        work.push_back(succ);
-                    }
-                    Some(old) => {
-                        let n = visits.entry(succ).or_insert(0);
-                        *n += 1;
-                        let merged = old.merge(&step.out, *n > WIDEN_AFTER);
-                        if merged != *old {
-                            states.insert(succ, merged);
-                            work.push_back(succ);
+            let in_state = self.points.get(i).state;
+            let (out, step) = self.step(addr, &in_state);
+            self.points.get_mut(i).last = Some(step);
+            for &succ in step.succs.as_slice() {
+                match self.points.find(succ) {
+                    None => self.points.add(succ, DPoint { state: out, joins: 0, last: None }),
+                    Some(j) => {
+                        let p = self.points.get_mut(j);
+                        p.joins += 1;
+                        if p.state.merge_from(&out, p.joins > WIDEN_AFTER) {
+                            self.points.push(j);
                         }
                     }
                 }
             }
         }
 
+        let order = self.points.by_addr();
         let mut outcome = CtxOut {
-            label,
-            visited: states.keys().copied().collect(),
-            mem: BTreeMap::new(),
+            label: names::pc_span(&self.code.symbols, entry),
+            visited: order.iter().map(|&(addr, _)| addr).collect(),
+            mem: Vec::new(),
             escapes: Vec::new(),
             forks: BTreeSet::new(),
         };
-        if let Some(e) = budget_escape {
-            outcome.escapes.push(e);
-        }
-        let visited = outcome.visited.clone();
-        for &addr in &visited {
-            let step = self.step(addr, &states[&addr]);
+        let stopped = budget_escape.is_some();
+        outcome.escapes.extend(budget_escape);
+        for (addr, i) in order {
+            let p = self.points.get(i);
+            let step = match p.last {
+                Some(step) if !stopped => step,
+                _ => self.step(addr, &p.state).1,
+            };
             if let Some(reason) = step.escape {
-                outcome.escapes.push((addr, reason));
+                outcome.escapes.push((addr, reason.to_string()));
             }
             if let Some((is_store, v)) = step.mem {
-                outcome
-                    .mem
-                    .entry(addr)
-                    .and_modify(|(_, old)| *old = old.join(&v))
-                    .or_insert((is_store, v));
+                outcome.mem.push((addr, is_store, v));
             }
-            outcome.forks.extend(step.forks);
+            #[allow(clippy::cast_sign_loss)]
+            outcome.forks.extend(step.forks.iter().flat_map(|f| f.as_slice()).map(|&t| t as UWord));
         }
         outcome
     }
@@ -758,11 +743,14 @@ pub fn deep_verify(obj: &Object, opts: &VerifyOptions) -> DeepReport {
 /// Deep-verify an object with an explicit entry point.
 #[allow(clippy::too_many_lines)]
 pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepReport {
-    let pass = DeepPass::new(obj);
+    // One decoded table and one wiring model serve both tiers.
+    let code = DecodedCode::new(obj);
+    let model = WiringPass::new(&code).build_model(entry);
     // The deep tier is a superset: its report embeds every shallow
     // finding, so callers gate (Strict/Warn) on one report no matter
     // which tier ran.
-    let mut report = crate::verify_object_at(obj, entry, opts);
+    let mut report = crate::shallow_report(&code, &model, entry, opts);
+    let mut pass = DeepPass::new(&code);
 
     // Whole-program value/locality interpretation: every context
     // reachable through constant fork targets.
@@ -790,7 +778,7 @@ pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepR
         }
     }
     if let Some((e, why)) = overflow_escape {
-        escapes.push((names::pc_span(&pass.symbols, e), e, why));
+        escapes.push((names::pc_span(&code.symbols, e), e, why));
     }
     escapes.sort();
     escapes.dedup();
@@ -801,23 +789,24 @@ pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepR
     // incomplete, so per-point joins (and the class argument) say
     // nothing about the paths the analysis never saw.
     let mut facts: Vec<Fact> = Vec::new();
-    let mut flags_by_pc: BTreeMap<UWord, u8> = BTreeMap::new();
+    // The compiled per-word table.
+    let mut flags = vec![0u8; obj.words().len()];
     if qp_confined {
         // Global per-pc address joins (a pc shared by several contexts
         // must be local under every one of them).
         let mut global_mem: BTreeMap<UWord, (bool, AbsV)> = BTreeMap::new();
         for (_, c) in &ctxs {
-            for (&pc, (is_store, v)) in &c.mem {
+            for &(pc, is_store, v) in &c.mem {
                 global_mem
                     .entry(pc)
-                    .and_modify(|(_, old)| *old = old.join(v))
-                    .or_insert((*is_store, v.clone()));
+                    .and_modify(|(_, old)| *old = old.join(&v))
+                    .or_insert((is_store, v));
             }
         }
         for (_, c) in &ctxs {
             for &pc in &c.visited {
-                let Some((instr, _)) = pass.decode_at(pc) else { continue };
-                let f = match confinement_class(&instr) {
+                let Some((instr, _)) = code.instr_at(pc) else { continue };
+                let f = match confinement_class(instr) {
                     Some(f) => Some(f),
                     None => match global_mem.get(&pc) {
                         Some((is_store, v)) if v.proven_local_addr() => {
@@ -827,12 +816,14 @@ pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepR
                     },
                 };
                 if let Some(f) = f {
-                    flags_by_pc.entry(pc).and_modify(|x| *x |= f).or_insert(f);
+                    if let Some(w) = code.index(pc) {
+                        flags[w] |= f;
+                    }
                     facts.push(Fact { ctx: c.label.clone(), pc, kind: FactKind::ProvenLocal });
                     facts.push(Fact { ctx: c.label.clone(), pc, kind: FactKind::CommutesWithNext });
                 }
             }
-            for (&pc, (_, v)) in &c.mem {
+            for &(pc, _, v) in &c.mem {
                 if let Some((lo, hi, stride)) = v.bounds() {
                     facts.push(Fact {
                         ctx: c.label.clone(),
@@ -846,10 +837,8 @@ pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepR
 
     // Channel model: verdict, occupancy bounds, traffic graph — from
     // the wiring pass's static fork-tree model.
-    let wiring = WiringPass::new(obj, &pass.symbols);
-    let model = wiring.build_model(entry);
     let inst_label = |i: usize| {
-        names::ctx_label(i, Some(&names::pc_span(&pass.symbols, model.instances[i].entry)))
+        names::ctx_label(i, Some(&names::pc_span(&code.symbols, model.instances[i].entry)))
     };
     let mut graph: Vec<ChannelEdge> = Vec::new();
     let (verdict, why) = if let Some((_, bail)) = &model.bail {
@@ -971,14 +960,6 @@ pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepR
     facts.sort_by(|a, b| (&a.ctx, a.pc, a.kind.order()).cmp(&(&b.ctx, b.pc, b.kind.order())));
     facts.dedup();
 
-    // Compile the per-word table.
-    let mut flags = vec![0u8; obj.words().len()];
-    for (&pc, &f) in &flags_by_pc {
-        let idx = ((pc - obj.base()) / 4) as usize;
-        if let Some(slot) = flags.get_mut(idx) {
-            *slot = f;
-        }
-    }
     let compiled = DeepFacts { base: obj.base(), flags };
 
     DeepReport {

@@ -19,19 +19,108 @@ use qm_isa::isa::Opcode;
 use qm_isa::Word;
 
 /// Bound on tracked constant-set size; larger sets decay to a range.
-const SET_CAP: usize = 16;
+pub(crate) const SET_CAP: usize = 16;
+
+/// A sorted, deduplicated, non-empty set of at most 16 constants,
+/// stored inline so the abstract values holding it are `Copy`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Consts {
+    len: u8,
+    /// The set is `vals[..len]`; the rest stays zero, so the derived
+    /// equality and hash see only the set.
+    vals: [Word; SET_CAP],
+}
+
+impl Consts {
+    /// The singleton `{v}`.
+    #[must_use]
+    pub fn one(v: Word) -> Consts {
+        let mut vals = [0; SET_CAP];
+        vals[0] = v;
+        Consts { len: 1, vals }
+    }
+
+    /// The set of the values in `buf` (sorted and deduplicated in
+    /// place), or `None` when `buf` is empty or holds more than 16
+    /// distinct values.
+    pub(crate) fn collect(buf: &mut [Word]) -> Option<Consts> {
+        Consts::from_distinct(distinct(buf))
+    }
+
+    /// The set of sorted, distinct `values`; `None` when empty or over
+    /// the cap.
+    fn from_distinct(values: &[Word]) -> Option<Consts> {
+        if values.is_empty() || values.len() > SET_CAP {
+            return None;
+        }
+        let mut vals = [0; SET_CAP];
+        vals[..values.len()].copy_from_slice(values);
+        #[allow(clippy::cast_possible_truncation)]
+        Some(Consts { len: values.len() as u8, vals })
+    }
+
+    /// The first `n` members (all of them when `n` is larger).
+    pub(crate) fn prefix(&self, n: usize) -> Consts {
+        let mut out = *self;
+        if n < self.as_slice().len() {
+            out.vals[n..].fill(0);
+            #[allow(clippy::cast_possible_truncation)]
+            {
+                out.len = n as u8;
+            }
+        }
+        out
+    }
+
+    /// The members, ascending.
+    #[must_use]
+    pub fn as_slice(&self) -> &[Word] {
+        &self.vals[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Consts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+/// Sort `buf` and move its distinct values to the front; returns them.
+fn distinct(buf: &mut [Word]) -> &[Word] {
+    buf.sort_unstable();
+    let mut n = 0;
+    for i in 0..buf.len() {
+        if n == 0 || buf[i] != buf[n - 1] {
+            buf[n] = buf[i];
+            n += 1;
+        }
+    }
+    &buf[..n]
+}
+
+/// Both sets' members side by side in `buf`: the input of a union.
+pub(crate) fn concat<'b>(
+    x: &Consts,
+    y: &Consts,
+    buf: &'b mut [Word; 2 * SET_CAP],
+) -> &'b mut [Word] {
+    let (a, b) = (x.as_slice(), y.as_slice());
+    buf[..a.len()].copy_from_slice(a);
+    buf[a.len()..a.len() + b.len()].copy_from_slice(b);
+    &mut buf[..a.len() + b.len()]
+}
 
 /// An abstract value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsV {
     /// Anything.
     Top,
     /// A comparison result: 0 or −1 (the ISA's boolean convention).
     Bool,
-    /// One of these constants (sorted, deduped, non-empty, ≤ 16).
-    OneOf(Vec<Word>),
+    /// One of these constants.
+    OneOf(Consts),
     /// `v ∧ bool` for `v` in the set: either 0 or one of the set.
-    Gated(Vec<Word>),
+    Gated(Consts),
     /// All values `v` with `lo ≤ v ≤ hi` and `v ≡ lo (mod stride)`
     /// (`stride ≥ 1`; bounds always within `i32`).
     Range {
@@ -65,20 +154,19 @@ fn eff_stride(lo: i64, hi: i64, stride: u32) -> u64 {
     }
 }
 
-/// Normalize a constant set (sorted, deduped); decays to a range when
-/// over the cap.
-pub(crate) fn abs_set(mut v: Vec<Word>) -> AbsV {
+/// The value of the constants in `buf` (sorted and deduplicated in
+/// place): an exact set, or the range it decays to when over the cap.
+pub(crate) fn abs_set(buf: &mut [Word]) -> AbsV {
+    let v = distinct(buf);
     if v.is_empty() {
         return AbsV::Top;
     }
-    v.sort_unstable();
-    v.dedup();
-    if v.len() <= SET_CAP {
-        return AbsV::OneOf(v);
+    if let Some(set) = Consts::from_distinct(v) {
+        return AbsV::OneOf(set);
     }
     let lo = i64::from(v[0]);
     let hi = i64::from(v[v.len() - 1]);
-    let stride = set_stride(&v);
+    let stride = set_stride(v);
     range(lo, hi, stride)
 }
 
@@ -110,8 +198,12 @@ impl AbsV {
         match self {
             AbsV::Top => None,
             AbsV::Bool => Some((-1, 0, 1)),
-            AbsV::OneOf(v) => Some((i64::from(v[0]), i64::from(v[v.len() - 1]), set_stride(v))),
+            AbsV::OneOf(v) => {
+                let v = v.as_slice();
+                Some((i64::from(v[0]), i64::from(v[v.len() - 1]), set_stride(v)))
+            }
             AbsV::Gated(v) => {
+                let v = v.as_slice();
                 let lo = i64::from(v[0]).min(0);
                 let hi = i64::from(v[v.len() - 1]).max(0);
                 Some((lo, hi, 1))
@@ -124,7 +216,10 @@ impl AbsV {
     #[must_use]
     pub fn singleton(&self) -> Option<Word> {
         match self {
-            AbsV::OneOf(v) if v.len() == 1 => Some(v[0]),
+            AbsV::OneOf(v) => match v.as_slice() {
+                &[c] => Some(c),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -140,10 +235,10 @@ impl AbsV {
     #[must_use]
     pub fn join(&self, other: &AbsV) -> AbsV {
         if self == other {
-            return self.clone();
+            return *self;
         }
         match (self, other) {
-            (AbsV::OneOf(x), AbsV::OneOf(y)) => abs_set([x.clone(), y.clone()].concat()),
+            (AbsV::OneOf(x), AbsV::OneOf(y)) => abs_set(concat(x, y, &mut [0; 2 * SET_CAP])),
             (AbsV::Bool, AbsV::Bool) => AbsV::Bool,
             _ => match (self.bounds(), other.bounds()) {
                 (Some((la, ha, sa)), Some((lb, hb, sb))) => {
@@ -162,7 +257,7 @@ impl AbsV {
     #[must_use]
     pub fn widen(&self, newer: &AbsV) -> AbsV {
         if self == newer {
-            return self.clone();
+            return *self;
         }
         let joined = self.join(newer);
         let (Some((lo_old, hi_old, _)), Some((lo_j, hi_j, stride))) =
@@ -179,24 +274,26 @@ impl AbsV {
     #[must_use]
     pub fn constants(&self) -> Option<&[Word]> {
         match self {
-            AbsV::OneOf(v) => Some(v),
+            AbsV::OneOf(v) => Some(v.as_slice()),
             _ => None,
         }
     }
 }
 
 /// Apply `op.alu` across two constant sets.
-fn cross(op: Opcode, xs: &[Word], ys: &[Word]) -> AbsV {
-    let mut out = Vec::with_capacity(xs.len() * ys.len());
-    for &x in xs {
-        for &y in ys {
+fn cross(op: Opcode, xs: &Consts, ys: &Consts) -> AbsV {
+    let mut out = [0; SET_CAP * SET_CAP];
+    let mut n = 0;
+    for &x in xs.as_slice() {
+        for &y in ys.as_slice() {
             match op.alu(x, y) {
-                Some(v) => out.push(v),
+                Some(v) => out[n] = v,
                 None => return AbsV::Top,
             }
+            n += 1;
         }
     }
-    abs_set(out)
+    abs_set(&mut out[..n])
 }
 
 /// Interval transfer for the arithmetic opcodes; `Top` when the shape
@@ -272,10 +369,10 @@ pub fn fold(op: Opcode, a: &AbsV, b: &AbsV) -> AbsV {
         | (Opcode::Plus | Opcode::Or | Opcode::Xor, OneOf(z), v)
             if z.as_slice() == [0] =>
         {
-            v.clone()
+            *v
         }
-        (Opcode::And, OneOf(v), Bool) | (Opcode::And, Bool, OneOf(v)) => Gated(v.clone()),
-        (Opcode::Or, Gated(x), Gated(y)) => abs_set([x.clone(), y.clone()].concat()),
+        (Opcode::And, OneOf(v), Bool) | (Opcode::And, Bool, OneOf(v)) => Gated(*v),
+        (Opcode::Or, Gated(x), Gated(y)) => abs_set(concat(x, y, &mut [0; 2 * SET_CAP])),
         (Opcode::Xor, Bool, OneOf(z)) | (Opcode::Xor, OneOf(z), Bool) if z.as_slice() == [-1] => {
             Bool
         }
@@ -288,14 +385,29 @@ mod tests {
     use super::*;
 
     fn c(v: Word) -> AbsV {
-        AbsV::OneOf(vec![v])
+        AbsV::OneOf(Consts::one(v))
+    }
+
+    fn set(vs: &[Word]) -> AbsV {
+        AbsV::OneOf(Consts::collect(&mut vs.to_vec()).unwrap())
+    }
+
+    #[test]
+    fn constant_sets_are_canonical() {
+        let set = Consts::collect(&mut [3, 1, 3, 2]).unwrap();
+        assert_eq!(set.as_slice(), &[1, 2, 3]);
+        // Equality sees only the members, however the set was built.
+        assert_eq!(set.prefix(2), Consts::collect(&mut [2, 1]).unwrap());
+        assert_eq!(set.prefix(5), set);
+        assert_eq!(Consts::collect(&mut []), None);
+        assert_eq!(Consts::collect(&mut (0..17).collect::<Vec<_>>()), None, "over the cap");
     }
 
     #[test]
     fn constant_arithmetic_stays_exact() {
         assert_eq!(fold(Opcode::Plus, &c(3), &c(4)), c(7));
         assert_eq!(fold(Opcode::Mul, &c(3), &c(4)), c(12));
-        assert_eq!(fold(Opcode::Plus, &AbsV::OneOf(vec![1, 2]), &c(10)), AbsV::OneOf(vec![11, 12]));
+        assert_eq!(fold(Opcode::Plus, &set(&[1, 2]), &c(10)), set(&[11, 12]));
     }
 
     #[test]
@@ -304,13 +416,13 @@ mod tests {
         let m = AbsV::Bool;
         let ga = fold(Opcode::And, &c(100), &m);
         let gb = fold(Opcode::And, &c(200), &m);
-        assert_eq!(fold(Opcode::Or, &ga, &gb), AbsV::OneOf(vec![100, 200]));
+        assert_eq!(fold(Opcode::Or, &ga, &gb), set(&[100, 200]));
     }
 
     #[test]
     fn big_sets_decay_to_strided_ranges() {
         // 17 values exceeds the set cap: the set decays to its range.
-        let s = abs_set((0..17).map(|i| i * 4).collect());
+        let s = abs_set(&mut (0..17).map(|i| i * 4).collect::<Vec<_>>());
         assert_eq!(s, AbsV::Range { lo: 0, hi: 64, stride: 4 });
     }
 
@@ -357,7 +469,7 @@ mod tests {
 
     #[test]
     fn join_of_disjoint_constants_keeps_the_set() {
-        assert_eq!(c(1).join(&c(5)), AbsV::OneOf(vec![1, 5]));
+        assert_eq!(c(1).join(&c(5)), set(&[1, 5]));
         assert_eq!(c(1).join(&AbsV::Top), AbsV::Top);
         assert_eq!(AbsV::Bool.join(&AbsV::Bool), AbsV::Bool);
     }

@@ -43,6 +43,7 @@
 //! assert!(report.is_clean(), "{}", report.render());
 //! ```
 
+mod decoded;
 pub mod deep;
 pub mod diag;
 pub mod domain;
@@ -95,11 +96,23 @@ pub fn verify_object(obj: &Object, opts: &VerifyOptions) -> Report {
 
 /// Verify an object with an explicit entry point.
 pub fn verify_object_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> Report {
-    let pass = queue::QueuePass::new(obj, opts);
-    let symbols = pass.symbols.clone();
-    let mut report = Report::with_symbols(symbols.clone());
-    pass.run(entry, &mut report);
-    wiring::WiringPass::new(obj, &symbols).run(entry, &mut report);
+    let code = decoded::DecodedCode::new(obj);
+    let wiring = wiring::WiringPass::new(&code);
+    shallow_report(&code, &wiring.build_model(entry), entry, opts)
+}
+
+/// The shallow tier's report — queue pass, then wiring lints — over an
+/// object already decoded and a wiring model already built from
+/// `entry`. The deep tier calls it with the pieces it reuses.
+fn shallow_report(
+    code: &decoded::DecodedCode,
+    model: &wiring::WiringModel,
+    entry: UWord,
+    opts: &VerifyOptions,
+) -> Report {
+    let mut report = Report::with_symbols(code.symbols.clone());
+    queue::QueuePass::new(code, opts, code.round_budget()).run(entry, &mut report);
+    wiring::WiringPass::new(code).lint(model, &mut report);
     report.sort();
     report
 }

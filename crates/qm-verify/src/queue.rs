@@ -3,11 +3,11 @@
 //! The pass walks the control-flow graph of each context (instruction
 //! granularity, discovered from the entry point and from constant fork
 //! targets) carrying an abstract queue state: a 256-bit mask of *defined*
-//! queue slots relative to the current front, a map of slots holding
-//! *known constants* (the compiler stages fork targets through the
-//! window, so constant propagation is what makes the fork graph
-//! statically visible), plus a "previous instruction produced a value"
-//! bit for `dup`. The transfer function
+//! queue slots relative to the current front, the *known constants*
+//! slots hold (the compiler stages fork targets through the window, so
+//! constant propagation is what makes the fork graph statically
+//! visible), plus a "previous instruction produced a value" bit for
+//! `dup`. The transfer function
 //! mirrors [`qm_isa::pe::Pe::step`] exactly — reads happen before the
 //! queue pointer advances, destinations are written relative to the new
 //! front, `dup` writes relative to the current front — and the join at
@@ -15,14 +15,24 @@
 //! defined on every path), so every error this pass reports is a
 //! violation on *some* path and every "defined" fact holds on *all*
 //! paths.
+//!
+//! A transfer step allocates nothing beyond interning a value the pass
+//! has not seen before. States are `Copy`: constants are interned, so a
+//! state's slots are a `[u16; 256]` array of ids and a queue-pointer
+//! advance is one `copy_within`. Per-context states live in a table
+//! indexed by object word. Each step records its findings as compact
+//! [`Finding`]s in a log, and the diagnostics pass renders the last step
+//! at each point instead of stepping again: the worklist pops a point
+//! after every change to its state, so that last step saw the fixpoint.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use qm_isa::asm::Object;
 use qm_isa::isa::{Instruction, Opcode, SrcMode, REG_DUMMY, REG_PC, REG_POM, REG_QP};
 use qm_isa::{UWord, Word};
 
+use crate::decoded::{DecodedCode, Points, Succs};
 use crate::diag::{Code, Diagnostic, Report};
+use crate::domain::{concat, Consts, SET_CAP};
 use crate::{names, traps, VerifyOptions};
 
 /// 256 definedness bits, one per queue slot relative to the front.
@@ -72,80 +82,48 @@ impl Mask {
 /// where `m` is a comparison result (0 or −1 in this ISA); tracking
 /// both idioms — sets, because selects nest — is what makes the fork
 /// graph statically visible.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum AbsVal {
     /// A comparison result: 0 or −1 (the ISA's boolean convention).
     Bool,
-    /// One of these constants (sorted, deduped, non-empty, ≤
-    /// [`SET_CAP`]). A singleton is an ordinary known constant.
-    OneOf(Vec<Word>),
+    /// One of these constants. A singleton is an ordinary known
+    /// constant; more than 16 decay to unknown.
+    OneOf(Consts),
     /// `v ∧ bool` for `v` in the set: either 0 or one of the set.
     /// `or`-ing two `Gated` values assumes their gates are
     /// complementary, which is how the compiler emits `sel`; the
     /// queue-discipline checks do not depend on this assumption.
-    Gated(Vec<Word>),
+    Gated(Consts),
 }
 
-/// Bound on tracked constant-set size; larger sets decay to unknown.
-const SET_CAP: usize = 16;
+impl AbsVal {
+    fn constant(v: Word) -> AbsVal {
+        AbsVal::OneOf(Consts::one(v))
+    }
 
-/// Normalize a value set (sorted, deduped, capped).
-fn abs_set(mut v: Vec<Word>) -> Option<AbsVal> {
-    v.sort_unstable();
-    v.dedup();
-    (!v.is_empty() && v.len() <= SET_CAP).then_some(AbsVal::OneOf(v))
+    /// The single constant this value must be, if any.
+    fn singleton(v: Option<AbsVal>) -> Option<Word> {
+        match v {
+            Some(AbsVal::OneOf(set)) => match set.as_slice() {
+                &[c] => Some(c),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
 }
 
 /// Apply `f` across two value sets.
-fn cross(xs: &[Word], ys: &[Word], f: impl Fn(Word, Word) -> Word) -> Option<AbsVal> {
-    let mut out = Vec::with_capacity(xs.len() * ys.len());
-    for &x in xs {
-        for &y in ys {
-            out.push(f(x, y));
+fn cross(xs: &Consts, ys: &Consts, f: impl Fn(Word, Word) -> Word) -> Option<AbsVal> {
+    let mut out = [0; SET_CAP * SET_CAP];
+    let mut n = 0;
+    for &x in xs.as_slice() {
+        for &y in ys.as_slice() {
+            out[n] = f(x, y);
+            n += 1;
         }
     }
-    abs_set(out)
-}
-
-/// Abstract state at one program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    /// Defined queue slots relative to the current front.
-    defined: Mask,
-    /// Slots (relative to the front) holding a known [`AbsVal`].
-    consts: BTreeMap<u8, AbsVal>,
-    /// A value-producing instruction has executed (so `dup` has a
-    /// result to duplicate) on every path to this point.
-    have_result: bool,
-    /// `last_result` when it is statically known.
-    result_val: Option<AbsVal>,
-}
-
-impl State {
-    const ENTRY: State = State {
-        defined: Mask::EMPTY,
-        consts: BTreeMap::new(),
-        have_result: false,
-        result_val: None,
-    };
-
-    fn join(&self, other: &State) -> State {
-        State {
-            defined: self.defined.intersect(&other.defined),
-            consts: self
-                .consts
-                .iter()
-                .filter(|(k, v)| other.consts.get(*k) == Some(*v))
-                .map(|(&k, v)| (k, v.clone()))
-                .collect(),
-            have_result: self.have_result && other.have_result,
-            result_val: if self.result_val == other.result_val {
-                self.result_val.clone()
-            } else {
-                None
-            },
-        }
-    }
+    Consts::collect(&mut out[..n]).map(AbsVal::OneOf)
 }
 
 /// Constant-fold an ALU result; `None` when the opcode/operand shape is
@@ -169,183 +147,343 @@ fn fold(op: Opcode, a: Option<AbsVal>, b: Option<AbsVal>) -> Option<AbsVal> {
     }
     match (op, a?, b?) {
         (Opcode::Plus, OneOf(x), OneOf(y)) => cross(&x, &y, Word::wrapping_add),
-        (Opcode::Plus, v, OneOf(z)) | (Opcode::Plus, OneOf(z), v) if z == [0] => Some(v),
+        (Opcode::Plus, v, OneOf(z)) | (Opcode::Plus, OneOf(z), v) if z.as_slice() == [0] => Some(v),
         (Opcode::Minus, OneOf(x), OneOf(y)) => cross(&x, &y, Word::wrapping_sub),
         (Opcode::Mul, OneOf(x), OneOf(y)) => cross(&x, &y, Word::wrapping_mul),
         (Opcode::And, OneOf(x), OneOf(y)) => cross(&x, &y, |p, q| p & q),
         (Opcode::And, OneOf(v), Bool) | (Opcode::And, Bool, OneOf(v)) => Some(Gated(v)),
         (Opcode::Or, OneOf(x), OneOf(y)) => cross(&x, &y, |p, q| p | q),
-        (Opcode::Or, Gated(x), Gated(y)) => abs_set([x, y].concat()),
+        (Opcode::Or, Gated(x), Gated(y)) => {
+            Consts::collect(concat(&x, &y, &mut [0; 2 * SET_CAP])).map(OneOf)
+        }
         (Opcode::Xor, OneOf(x), OneOf(y)) => cross(&x, &y, |p, q| p ^ q),
-        (Opcode::Xor, Bool, OneOf(z)) | (Opcode::Xor, OneOf(z), Bool) if z == [-1] => Some(Bool),
+        (Opcode::Xor, Bool, OneOf(z)) | (Opcode::Xor, OneOf(z), Bool) if z.as_slice() == [-1] => {
+            Some(Bool)
+        }
         _ => None,
     }
 }
 
-/// Everything the transfer function says about one instruction under one
-/// in-state.
-struct StepOut {
-    out: State,
-    /// Successor program points (empty for terminal instructions).
-    succs: Vec<UWord>,
-    /// Findings at this point (deterministic in `(addr, in-state)`).
-    diags: Vec<Diagnostic>,
-    /// Constant fork targets (new context entry points).
-    forks: Vec<UWord>,
+/// Id of "no statically known value".
+const UNKNOWN: u16 = 0;
+
+/// The pass's interned [`AbsVal`]s. A state slot holds an id, so
+/// states are small `Copy` arrays and two slots agree exactly when
+/// their ids do.
+#[derive(Default)]
+struct Values {
+    vals: Vec<AbsVal>,
+    ids: HashMap<AbsVal, u16>,
+}
+
+impl Values {
+    /// The id of `v`. Past `u16::MAX` distinct values a new value is
+    /// tracked as unknown: sound, only less precise.
+    fn id(&mut self, v: Option<AbsVal>) -> u16 {
+        let Some(v) = v else { return UNKNOWN };
+        if let Some(&id) = self.ids.get(&v) {
+            return id;
+        }
+        let Ok(id) = u16::try_from(self.vals.len() + 1) else { return UNKNOWN };
+        self.vals.push(v);
+        self.ids.insert(v, id);
+        id
+    }
+
+    fn get(&self, id: u16) -> Option<AbsVal> {
+        id.checked_sub(1).map(|i| self.vals[usize::from(i)])
+    }
+}
+
+/// Abstract state at one program point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct State {
+    /// Defined queue slots relative to the current front.
+    defined: Mask,
+    /// Per slot (relative to the front): the id of its known value.
+    consts: [u16; 256],
+    /// A value-producing instruction has executed (so `dup` has a
+    /// result to duplicate) on every path to this point.
+    have_result: bool,
+    /// Id of `last_result` when it is statically known.
+    result_val: u16,
+}
+
+impl State {
+    const ENTRY: State = State {
+        defined: Mask::EMPTY,
+        consts: [UNKNOWN; 256],
+        have_result: false,
+        result_val: UNKNOWN,
+    };
+
+    /// Join `other` into this state; true when this state changed.
+    fn join_from(&mut self, other: &State) -> bool {
+        let defined = self.defined.intersect(&other.defined);
+        let mut changed = defined != self.defined;
+        self.defined = defined;
+        for (a, &b) in self.consts.iter_mut().zip(&other.consts) {
+            if *a != b && *a != UNKNOWN {
+                *a = UNKNOWN;
+                changed = true;
+            }
+        }
+        if self.have_result && !other.have_result {
+            self.have_result = false;
+            changed = true;
+        }
+        if self.result_val != other.result_val && self.result_val != UNKNOWN {
+            self.result_val = UNKNOWN;
+            changed = true;
+        }
+        changed
+    }
+}
+
+/// One finding of a transfer step, kept compact so stepping allocates
+/// nothing; [`QueuePass::diagnostic`] renders it.
+#[derive(Debug, Clone, Copy)]
+enum Finding {
+    /// A constant fork target: a new context entry, not a diagnostic.
+    Fork(UWord),
+    Undecodable,
+    UndefinedRead(u8),
+    /// `+qp_inc` consumed the slots whose bits are set: they hold no
+    /// value on some path.
+    Underflow {
+        qp_inc: u8,
+        undefined: u8,
+    },
+    DupWithoutResult,
+    DupOutsideWindow(u8),
+    SlotOverwrite(u8),
+    RunsOffEnd,
+    IntoData(UWord),
+    BranchRunsOffEnd,
+    BadBranchTarget(UWord),
+    RuntimeBranch,
+    KernelReturn(Opcode),
+    PointerWrite(u8),
+    RuntimeTrapEntry,
+    UnknownTrapEntry(Word),
+    NoSecondResult {
+        entry: Word,
+        dst: u8,
+    },
+    NoResult {
+        entry: Word,
+        dst: u8,
+    },
+    BadForkTarget {
+        entry: Word,
+        target: Word,
+    },
+    RuntimeForkTarget(Word),
+}
+
+/// What one transfer step leaves at its program point for the
+/// diagnostics pass.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    /// Defined slots after the step (the join-consistency lint's input).
+    out_defined: Mask,
+    succs: Succs,
+    /// The step's findings: `log[findings.0..findings.1]`.
+    findings: (usize, usize),
+}
+
+/// One program point of the context under analysis.
+struct Point {
+    /// The in-state: the join over every path seen so far.
+    state: State,
+    /// The latest step from `state`.
+    last: Option<Transfer>,
 }
 
 pub(crate) struct QueuePass<'a> {
-    obj: &'a Object,
+    code: &'a DecodedCode<'a>,
     opts: &'a VerifyOptions,
-    end: UWord,
-    /// Instruction starts from assembler metadata, when present.
-    starts: Option<HashSet<UWord>>,
-    /// Symbols sorted by address, for context labels.
-    pub(crate) symbols: Vec<(String, UWord)>,
+    /// Transfer steps one context may take before the analysis stops
+    /// short of a fixpoint.
+    budget: usize,
+    values: Values,
+    /// Findings of every step of the current context.
+    log: Vec<Finding>,
+    points: Points<'a, Point>,
+    /// `(to, from, defined)` per control-flow edge, for the join lint.
+    edges: Vec<(UWord, UWord, Mask)>,
 }
 
 impl<'a> QueuePass<'a> {
-    pub(crate) fn new(obj: &'a Object, opts: &'a VerifyOptions) -> Self {
-        let starts = if obj.has_verify_meta() {
-            Some(obj.instr_addrs().iter().copied().collect())
-        } else {
-            None
-        };
-        let mut symbols: Vec<(String, UWord)> =
-            obj.symbols().iter().map(|(n, &a)| (n.clone(), a)).collect();
-        symbols.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        QueuePass { obj, opts, end: obj.base() + obj.size_bytes(), starts, symbols }
-    }
-
-    fn decode_at(&self, addr: UWord) -> Result<(Instruction, UWord), String> {
-        if addr < self.obj.base() || addr >= self.end {
-            return Err(format!("address {addr:#x} is outside the code"));
-        }
-        if !(addr - self.obj.base()).is_multiple_of(4) {
-            return Err(format!("address {addr:#x} is not word-aligned"));
-        }
-        let idx = ((addr - self.obj.base()) / 4) as usize;
-        let hi = (idx + 3).min(self.obj.words().len());
-        match Instruction::decode(&self.obj.words()[idx..hi]) {
-            #[allow(clippy::cast_possible_truncation)]
-            Ok((instr, used)) => Ok((instr, 4 * used as UWord)),
-            Err(e) => Err(e.to_string()),
-        }
-    }
-
-    /// A valid branch/fork target: inside the code, aligned, and an
-    /// instruction start (per metadata when available, by decodability
-    /// otherwise).
-    fn is_instr_start(&self, addr: UWord) -> bool {
-        match &self.starts {
-            Some(s) => s.contains(&addr),
-            None => self.decode_at(addr).is_ok(),
+    pub(crate) fn new(code: &'a DecodedCode<'a>, opts: &'a VerifyOptions, budget: usize) -> Self {
+        QueuePass {
+            code,
+            opts,
+            budget,
+            values: Values::default(),
+            log: Vec::new(),
+            points: Points::new(code),
+            edges: Vec::new(),
         }
     }
 
     fn diag(&self, code: Code, addr: UWord, ctx: &str, msg: String) -> Diagnostic {
-        Diagnostic::new(code, msg).in_ctx(ctx).at_pc(addr).at_line(self.obj.line_for(addr))
+        Diagnostic::new(code, msg).in_ctx(ctx).at_pc(addr).at_line(self.code.obj.line_for(addr))
+    }
+
+    /// Render one finding of the step at `addr` (`None` for a fork).
+    fn diagnostic(&self, f: Finding, addr: UWord, ctx: &str) -> Option<Diagnostic> {
+        let (code, msg) = match f {
+            Finding::Fork(_) => return None,
+            Finding::Undecodable => (
+                Code::Undecodable,
+                format!("execution reaches an undecodable word: {}", self.code.decode_error(addr)),
+            ),
+            Finding::UndefinedRead(n) => (
+                Code::UndefinedWindowRead,
+                format!("read of r{n}: queue slot {n} holds no value on some path"),
+            ),
+            Finding::Underflow { qp_inc, undefined } => {
+                let slots: Vec<u32> =
+                    (0..u32::from(qp_inc)).filter(|&i| undefined >> i & 1 == 1).collect();
+                (
+                    Code::QueueUnderflow,
+                    format!(
+                        "queue underflow: +{qp_inc} consumes slot(s) {slots:?} that hold no \
+                         value on some path"
+                    ),
+                )
+            }
+            Finding::DupWithoutResult => (
+                Code::DupWithoutResult,
+                "dup with no preceding value-producing instruction on some path".into(),
+            ),
+            Finding::DupOutsideWindow(off) => (
+                Code::DupOutsideWindow,
+                format!(
+                    "dup offset {off} reaches outside the {}-word queue page",
+                    self.opts.page_words
+                ),
+            ),
+            Finding::SlotOverwrite(off) => {
+                (Code::SlotOverwrite, format!("dup overwrites live queue slot {off}"))
+            }
+            Finding::RunsOffEnd => (
+                Code::RunsOffEnd,
+                "execution runs off the end of the code (no terminating trap)".into(),
+            ),
+            Finding::IntoData(next) => (
+                Code::RunsOffEnd,
+                format!("execution continues into non-instruction words at {next:#x}"),
+            ),
+            Finding::BranchRunsOffEnd => {
+                (Code::RunsOffEnd, "branch fall-through runs off the end of the code".into())
+            }
+            Finding::BadBranchTarget(target) => (
+                Code::BadBranchTarget,
+                format!(
+                    "branch target {target:#x} is outside the code or not an instruction start"
+                ),
+            ),
+            Finding::RuntimeBranch => (
+                Code::Unanalyzable,
+                "branch offset depends on a runtime value; only the fall-through path is checked"
+                    .into(),
+            ),
+            Finding::KernelReturn(op) => (
+                Code::Unanalyzable,
+                format!("kernel-mode return ({op}) in user code ends analysis"),
+            ),
+            Finding::PointerWrite(dst) => (
+                Code::Unanalyzable,
+                format!(
+                    "write to r{dst} ({}) escapes static analysis; the path is not checked past \
+                     this point",
+                    match dst {
+                        REG_PC => "pc",
+                        REG_QP => "qp",
+                        _ => "pom",
+                    }
+                ),
+            ),
+            Finding::RuntimeTrapEntry => (
+                Code::Unanalyzable,
+                "trap entry depends on a runtime value; results assumed written".into(),
+            ),
+            Finding::UnknownTrapEntry(entry) => (
+                Code::Unanalyzable,
+                format!("unknown kernel entry {entry}; the simulator would fault here"),
+            ),
+            Finding::NoSecondResult { entry, dst } => (
+                Code::TrapArityMismatch,
+                format!(
+                    "{} (entry {entry}) never writes a second result, but dst2 is r{dst}",
+                    traps::name(entry)
+                ),
+            ),
+            Finding::NoResult { entry, dst } => (
+                Code::TrapArityMismatch,
+                format!(
+                    "{} (entry {entry}) never writes a result, but dst1 is r{dst}",
+                    traps::name(entry)
+                ),
+            ),
+            Finding::BadForkTarget { entry, target } => (
+                Code::BadForkTarget,
+                format!("{} target {target:#x} is not a code entry point", traps::name(entry)),
+            ),
+            Finding::RuntimeForkTarget(entry) => (
+                Code::Unanalyzable,
+                format!(
+                    "{} target depends on a runtime value; the child context is not checked",
+                    traps::name(entry)
+                ),
+            ),
+        };
+        Some(self.diag(code, addr, ctx, msg))
     }
 
     /// Read one source operand: definedness check plus constant
     /// extraction.
-    fn read_src(
-        &self,
-        mode: SrcMode,
-        state: &State,
-        addr: UWord,
-        ctx: &str,
-        diags: &mut Vec<Diagnostic>,
-    ) -> Option<AbsVal> {
+    fn read_src(&mut self, mode: SrcMode, state: &State) -> Option<AbsVal> {
         match mode {
             SrcMode::Window(n) => {
                 if !state.defined.get(u32::from(n)) {
-                    diags.push(self.diag(
-                        Code::UndefinedWindowRead,
-                        addr,
-                        ctx,
-                        format!("read of r{n}: queue slot {n} holds no value on some path"),
-                    ));
+                    self.log.push(Finding::UndefinedRead(n));
                 }
-                state.consts.get(&n).cloned()
+                self.values.get(state.consts[usize::from(n)])
             }
             SrcMode::Global(_) => None,
-            SrcMode::Imm(v) => Some(AbsVal::OneOf(vec![Word::from(v)])),
-            SrcMode::ImmWord(v) => Some(AbsVal::OneOf(vec![v])),
+            SrcMode::Imm(v) => Some(AbsVal::constant(Word::from(v))),
+            SrcMode::ImmWord(v) => Some(AbsVal::constant(v)),
         }
     }
 
-    /// Queue-pointer advance: underflow check plus the mask shift.
-    fn advance(
-        &self,
-        state: &mut State,
-        qp_inc: u8,
-        addr: UWord,
-        ctx: &str,
-        diags: &mut Vec<Diagnostic>,
-    ) {
-        let undefined: Vec<u32> =
-            (0..u32::from(qp_inc)).filter(|&i| !state.defined.get(i)).collect();
-        if !undefined.is_empty() {
-            diags.push(self.diag(
-                Code::QueueUnderflow,
-                addr,
-                ctx,
-                format!(
-                    "queue underflow: +{qp_inc} consumes slot(s) {undefined:?} that hold no \
-                     value on some path"
-                ),
-            ));
+    /// Queue-pointer advance: underflow check plus the slot shift.
+    fn advance(&mut self, state: &mut State, qp_inc: u8) {
+        let undefined =
+            (0..qp_inc).fold(0u8, |bits, i| bits | u8::from(!state.defined.get(u32::from(i))) << i);
+        if undefined != 0 {
+            self.log.push(Finding::Underflow { qp_inc, undefined });
         }
+        let k = usize::from(qp_inc);
         state.defined.shift_down(u32::from(qp_inc));
-        state.consts = state
-            .consts
-            .iter()
-            .filter(|(&k, _)| k >= qp_inc)
-            .map(|(&k, v)| (k - qp_inc, v.clone()))
-            .collect();
+        state.consts.copy_within(k.., 0);
+        state.consts[256 - k..].fill(UNKNOWN);
     }
 
     /// Write a destination register (post-advance); `val` is the written
     /// value when statically known. Returns `false` when the write makes
     /// the rest of the path unanalyzable (pc/qp/pom).
-    fn write_dst(
-        &self,
-        state: &mut State,
-        dst: u8,
-        val: Option<AbsVal>,
-        addr: UWord,
-        ctx: &str,
-        diags: &mut Vec<Diagnostic>,
-    ) -> bool {
+    fn write_dst(&mut self, state: &mut State, dst: u8, val: Option<AbsVal>) -> bool {
         match dst {
             d if d < 16 => {
                 state.defined.set(u32::from(d));
-                match val {
-                    Some(v) => {
-                        state.consts.insert(d, v);
-                    }
-                    None => {
-                        state.consts.remove(&d);
-                    }
-                }
+                state.consts[usize::from(d)] = self.values.id(val);
                 true
             }
             REG_PC | REG_QP | REG_POM => {
-                diags.push(self.diag(
-                    Code::Unanalyzable,
-                    addr,
-                    ctx,
-                    format!(
-                        "write to r{dst} ({}) escapes static analysis; the path is not \
-                         checked past this point",
-                        match dst {
-                            REG_PC => "pc",
-                            REG_QP => "qp",
-                            _ => "pom",
-                        }
-                    ),
-                ));
+                self.log.push(Finding::PointerWrite(dst));
                 false
             }
             _ => true, // plain global (incl. DUMMY): no queue effect
@@ -354,396 +492,265 @@ impl<'a> QueuePass<'a> {
 
     /// The successor for straight-line flow, checking for running off
     /// the end of the code or into data words.
-    fn fall_through(
-        &self,
-        addr: UWord,
-        size: UWord,
-        ctx: &str,
-        succs: &mut Vec<UWord>,
-        diags: &mut Vec<Diagnostic>,
-    ) {
+    fn fall_through(&mut self, addr: UWord, size: UWord, succs: &mut Succs) {
         let next = addr + size;
-        if next >= self.end {
-            diags.push(self.diag(
-                Code::RunsOffEnd,
-                addr,
-                ctx,
-                "execution runs off the end of the code (no terminating trap)".into(),
-            ));
-        } else if !self.is_instr_start(next) {
-            diags.push(self.diag(
-                Code::RunsOffEnd,
-                addr,
-                ctx,
-                format!("execution continues into non-instruction words at {next:#x}"),
-            ));
+        if next >= self.code.end() {
+            self.log.push(Finding::RunsOffEnd);
+        } else if !self.code.is_instr_start(next) {
+            self.log.push(Finding::IntoData(next));
         } else {
             succs.push(next);
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn step(&self, addr: UWord, in_state: &State, ctx: &str) -> StepOut {
-        let mut out = StepOut {
-            out: in_state.clone(),
-            succs: Vec::new(),
-            diags: Vec::new(),
-            forks: Vec::new(),
-        };
-        let (instr, size) = match self.decode_at(addr) {
-            Ok(x) => x,
-            Err(msg) => {
-                out.diags.push(self.diag(
-                    Code::Undecodable,
-                    addr,
-                    ctx,
-                    format!("execution reaches an undecodable word: {msg}"),
-                ));
-                return out;
-            }
-        };
-        match instr {
-            Instruction::Dup { two, off1, off2, .. } => {
+    /// The transfer function at `addr`: the out-state, with the step's
+    /// successors and findings.
+    fn step(&mut self, addr: UWord, in_state: &State) -> (State, Transfer) {
+        let mut out = *in_state;
+        let mut succs = Succs::default();
+        let first = self.log.len();
+        match self.code.instr_at(addr) {
+            None => self.log.push(Finding::Undecodable),
+            Some((&Instruction::Dup { two, off1, off2, .. }, size)) => {
                 if !in_state.have_result {
-                    out.diags.push(self.diag(
-                        Code::DupWithoutResult,
-                        addr,
-                        ctx,
-                        "dup with no preceding value-producing instruction on some path".into(),
-                    ));
+                    self.log.push(Finding::DupWithoutResult);
                 }
-                let offs: &[u8] = if two { &[off1, off2] } else { &[off1] };
-                for &off in offs {
+                let offs = [off1, off2];
+                for &off in &offs[..if two { 2 } else { 1 }] {
                     if u32::from(off) >= self.opts.page_words {
-                        out.diags.push(self.diag(
-                            Code::DupOutsideWindow,
-                            addr,
-                            ctx,
-                            format!(
-                                "dup offset {off} reaches outside the {}-word queue page",
-                                self.opts.page_words
-                            ),
-                        ));
+                        self.log.push(Finding::DupOutsideWindow(off));
                     } else if in_state.defined.get(u32::from(off)) {
-                        out.diags.push(self.diag(
-                            Code::SlotOverwrite,
-                            addr,
-                            ctx,
-                            format!("dup overwrites live queue slot {off}"),
-                        ));
+                        self.log.push(Finding::SlotOverwrite(off));
                     }
-                    out.out.defined.set(u32::from(off));
-                    match &in_state.result_val {
-                        Some(v) => {
-                            out.out.consts.insert(off, v.clone());
-                        }
-                        None => {
-                            out.out.consts.remove(&off);
-                        }
-                    }
+                    out.defined.set(u32::from(off));
+                    out.consts[usize::from(off)] = in_state.result_val;
                 }
-                self.fall_through(addr, size, ctx, &mut out.succs, &mut out.diags);
+                self.fall_through(addr, size, &mut succs);
             }
-            Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, .. } => {
-                let a = self.read_src(src1, in_state, addr, ctx, &mut out.diags);
-                let b = self.read_src(src2, in_state, addr, ctx, &mut out.diags);
+            Some((&Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, .. }, size)) => {
+                let a = self.read_src(src1, in_state);
+                let b = self.read_src(src2, in_state);
                 match op {
                     Opcode::Bne | Opcode::Beq => {
-                        self.advance(&mut out.out, qp_inc, addr, ctx, &mut out.diags);
+                        self.advance(&mut out, qp_inc);
                         // Constant conditions fold: `beq #0,@l` is the
                         // unconditional-jump idiom, `bne #0,…` never fires.
-                        let taken = match &a {
-                            Some(AbsVal::OneOf(v)) if v.len() == 1 => {
-                                Some((v[0] != 0) == (op == Opcode::Bne))
-                            }
-                            _ => None,
-                        };
+                        let taken = AbsVal::singleton(a).map(|v| (v != 0) == (op == Opcode::Bne));
                         let next = addr + size;
                         if taken != Some(true) {
-                            if next < self.end && self.is_instr_start(next) {
-                                out.succs.push(next);
+                            if self.code.is_instr_start(next) {
+                                succs.push(next);
                             } else {
-                                out.diags.push(self.diag(
-                                    Code::RunsOffEnd,
-                                    addr,
-                                    ctx,
-                                    "branch fall-through runs off the end of the code".into(),
-                                ));
+                                self.log.push(Finding::BranchRunsOffEnd);
                             }
                         }
                         if taken != Some(false) {
-                            match &b {
-                                Some(AbsVal::OneOf(v)) if v.len() == 1 => {
+                            match AbsVal::singleton(b) {
+                                Some(off) => {
                                     #[allow(clippy::cast_sign_loss)]
-                                    let target = next.wrapping_add(v[0] as UWord);
-                                    if self.is_instr_start(target) {
-                                        out.succs.push(target);
+                                    let target = next.wrapping_add(off as UWord);
+                                    if self.code.is_instr_start(target) {
+                                        succs.push(target);
                                     } else {
-                                        out.diags.push(self.diag(
-                                            Code::BadBranchTarget,
-                                            addr,
-                                            ctx,
-                                            format!(
-                                                "branch target {target:#x} is outside the code \
-                                                 or not an instruction start"
-                                            ),
-                                        ));
+                                        self.log.push(Finding::BadBranchTarget(target));
                                     }
                                 }
-                                _ => {
-                                    out.diags.push(
-                                        self.diag(
-                                            Code::Unanalyzable,
-                                            addr,
-                                            ctx,
-                                            "branch offset depends on a runtime value; only the \
-                                         fall-through path is checked"
-                                                .into(),
-                                        ),
-                                    );
-                                }
+                                None => self.log.push(Finding::RuntimeBranch),
                             }
                         }
                     }
                     Opcode::Trap | Opcode::Ftrap => {
-                        self.advance(&mut out.out, qp_inc, addr, ctx, &mut out.diags);
-                        self.step_trap(addr, size, a, b, dst1, dst2, ctx, &mut out);
+                        self.advance(&mut out, qp_inc);
+                        self.step_trap(addr, size, a, b, dst1, dst2, &mut out, &mut succs);
                     }
-                    Opcode::Fret | Opcode::Rett => {
-                        out.diags.push(self.diag(
-                            Code::Unanalyzable,
-                            addr,
-                            ctx,
-                            format!("kernel-mode return ({op}) in user code ends analysis"),
-                        ));
-                    }
+                    Opcode::Fret | Opcode::Rett => self.log.push(Finding::KernelReturn(op)),
                     _ => {
                         // ALU / compare / memory / channel: value-producing
                         // unless store/send.
-                        self.advance(&mut out.out, qp_inc, addr, ctx, &mut out.diags);
+                        self.advance(&mut out, qp_inc);
                         let produces = !matches!(op, Opcode::Store | Opcode::Storb | Opcode::Send);
                         let mut analyzable = true;
                         if produces {
                             let val = fold(op, a, b);
-                            analyzable &= self.write_dst(
-                                &mut out.out,
-                                dst1,
-                                val.clone(),
-                                addr,
-                                ctx,
-                                &mut out.diags,
-                            );
-                            analyzable &= self.write_dst(
-                                &mut out.out,
-                                dst2,
-                                val.clone(),
-                                addr,
-                                ctx,
-                                &mut out.diags,
-                            );
-                            out.out.have_result = true;
-                            out.out.result_val = val;
+                            analyzable &= self.write_dst(&mut out, dst1, val);
+                            analyzable &= self.write_dst(&mut out, dst2, val);
+                            out.have_result = true;
+                            out.result_val = self.values.id(val);
                         }
                         if analyzable {
-                            self.fall_through(addr, size, ctx, &mut out.succs, &mut out.diags);
+                            self.fall_through(addr, size, &mut succs);
                         }
                     }
                 }
             }
         }
-        out
+        let transfer =
+            Transfer { out_defined: out.defined, succs, findings: (first, self.log.len()) };
+        (out, transfer)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn step_trap(
-        &self,
+        &mut self,
         addr: UWord,
         size: UWord,
         entry: Option<AbsVal>,
         arg: Option<AbsVal>,
         dst1: u8,
         dst2: u8,
-        ctx: &str,
-        out: &mut StepOut,
+        out: &mut State,
+        succs: &mut Succs,
     ) {
-        let entry = match &entry {
-            Some(AbsVal::OneOf(v)) if v.len() == 1 => Some(v[0]),
-            _ => None,
-        };
-        let Some(entry) = entry else {
-            out.diags.push(self.diag(
-                Code::Unanalyzable,
-                addr,
-                ctx,
-                "trap entry depends on a runtime value; results assumed written".into(),
-            ));
-            self.write_dst(&mut out.out, dst1, None, addr, ctx, &mut out.diags);
-            self.write_dst(&mut out.out, dst2, None, addr, ctx, &mut out.diags);
-            out.out.have_result = true;
-            out.out.result_val = None;
-            self.fall_through(addr, size, ctx, &mut out.succs, &mut out.diags);
-            return;
-        };
-        let Some(results) = traps::result_count(entry) else {
-            out.diags.push(self.diag(
-                Code::Unanalyzable,
-                addr,
-                ctx,
-                format!("unknown kernel entry {entry}; the simulator would fault here"),
-            ));
-            self.write_dst(&mut out.out, dst1, None, addr, ctx, &mut out.diags);
-            self.write_dst(&mut out.out, dst2, None, addr, ctx, &mut out.diags);
-            out.out.have_result = true;
-            out.out.result_val = None;
-            self.fall_through(addr, size, ctx, &mut out.succs, &mut out.diags);
+        let known = AbsVal::singleton(entry).map(|e| (e, traps::result_count(e)));
+        let Some((entry, Some(results))) = known else {
+            self.log.push(match known {
+                Some((entry, _)) => Finding::UnknownTrapEntry(entry),
+                None => Finding::RuntimeTrapEntry,
+            });
+            self.write_dst(out, dst1, None);
+            self.write_dst(out, dst2, None);
+            out.have_result = true;
+            out.result_val = UNKNOWN;
+            self.fall_through(addr, size, succs);
             return;
         };
         // Destinations the kernel entry never writes must be DUMMY —
         // anything else reads as expecting a result that never comes.
-        let name = traps::name(entry);
         if results < 2 && dst2 != REG_DUMMY {
-            out.diags.push(self.diag(
-                Code::TrapArityMismatch,
-                addr,
-                ctx,
-                format!("{name} (entry {entry}) never writes a second result, but dst2 is r{dst2}"),
-            ));
+            self.log.push(Finding::NoSecondResult { entry, dst: dst2 });
         }
         if results < 1 && dst1 != REG_DUMMY {
-            out.diags.push(self.diag(
-                Code::TrapArityMismatch,
-                addr,
-                ctx,
-                format!("{name} (entry {entry}) never writes a result, but dst1 is r{dst1}"),
-            ));
+            self.log.push(Finding::NoResult { entry, dst: dst1 });
         }
         if results >= 1 {
-            self.write_dst(&mut out.out, dst1, None, addr, ctx, &mut out.diags);
-            out.out.have_result = true;
-            out.out.result_val = None;
+            self.write_dst(out, dst1, None);
+            out.have_result = true;
+            out.result_val = UNKNOWN;
         }
         if results >= 2 {
-            self.write_dst(&mut out.out, dst2, None, addr, ctx, &mut out.diags);
+            self.write_dst(out, dst2, None);
         }
         if traps::is_fork(entry) {
-            let targets: Option<Vec<Word>> = match arg {
-                Some(AbsVal::OneOf(ts)) => Some(ts),
-                _ => None,
-            };
-            match targets {
-                Some(ts) => {
-                    for target in ts {
+            match arg {
+                Some(AbsVal::OneOf(targets)) => {
+                    for &target in targets.as_slice() {
                         #[allow(clippy::cast_sign_loss)]
-                        if self.is_instr_start(target as UWord) {
-                            out.forks.push(target as UWord);
+                        if self.code.is_instr_start(target as UWord) {
+                            self.log.push(Finding::Fork(target as UWord));
                         } else {
-                            out.diags.push(self.diag(
-                                Code::BadForkTarget,
-                                addr,
-                                ctx,
-                                format!("{name} target {target:#x} is not a code entry point"),
-                            ));
+                            self.log.push(Finding::BadForkTarget { entry, target });
                         }
                     }
                 }
-                None => {
-                    out.diags.push(self.diag(
-                        Code::Unanalyzable,
-                        addr,
-                        ctx,
-                        format!(
-                            "{name} target depends on a runtime value; the child context \
-                                 is not checked"
-                        ),
-                    ));
-                }
+                _ => self.log.push(Finding::RuntimeForkTarget(entry)),
             }
         }
         if matches!(entry, traps::END | traps::HALT) {
             return; // terminal: no successor
         }
-        self.fall_through(addr, size, ctx, &mut out.succs, &mut out.diags);
+        self.fall_through(addr, size, succs);
     }
 
     /// Analyze one context rooted at `entry`; returns constant fork
     /// targets found (candidate further contexts).
     fn analyze_context(
-        &self,
+        &mut self,
         entry: UWord,
         ctx: &str,
         report: &mut Report,
         seen: &mut HashSet<(Code, UWord, String)>,
     ) -> BTreeSet<UWord> {
-        let mut states: HashMap<UWord, State> = HashMap::new();
-        states.insert(entry, State::ENTRY);
-        let mut work: VecDeque<UWord> = VecDeque::from([entry]);
+        self.log.clear();
+        self.points.start(entry, Point { state: State::ENTRY, last: None });
         let mut rounds = 0usize;
-        while let Some(addr) = work.pop_front() {
+        let mut stopped_at = None;
+        while let Some(i) = self.points.pop() {
             rounds += 1;
-            if rounds > 300 * self.obj.words().len().max(1) {
-                break; // descending-chain bound; unreachable in practice
+            let addr = self.points.addr(i);
+            if rounds > self.budget {
+                stopped_at = Some(addr);
+                break;
             }
-            let in_state = states[&addr].clone();
-            let step = self.step(addr, &in_state, ctx);
-            for succ in step.succs {
-                match states.get(&succ) {
-                    None => {
-                        states.insert(succ, step.out.clone());
-                        work.push_back(succ);
-                    }
-                    Some(old) => {
-                        let joined = old.join(&step.out);
-                        if joined != *old {
-                            states.insert(succ, joined);
-                            work.push_back(succ);
+            let in_state = self.points.get(i).state;
+            let (out, transfer) = self.step(addr, &in_state);
+            self.points.get_mut(i).last = Some(transfer);
+            for &succ in transfer.succs.as_slice() {
+                match self.points.find(succ) {
+                    None => self.points.add(succ, Point { state: out, last: None }),
+                    Some(j) => {
+                        if self.points.get_mut(j).state.join_from(&out) {
+                            self.points.push(j);
                         }
                     }
                 }
             }
         }
 
-        // Final pass over the fixpoint: emit diagnostics once per
-        // program point, gather fork targets, and record the per-edge
-        // out-masks for the join-consistency lint.
-        let mut forks = BTreeSet::new();
-        let mut inflows: BTreeMap<UWord, Vec<(UWord, Mask)>> = BTreeMap::new();
-        let addrs: BTreeSet<UWord> = states.keys().copied().collect();
-        for &addr in &addrs {
-            let step = self.step(addr, &states[&addr], ctx);
-            for d in step.diags {
-                if seen.insert((d.code, addr, d.message.clone())) {
-                    report.push(d);
-                }
-            }
-            forks.extend(step.forks);
-            for succ in step.succs {
-                inflows.entry(succ).or_default().push((addr, step.out.defined));
+        // Diagnostics over the fixpoint, once per program point, in
+        // address order: each point's last step saw its fixpoint
+        // in-state. A budget stop leaves no fixpoint, so every point
+        // then steps again from the state it reached.
+        if let Some(addr) = stopped_at {
+            let d = self.diag(
+                Code::Unanalyzable,
+                addr,
+                ctx,
+                format!(
+                    "analysis stopped after {} transfer steps without reaching a fixpoint; \
+                     findings in this context may be incomplete",
+                    self.budget
+                ),
+            );
+            if seen.insert((d.code, addr, d.message.clone())) {
+                report.push(d);
             }
         }
-        for (to, froms) in inflows {
-            let distinct: Vec<&Mask> = {
-                let mut seen_masks: Vec<&Mask> = Vec::new();
-                for (_, m) in &froms {
-                    if !seen_masks.contains(&m) {
-                        seen_masks.push(m);
+        let mut forks = BTreeSet::new();
+        self.edges.clear();
+        for (addr, i) in self.points.by_addr() {
+            let transfer = match self.points.get(i).last {
+                Some(t) if stopped_at.is_none() => t,
+                _ => {
+                    let in_state = self.points.get(i).state;
+                    self.step(addr, &in_state).1
+                }
+            };
+            for &f in &self.log[transfer.findings.0..transfer.findings.1] {
+                if let Finding::Fork(target) = f {
+                    forks.insert(target);
+                } else if let Some(d) = self.diagnostic(f, addr, ctx) {
+                    if seen.insert((d.code, addr, d.message.clone())) {
+                        report.push(d);
                     }
                 }
-                seen_masks
-            };
-            if distinct.len() > 1 {
-                let preds: Vec<String> =
-                    froms.iter().map(|(f, _)| names::pc_span(&self.symbols, *f)).collect();
-                let d = self
-                    .diag(
-                        Code::JoinDepthMismatch,
-                        to,
-                        ctx,
-                        "paths reach this join with different live queue slots".into(),
-                    )
-                    .note(format!("joined from {}", preds.join(", ")));
-                if seen.insert((d.code, to, d.message.clone())) {
-                    report.push(d);
-                }
+            }
+            for &succ in transfer.succs.as_slice() {
+                self.edges.push((succ, addr, transfer.out_defined));
+            }
+        }
+
+        // Join consistency: every edge into a point carries the same
+        // live slots.
+        self.edges.sort_unstable_by_key(|&(to, from, _)| (to, from));
+        for inflow in self.edges.chunk_by(|x, y| x.0 == y.0) {
+            let (to, _, first) = inflow[0];
+            if inflow.iter().all(|&(_, _, m)| m == first) {
+                continue;
+            }
+            let preds: Vec<String> = inflow
+                .iter()
+                .map(|&(_, from, _)| names::pc_span(&self.code.symbols, from))
+                .collect();
+            let d = self
+                .diag(
+                    Code::JoinDepthMismatch,
+                    to,
+                    ctx,
+                    "paths reach this join with different live queue slots".into(),
+                )
+                .note(format!("joined from {}", preds.join(", ")));
+            if seen.insert((d.code, to, d.message.clone())) {
+                report.push(d);
             }
         }
         forks
@@ -751,7 +758,7 @@ impl<'a> QueuePass<'a> {
 
     /// Run the pass: analyze the context at `entry` and, transitively,
     /// every context reachable through constant fork targets.
-    pub(crate) fn run(&self, entry: UWord, report: &mut Report) {
+    pub(crate) fn run(&mut self, entry: UWord, report: &mut Report) {
         let mut seen: HashSet<(Code, UWord, String)> = HashSet::new();
         let mut done: BTreeSet<UWord> = BTreeSet::new();
         let mut pending: VecDeque<UWord> = VecDeque::from([entry]);
@@ -759,7 +766,7 @@ impl<'a> QueuePass<'a> {
             if !done.insert(e) {
                 continue;
             }
-            let label = names::pc_span(&self.symbols, e);
+            let label = names::pc_span(&self.code.symbols, e);
             let forks = self.analyze_context(e, &label, report, &mut seen);
             pending.extend(forks);
         }
@@ -936,6 +943,63 @@ mod tests {
         let r = verify("main: plus #8,#0 :pc\n trap #2,#0\n");
         assert!(codes(&r).contains(&"QV0101"), "{}", r.render());
         assert!(!r.has_errors(), "{}", r.render());
+    }
+
+    #[test]
+    fn join_forgets_constants_that_disagree() {
+        // r1 holds a received value on one path and the fork target on
+        // the other, which reaches the join first: after the join the
+        // target is unknown, so the fork is flagged rather than followed.
+        let r = verify(
+            "main:  lt #1,#2 :r0\n\
+                    bne r0,@other\n\
+                    recv #0,#0 :r1\n\
+                    beq #0,@join\n\
+             other: plus #kid,#0 :r1\n\
+             join:  trap #0,r1 :r2,r3\n\
+                    trap #2,#0\n\
+             kid:   trap #2,#0\n",
+        );
+        assert!(
+            r.diags.iter().any(|d| d.code == Code::Unanalyzable
+                && d.message.contains("target depends on a runtime value")),
+            "{}",
+            r.render()
+        );
+        assert!(!r.diags.iter().any(|d| d.ctx.as_deref() == Some("kid")), "{}", r.render());
+    }
+
+    #[test]
+    fn exhausted_round_budget_is_a_warning() {
+        // The loop needs more than three transfer steps to reach its
+        // fixpoint; a budget of three stops it short and says so.
+        let obj = assemble(
+            "main: plus #0,#0 :r0\n\
+             loop: plus+1 r0,#1 :r0\n\
+                   lt r0,#10 :r1\n\
+                   bne r1,@loop\n\
+                   trap #2,#0\n",
+        )
+        .unwrap();
+        let code = DecodedCode::new(&obj);
+        let opts = VerifyOptions::default();
+        let mut report = Report::default();
+        QueuePass::new(&code, &opts, 3).run(0, &mut report);
+        let d = report
+            .diags
+            .iter()
+            .find(|d| d.code == Code::Unanalyzable && d.message.contains("fixpoint"))
+            .unwrap_or_else(|| panic!("budget warning: {}", report.render()));
+        assert_eq!(d.pc, Some(12), "the stop is at the fourth step's point, the branch");
+        assert_eq!(d.severity, crate::Severity::Warning);
+        // With the default budget the same program reaches its fixpoint.
+        let mut report = Report::default();
+        QueuePass::new(&code, &opts, code.round_budget()).run(0, &mut report);
+        assert!(
+            !report.diags.iter().any(|d| d.message.contains("fixpoint")),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

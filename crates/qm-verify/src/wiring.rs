@@ -26,10 +26,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use qm_isa::asm::Object;
 use qm_isa::isa::{Instruction, Opcode, SrcMode, REG_DUMMY};
 use qm_isa::{UWord, Word};
 
+use crate::decoded::DecodedCode;
 use crate::diag::{Code, Diagnostic, Report};
 use crate::{names, traps};
 
@@ -135,29 +135,16 @@ pub(crate) struct WiringModel {
 }
 
 pub(crate) struct WiringPass<'a> {
-    obj: &'a Object,
-    symbols: &'a [(String, UWord)],
+    code: &'a DecodedCode<'a>,
 }
 
 impl<'a> WiringPass<'a> {
-    pub(crate) fn new(obj: &'a Object, symbols: &'a [(String, UWord)]) -> Self {
-        WiringPass { obj, symbols }
-    }
-
-    fn decode_at(&self, addr: UWord) -> Option<(Instruction, UWord)> {
-        let base = self.obj.base();
-        let end = base + self.obj.size_bytes();
-        if addr < base || addr >= end || !(addr - base).is_multiple_of(4) {
-            return None;
-        }
-        let idx = ((addr - base) / 4) as usize;
-        let hi = (idx + 3).min(self.obj.words().len());
-        #[allow(clippy::cast_possible_truncation)]
-        Instruction::decode(&self.obj.words()[idx..hi]).ok().map(|(i, used)| (i, 4 * used as UWord))
+    pub(crate) fn new(code: &'a DecodedCode<'a>) -> Self {
+        WiringPass { code }
     }
 
     fn ctx_label(&self, inst: usize, entry: UWord) -> String {
-        names::ctx_label(inst, Some(&names::pc_span(self.symbols, entry)))
+        names::ctx_label(inst, Some(&names::pc_span(&self.code.symbols, entry)))
     }
 
     /// Symbolically execute one instance. Returns the [`Bail`] naming
@@ -188,10 +175,10 @@ impl<'a> WiringPass<'a> {
         };
 
         for _ in 0..MAX_STEPS {
-            let Some((instr, size)) = self.decode_at(pc) else {
+            let Some((instr, size)) = self.code.instr_at(pc) else {
                 return Err(Bail { pc, reason: "execution reaches an undecodable word".into() });
             };
-            match instr {
+            match *instr {
                 Instruction::Dup { two, off1, off2, .. } => {
                     slots.insert(u32::from(off1), last_result);
                     if two {
@@ -425,14 +412,16 @@ impl<'a> WiringPass<'a> {
             )
             .in_ctx(self.ctx_label(*id, model.instances[*id].entry))
             .at_pc(bail.pc)
-            .at_line(self.obj.line_for(bail.pc))
+            .at_line(self.code.obj.line_for(bail.pc))
             .note("splice lints and channel facts are unavailable for this program"),
         )
     }
 
-    pub(crate) fn run(&self, entry: UWord, report: &mut Report) {
-        let model = self.build_model(entry);
-        if let Some(note) = self.bail_note(&model) {
+    /// The wiring lints over `model` (this pass's [`build_model`]).
+    ///
+    /// [`build_model`]: Self::build_model
+    pub(crate) fn lint(&self, model: &WiringModel, report: &mut Report) {
+        if let Some(note) = self.bail_note(model) {
             report.push(note);
             return; // not statically decidable: no wiring lints
         }
@@ -462,7 +451,7 @@ impl<'a> WiringPass<'a> {
                     )
                     .in_ctx(self.ctx_label(id, instances[id].entry))
                     .at_pc(pc)
-                    .at_line(self.obj.line_for(pc)),
+                    .at_line(self.code.obj.line_for(pc)),
                 );
             }
             let mut ctxs: Vec<usize> = rs.iter().map(|&(id, _)| id).collect();
@@ -478,7 +467,7 @@ impl<'a> WiringPass<'a> {
                     )
                     .in_ctx(self.ctx_label(ctxs[0], instances[ctxs[0]].entry))
                     .at_pc(rs[0].1)
-                    .at_line(self.obj.line_for(rs[0].1))
+                    .at_line(self.code.obj.line_for(rs[0].1))
                     .note(format!("receivers: {}", names.join(", "))),
                 );
             }
@@ -493,7 +482,7 @@ impl<'a> WiringPass<'a> {
                     )
                     .in_ctx(self.ctx_label(id, instances[id].entry))
                     .at_pc(pc)
-                    .at_line(self.obj.line_for(pc)),
+                    .at_line(self.code.obj.line_for(pc)),
                 );
             }
         }
@@ -537,7 +526,7 @@ impl<'a> WiringPass<'a> {
                     )
                     .in_ctx(self.ctx_label(i, instances[i].entry))
                     .at_pc(pc)
-                    .at_line(self.obj.line_for(pc)),
+                    .at_line(self.code.obj.line_for(pc)),
                 );
             }
             edges.insert(i, future_senders);
@@ -551,7 +540,7 @@ impl<'a> WiringPass<'a> {
             )
             .in_ctx(self.ctx_label(cycle[0], instances[cycle[0]].entry))
             .at_pc(instances[cycle[0]].events[idx[cycle[0]]].pc)
-            .at_line(self.obj.line_for(instances[cycle[0]].events[idx[cycle[0]]].pc));
+            .at_line(self.code.obj.line_for(instances[cycle[0]].events[idx[cycle[0]]].pc));
             for (k, &i) in cycle.iter().enumerate() {
                 let j = cycle[(k + 1) % cycle.len()];
                 d = d.note(names::wait_line(
@@ -889,9 +878,8 @@ mod tests {
                    trap #2,#0\n",
         )
         .unwrap();
-        let symbols: Vec<(String, u32)> =
-            obj.symbols().iter().map(|(n, &a)| (n.clone(), a)).collect();
-        let pass = super::WiringPass::new(&obj, &symbols);
+        let code = crate::decoded::DecodedCode::new(&obj);
+        let pass = super::WiringPass::new(&code);
         let model = pass.build_model(obj.symbol("main").unwrap());
         assert!(model.bail.is_none());
         let bounds = super::depth_bounds(&model.instances);
@@ -912,9 +900,8 @@ mod tests {
                    trap #2,#0\n",
         )
         .unwrap();
-        let symbols: Vec<(String, u32)> =
-            obj.symbols().iter().map(|(n, &a)| (n.clone(), a)).collect();
-        let pass = super::WiringPass::new(&obj, &symbols);
+        let code = crate::decoded::DecodedCode::new(&obj);
+        let pass = super::WiringPass::new(&code);
         let model = pass.build_model(obj.symbol("main").unwrap());
         assert!(model.bail.is_none());
         let buffered = super::replay_buffered(&model.instances);

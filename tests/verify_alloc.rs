@@ -1,0 +1,85 @@
+//! Bound on the verifier's heap traffic: both tiers make at most
+//! [`MAX_ALLOCS_PER_WORD`] allocations per object word.
+//!
+//! The queue and deep passes step every program point under abstract
+//! states that are plain `Copy` values, so a transfer step allocates
+//! nothing; what remains is per-program setup (the decoded-code table,
+//! the dense state tables, the symbol table) and the report itself. A
+//! regression that puts a map, a `Vec` or a `String` back into the
+//! per-step path costs tens of allocations per word and fails here.
+//!
+//! The test installs a counting `#[global_allocator]`; this file is its
+//! own test binary and holds exactly one `#[test]`, so no sibling test
+//! allocates during a measurement. Each figure is the minimum over three
+//! calls, which filters out stray harness bookkeeping.
+
+use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use queue_machine::isa::asm::Object;
+use queue_machine::occam::{compile, Options};
+use queue_machine::verify::{deep_verify, verify_object, VerifyOptions};
+use queue_machine::workloads::{cholesky, matmul};
+
+/// Allocations per object word each tier may make.
+const MAX_ALLOCS_PER_WORD: f64 = 8.0;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: defers to the system allocator; the counter is side-effect-only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { SystemAlloc.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { SystemAlloc.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations per object word of `f(obj)`: the minimum over three calls.
+fn allocs_per_word<R>(obj: &Object, f: impl Fn(&Object) -> R) -> f64 {
+    let mut best = u64::MAX;
+    for _ in 0..3 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let r = f(obj);
+        let after = ALLOCS.load(Ordering::Relaxed);
+        drop(r);
+        best = best.min(after - before);
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let per_word = best as f64 / obj.words().len() as f64;
+    per_word
+}
+
+#[test]
+fn verifier_allocations_per_word_are_bounded() {
+    let opts = VerifyOptions::default();
+    for w in [matmul(5), cholesky(4)] {
+        let obj = compile(&w.source, &Options::default()).expect("compiles").object;
+        let shallow = allocs_per_word(&obj, |o| verify_object(o, &opts));
+        let deep = allocs_per_word(&obj, |o| deep_verify(o, &opts));
+        println!("{}: shallow {shallow:.2}, deep {deep:.2} allocations per word", w.name);
+        assert!(
+            shallow <= MAX_ALLOCS_PER_WORD,
+            "{}: verify_object makes {shallow:.2} allocations per word (bound {MAX_ALLOCS_PER_WORD})",
+            w.name
+        );
+        assert!(
+            deep <= MAX_ALLOCS_PER_WORD,
+            "{}: deep_verify makes {deep:.2} allocations per word (bound {MAX_ALLOCS_PER_WORD})",
+            w.name
+        );
+    }
+}
