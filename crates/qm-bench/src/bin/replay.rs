@@ -1,22 +1,23 @@
 //! Deterministic replay and divergence bisection from a shared snapshot.
 //!
-//! Default mode is a demonstration: checkpoint the 6×6 matmul mid-run,
-//! branch a fault-free and a fault-injected continuation from the same
-//! snapshot, binary-search the first cycle their architectural state
-//! digests differ and print the structured divergence report (final
-//! outcomes, degradation tallies, wait-for state at the split).
+//! Default mode is a demonstration: checkpoint the 6×6 matmul on 4 PEs
+//! early in its run, before its forks are placed, branch a round-robin
+//! and a local-placement continuation from the same snapshot,
+//! binary-search the first cycle their architectural state digests
+//! differ and print the structured divergence report (final outcomes,
+//! wait-for state at the split).
 //!
 //! `replay --json` prints the same report as a `qm-api/v1`
 //! `divergence_report` envelope (`docs/API.md`) instead of prose.
 //!
 //! `replay --smoke` instead runs the snapshot subsystem's CI check — a
 //! full capture → encode → decode → restore → resume round trip must be
-//! bit-identical to the uninterrupted run and the fault variant pair must
-//! bisect to a divergence — exiting non-zero on the first broken invariant (the `snapshot-smoke`
-//! CI job calls this).
+//! bit-identical to the uninterrupted run and the placement variant pair
+//! must bisect to a divergence — exiting non-zero on the first broken
+//! invariant (the `snapshot-smoke` CI job calls this).
 
-use qm_bench::fault_sweep::plan_at;
 use qm_bench::replay::{bisect, capture_workload, smoke, Variant};
+use qm_sim::config::Placement;
 use qm_workloads::WorkloadRun;
 
 fn usage(got: &str) -> ! {
@@ -52,8 +53,9 @@ fn demo(json: bool) {
     let w = qm_workloads::matmul(6);
     let run = WorkloadRun::with_pes(4);
     let full = run.run(&w).expect("baseline run").outcome.elapsed_cycles;
-    let pause_at = full / 3;
-    let snap = capture_workload(&run, &w, pause_at).expect("mid-run capture");
+    // Early enough that forks are still to be placed: from a capture
+    // after the last rfork, the two placements never diverge.
+    let snap = capture_workload(&run, &w, 200).expect("early capture");
     if !json {
         println!(
             "captured {} on 4 PEs at cycle {} (uninterrupted run: {} cycles)",
@@ -63,9 +65,9 @@ fn demo(json: bool) {
         );
     }
 
-    let clean = Variant::new("fault-free");
-    let faulty = Variant::new("fault-injected").with_faults(plan_at(200_000));
-    let report = bisect(&snap, &clean, &faulty).expect("bisection");
+    let spread = Variant::new("round-robin");
+    let local = Variant::new("local").with_placement(Placement::Local);
+    let report = bisect(&snap, &spread, &local).expect("bisection");
     if json {
         println!("{}", report.to_json());
     } else {
@@ -73,6 +75,6 @@ fn demo(json: bool) {
     }
     assert!(
         report.first_divergent_cycle.is_some(),
-        "a 20% fault ramp must diverge from the clean continuation"
+        "local placement must diverge from the round-robin continuation"
     );
 }

@@ -21,7 +21,7 @@ use qm_bench::sweep::{
 };
 
 fn main() {
-    let flags = SweepFlags::parse(std::env::args().skip(1), false).unwrap_or_else(|msg| {
+    let flags = SweepFlags::parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
         eprintln!("usage: sweep [--resume <path>] [--interrupt-after <n>] [--deterministic]");
         eprintln!("{msg}");
         std::process::exit(2);

@@ -13,15 +13,14 @@
 //! ([`qm_sim::snapshot::wire`]) and error type under its own magic:
 //!
 //! ```text
-//! "qm-chkpt" | u32 version = 5 | u64 grid hash | u32 count
-//!   count × { id, workload, config, pes,
-//!             8 metric u64s, correct, 9 degradation u64s, wall nanos }
+//! "qm-chkpt" | u32 version = 6 | u64 grid hash | u32 count
+//!   count × { id, workload, config, pes, 8 metric u64s, correct, wall nanos }
 //! u64 checksum (over everything above)
 //! ```
 //!
 //! The grid hash — a [`qm_core::rng::checksum`] over the newline-joined
 //! point ids — pins a checkpoint to the exact grid that produced it, so
-//! resuming a `BENCH_sweep.json` run against the fault grid (or a grid
+//! resuming a `BENCH_sweep.json` run against another grid (or a grid
 //! from an older binary with different points) fails loudly instead of
 //! silently merging unrelated results. Decoding validates magic,
 //! version, checksum and framing the same way snapshot decoding does:
@@ -30,7 +29,6 @@
 
 use std::path::Path;
 
-use qm_sim::fault::DegradationReport;
 use qm_sim::snapshot::wire::{Reader, Writer};
 use qm_sim::snapshot::SnapshotError;
 
@@ -42,7 +40,7 @@ const MAGIC: [u8; 8] = *b"qm-chkpt";
 
 /// Checkpoint container version. Bump on any layout change; old files
 /// are rejected, not migrated (they are cheap to regenerate).
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 /// Completed results of a (possibly interrupted) sweep over one grid.
 #[derive(Debug, Clone)]
@@ -133,20 +131,6 @@ impl Checkpoint {
             w.u64(m.remote_accesses);
             w.u64(m.bus_cycles);
             w.bool(m.correct);
-            let d = &m.degradation;
-            for v in [
-                d.send_drops,
-                d.bus_drops,
-                d.pe_stalls,
-                d.trap_delays,
-                d.retries,
-                d.recovered_transfers,
-                d.stall_cycles,
-                d.backoff_cycles,
-                d.delay_cycles,
-            ] {
-                w.u64(v);
-            }
             w.u64(u64::try_from(r.wall.as_nanos()).unwrap_or(u64::MAX));
         }
         let mut out = Vec::with_capacity(MAGIC.len() + 4 + w.as_bytes().len() + 8);
@@ -195,10 +179,6 @@ impl Checkpoint {
                 *v = r.u64()?;
             }
             let correct = r.bool()?;
-            let mut d = [0u64; 9];
-            for v in &mut d {
-                *v = r.u64()?;
-            }
             let wall_nanos = r.u64()?;
             completed.push(PointResult {
                 id,
@@ -215,17 +195,6 @@ impl Checkpoint {
                     remote_accesses: m[6],
                     bus_cycles: m[7],
                     correct,
-                    degradation: DegradationReport {
-                        send_drops: d[0],
-                        bus_drops: d[1],
-                        pe_stalls: d[2],
-                        trap_delays: d[3],
-                        retries: d[4],
-                        recovered_transfers: d[5],
-                        stall_cycles: d[6],
-                        backoff_cycles: d[7],
-                        delay_cycles: d[8],
-                    },
                 },
                 wall: std::time::Duration::from_nanos(wall_nanos),
             });

@@ -6,7 +6,6 @@
 //! [`sweep`] runner the bins are built on.
 
 pub mod checkpoint;
-pub mod fault_sweep;
 pub mod perf;
 pub mod replay;
 pub mod sweep;

@@ -10,31 +10,27 @@
 //! [state digests](qm_sim::snapshot::Snapshot::state_digest) — O(log n)
 //! full replays instead of a lock-step walk. The result is a
 //! [`DivergenceReport`]: the first divergent cycle plus each variant's
-//! final outcome, degradation tallies and wait-for state at the split,
-//! in the same spirit as the deadlock reports.
+//! final outcome and wait-for state at the split, in the same spirit as
+//! the deadlock reports.
 //!
-//! `bin/replay.rs` drives this as a demo (fault-free vs fault-injected
-//! matmul from a shared checkpoint) and, with `--smoke`, as the CI
+//! `bin/replay.rs` drives this as a demo (round-robin vs local placement
+//! of matmul from a shared checkpoint) and, with `--smoke`, as the CI
 //! round-trip check ([`smoke`]).
 
 use std::fmt;
 
 use qm_sim::config::Placement;
-use qm_sim::fault::{DegradationReport, FaultPlan};
 use qm_sim::snapshot::{Snapshot, SnapshotError};
 use qm_sim::system::{RunOutcome, RunStatus, System};
 use qm_workloads::WorkloadRun;
 
-/// One way of continuing a run from a shared snapshot: an optional fault
-/// plan and/or placement-policy override applied after restore. Two
-/// variants with no overrides are the degenerate (never-diverging) case.
+/// One way of continuing a run from a shared snapshot: an optional
+/// placement-policy override applied after restore. Two variants with no
+/// overrides are the degenerate (never-diverging) case.
 #[derive(Debug, Clone)]
 pub struct Variant {
-    /// Display name, e.g. `fault-free`.
+    /// Display name, e.g. `round-robin`.
     pub name: String,
-    /// Fault plan armed on the restored system (`None` keeps whatever
-    /// the snapshot carried).
-    pub fault_plan: Option<FaultPlan>,
     /// Placement-policy override (`None` keeps the snapshot's policy).
     pub placement: Option<Placement>,
 }
@@ -43,14 +39,7 @@ impl Variant {
     /// A variant that continues the snapshot unchanged.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        Variant { name: name.into(), fault_plan: None, placement: None }
-    }
-
-    /// The same variant with a fault plan armed at restore time.
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
+        Variant { name: name.into(), placement: None }
     }
 
     /// The same variant with a placement-policy override.
@@ -67,9 +56,6 @@ impl Variant {
     /// [`SnapshotError`] if the snapshot fails validation.
     pub fn instantiate(&self, snap: &Snapshot) -> Result<System, SnapshotError> {
         let mut sys = System::restore(snap)?;
-        if let Some(plan) = &self.fault_plan {
-            sys.set_fault_plan(plan);
-        }
         if let Some(placement) = self.placement {
             sys.set_placement(placement);
         }
@@ -78,8 +64,8 @@ impl Variant {
 }
 
 /// The architectural state digest of `variant` run forward from `snap`
-/// to cycle `k`. Runs that die before `k` (fault-injected deadlock or
-/// watchdog) die deterministically too, so their digest is a checksum of
+/// to cycle `k`. Runs that die before `k` (a deadlock or an instruction
+/// budget) die deterministically too, so their digest is a checksum of
 /// the structured error — still comparable, so bisection keeps working
 /// across the death cycle.
 ///
@@ -103,10 +89,8 @@ pub struct VariantReport {
     pub outcome: Result<RunOutcome, String>,
     /// Cycles elapsed when the run finished (or died).
     pub final_cycles: u64,
-    /// Degradation tallies at the first divergent cycle (at the capture
-    /// cycle when the variants never diverge).
-    pub degradation_at_split: DegradationReport,
-    /// Wait-for lines (blocked contexts) at the first divergent cycle.
+    /// Wait-for lines (blocked contexts) at the first divergent cycle (at
+    /// the capture cycle when the variants never diverge).
     pub wait_for_at_split: Vec<String>,
 }
 
@@ -128,8 +112,7 @@ impl DivergenceReport {
     /// `docs/API.md`): the capture cycle, the first divergent cycle
     /// (`null` when the variants never diverge) and per-variant detail —
     /// outcome (an embedded `run_outcome` body, or the error string for
-    /// runs that died), degradation tallies and wait-for state at the
-    /// split.
+    /// runs that died) and wait-for state at the split.
     #[must_use]
     pub fn to_json(&self) -> String {
         use qm_core::json::Envelope;
@@ -155,10 +138,6 @@ impl DivergenceReport {
                     }
                     Err(e) => j.str_field("error", e),
                 }
-                j.key("degradation_at_split");
-                j.begin_obj();
-                qm_sim::report::write_degradation(j, &v.degradation_at_split);
-                j.end_obj();
                 j.key("wait_for_at_split");
                 j.begin_arr();
                 for line in &v.wait_for_at_split {
@@ -189,12 +168,6 @@ impl fmt::Display for DivergenceReport {
                 )?,
                 Err(e) => writeln!(f, "  died at cycle {}: {e}", v.final_cycles)?,
             }
-            let d = v.degradation_at_split;
-            writeln!(
-                f,
-                "  at split: {} send drops, {} bus drops, {} trap delays, {} retries",
-                d.send_drops, d.bus_drops, d.trap_delays, d.retries
-            )?;
             if v.wait_for_at_split.is_empty() {
                 writeln!(f, "  no contexts blocked on channels at the split")?;
             } else {
@@ -217,9 +190,8 @@ fn variant_report(
 ) -> Result<VariantReport, SnapshotError> {
     let mut probe = variant.instantiate(snap)?;
     // A probe that dies before the split is still informative: the
-    // degradation and wait-for state below describe the death scene.
+    // wait-for state below describes the death scene.
     let _ = probe.run_until(split);
-    let degradation_at_split = probe.degradation();
     let wait_for_at_split: Vec<String> =
         probe.wait_for_report().iter().map(ToString::to_string).collect();
     let mut full = variant.instantiate(snap)?;
@@ -228,7 +200,6 @@ fn variant_report(
         name: variant.name.clone(),
         final_cycles: full.elapsed_cycles(),
         outcome,
-        degradation_at_split,
         wait_for_at_split,
     })
 }
@@ -278,6 +249,10 @@ pub fn bisect(
     })
 }
 
+/// Capture cycle of [`smoke`]'s placement pair: matmul(4) on 2 PEs has
+/// not yet placed all of its forks.
+const EARLY_CAPTURE: u64 = 100;
+
 /// Prepare a workload, run it to `pause_at` and capture the snapshot the
 /// replay demo and smoke test branch from.
 ///
@@ -299,10 +274,11 @@ pub fn capture_workload(
     }
 }
 
-/// The CI smoke check behind `replay --smoke`: a full capture → encode → decode →
-/// restore → resume round trip must be bit-identical to the
-/// uninterrupted run, and a fault-free/fault-injected variant pair from
-/// a shared snapshot must bisect to a divergence.
+/// The CI smoke check behind `replay --smoke`: a full capture → encode →
+/// decode → restore → resume round trip must be bit-identical to the
+/// uninterrupted run, and a round-robin/local placement pair from a
+/// snapshot captured before the forks are placed must bisect to a
+/// divergence.
 ///
 /// # Errors
 ///
@@ -327,12 +303,16 @@ pub fn smoke() -> Result<(), String> {
         return Err("resumed outcome differs from the uninterrupted run".into());
     }
 
-    // A faulty continuation must diverge from a clean one, detectably.
-    let clean = Variant::new("fault-free");
-    let faulty = Variant::new("faulty").with_faults(crate::fault_sweep::plan_at(300_000));
-    let report = bisect(&decoded, &clean, &faulty).map_err(|e| e.to_string())?;
+    // A continuation that places the remaining forks locally must
+    // diverge from the spreading one, detectably. The capture comes
+    // before those forks are placed: once every rfork has run, placement
+    // no longer matters.
+    let early = capture_workload(&run, &w, EARLY_CAPTURE)?;
+    let spread = Variant::new("round-robin");
+    let local = Variant::new("local").with_placement(Placement::Local);
+    let report = bisect(&early, &spread, &local).map_err(|e| e.to_string())?;
     let Some(split) = report.first_divergent_cycle else {
-        return Err("30% send loss failed to diverge from the clean run".into());
+        return Err("local placement failed to diverge from round-robin".into());
     };
     if split <= report.captured_at {
         return Err(format!(
@@ -346,7 +326,6 @@ pub fn smoke() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qm_sim::fault::FaultPlan;
 
     fn shared_snapshot() -> Snapshot {
         let run = WorkloadRun::with_pes(2);
@@ -367,27 +346,28 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_diverges_after_the_capture_cycle() {
-        let snap = shared_snapshot();
-        let clean = Variant::new("clean");
-        let faulty = Variant::new("faulty")
-            .with_faults(FaultPlan::seeded(0xD1F_F00D).with_send_loss(400_000));
-        let report = bisect(&snap, &clean, &faulty).expect("bisects");
-        let split = report.first_divergent_cycle.expect("40% send loss diverges");
+    fn local_placement_diverges_after_the_capture_cycle() {
+        let run = WorkloadRun::with_pes(2);
+        let snap = capture_workload(&run, &qm_workloads::matmul(4), EARLY_CAPTURE)
+            .expect("captures before the forks are placed");
+        let spread = Variant::new("round-robin");
+        let local = Variant::new("local").with_placement(Placement::Local);
+        let report = bisect(&snap, &spread, &local).expect("bisects");
+        let split = report.first_divergent_cycle.expect("local placement diverges");
         assert!(split > report.captured_at, "divergence is after the branch point");
         // Bisection found the *first* divergent cycle: equal one cycle
         // before, different at the split.
         assert_eq!(
-            digest_at(&snap, &clean, split - 1).unwrap(),
-            digest_at(&snap, &faulty, split - 1).unwrap()
+            digest_at(&snap, &spread, split - 1).unwrap(),
+            digest_at(&snap, &local, split - 1).unwrap()
         );
         assert_ne!(
-            digest_at(&snap, &clean, split).unwrap(),
-            digest_at(&snap, &faulty, split).unwrap()
+            digest_at(&snap, &spread, split).unwrap(),
+            digest_at(&snap, &local, split).unwrap()
         );
         let text = report.to_string();
         assert!(text.contains("first divergent cycle"), "{text}");
-        assert!(text.contains("variant \"faulty\""), "{text}");
+        assert!(text.contains("variant \"local\""), "{text}");
     }
 
     #[test]

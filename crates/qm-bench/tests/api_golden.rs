@@ -15,7 +15,6 @@
 
 use qm_bench::replay::{DivergenceReport, VariantReport};
 use qm_isa::pe::PeStats;
-use qm_sim::fault::DegradationReport;
 use qm_sim::memory::MemStats;
 use qm_sim::system::{PeReport, RunOutcome};
 use qm_verify::{deep_verify, verify_object, VerifyOptions};
@@ -31,7 +30,6 @@ fn fixed_outcome() -> RunOutcome {
         channel_transfers: 21,
         channel_high_water: vec![(0, 2), (5, 1)],
         mem: MemStats { local_accesses: 400, remote_accesses: 50, bus_cycles: 150 },
-        degradation: fixed_degradation(),
         pes: vec![PeReport {
             cycles: 1234,
             busy_cycles: 1100,
@@ -51,35 +49,12 @@ fn fixed_outcome() -> RunOutcome {
     }
 }
 
-fn fixed_degradation() -> DegradationReport {
-    DegradationReport {
-        send_drops: 1,
-        bus_drops: 2,
-        pe_stalls: 3,
-        trap_delays: 4,
-        retries: 5,
-        recovered_transfers: 6,
-        stall_cycles: 70,
-        backoff_cycles: 80,
-        delay_cycles: 90,
-    }
-}
-
 #[test]
 fn run_outcome_envelope_is_pinned() {
     assert_eq!(
         fixed_outcome().to_json(),
         include_str!("golden/run_outcome.json").trim_end(),
         "run_outcome wire format drifted — see the module docs before updating the golden file"
-    );
-}
-
-#[test]
-fn degradation_report_envelope_is_pinned() {
-    assert_eq!(
-        fixed_degradation().to_json(),
-        include_str!("golden/degradation_report.json").trim_end(),
-        "degradation_report wire format drifted"
     );
 }
 
@@ -134,14 +109,12 @@ fn divergence_report_envelope_is_pinned() {
                 name: "fault-free".to_string(),
                 outcome: Ok(fixed_outcome()),
                 final_cycles: 2000,
-                degradation_at_split: DegradationReport::default(),
                 wait_for_at_split: Vec::new(),
             },
             VariantReport {
                 name: "fault-injected".to_string(),
                 outcome: Err("sim: pe 0 faulted".to_string()),
                 final_cycles: 1500,
-                degradation_at_split: fixed_degradation(),
                 wait_for_at_split: vec!["ctx 3 waits on channel 2".to_string()],
             },
         ],

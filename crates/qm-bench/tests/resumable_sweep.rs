@@ -7,12 +7,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use qm_bench::checkpoint::Checkpoint;
-use qm_bench::fault_sweep::plan_at;
 use qm_bench::sweep::{
     run_oracle, run_resumable, run_serial, same_metrics, SweepFlags, SweepPoint, SweepProgress,
     SweepReport,
 };
-use qm_sim::config::SystemConfig;
+use qm_sim::config::{Placement, SystemConfig};
 use qm_sim::snapshot::SnapshotError;
 use qm_workloads::WorkloadRun;
 
@@ -20,14 +19,13 @@ fn tiny_grid() -> Vec<SweepPoint> {
     vec![
         SweepPoint::new("resume/matmul4/1pe", qm_workloads::matmul(4), SystemConfig::with_pes(1)),
         SweepPoint::new("resume/matmul4/2pe", qm_workloads::matmul(4), SystemConfig::with_pes(2)),
-        SweepPoint::new(
-            "resume/matmul4/faulty",
-            qm_workloads::matmul(4),
-            SystemConfig::with_pes(2),
-        )
-        .with_config("loss=200000ppm")
-        .with_faults(plan_at(200_000)),
+        SweepPoint::new("resume/matmul4/least-loaded", qm_workloads::matmul(4), least_loaded())
+            .with_config("placement=least-loaded"),
     ]
+}
+
+fn least_loaded() -> SystemConfig {
+    SystemConfig { placement: Placement::LeastLoaded, ..SystemConfig::with_pes(2) }
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -117,24 +115,23 @@ fn parallel_resumable_matches_serial_resumable() {
 fn checkpointed_runs_are_bit_identical_on_worker_threads() {
     // The snapshot replay guarantee, exercised the way the sweep runner
     // would: capture-at-k + restore + run-to-completion on worker
-    // threads, compared against plain single-threaded runs — fault-free
-    // and with the fault engine armed.
+    // threads, compared against plain single-threaded runs — under
+    // round-robin and under least-loaded placement.
     let w = qm_workloads::matmul(4);
-    let plain_clean = WorkloadRun::with_pes(2).run(&w).unwrap();
-    let faulty = || WorkloadRun::with_pes(2).fault_plan(plan_at(200_000));
-    let plain_faulty = faulty().run(&w).unwrap();
-    assert!(plain_faulty.outcome.degradation.total_injected() > 0, "faults actually fired");
+    let plain_rr = WorkloadRun::with_pes(2).run(&w).unwrap();
+    let ll = || WorkloadRun::new().config(least_loaded());
+    let plain_ll = ll().run(&w).unwrap();
 
     std::thread::scope(|scope| {
         for worker in 0..3u64 {
-            let (w, clean, dirty) = (&w, &plain_clean, &plain_faulty);
+            let (w, rr, ll_run) = (&w, &plain_rr, &plain_ll);
             scope.spawn(move || {
-                let pause = clean.outcome.elapsed_cycles * (worker + 1) / 4;
+                let pause = rr.outcome.elapsed_cycles * (worker + 1) / 4;
                 let ck = WorkloadRun::with_pes(2).run_with_checkpoint(w, pause).unwrap();
-                assert_eq!(ck.outcome, clean.outcome, "clean, pause {pause}");
-                let pause = dirty.outcome.elapsed_cycles * (worker + 1) / 4;
-                let ck = faulty().run_with_checkpoint(w, pause).unwrap();
-                assert_eq!(ck.outcome, dirty.outcome, "faulty, pause {pause}");
+                assert_eq!(ck.outcome, rr.outcome, "round-robin, pause {pause}");
+                let pause = ll_run.outcome.elapsed_cycles * (worker + 1) / 4;
+                let ck = ll().run_with_checkpoint(w, pause).unwrap();
+                assert_eq!(ck.outcome, ll_run.outcome, "least-loaded, pause {pause}");
             });
         }
     });
@@ -174,23 +171,21 @@ fn sweep_flags_parse_and_reject_like_the_bins() {
         ["--resume", "ck.bin", "--interrupt-after", "3", "--deterministic"]
             .into_iter()
             .map(String::from),
-        false,
     )
     .unwrap();
     assert_eq!(ok.resume, Some(PathBuf::from("ck.bin")));
     assert_eq!(ok.interrupt_after, Some(3));
-    assert!(ok.deterministic && !ok.smoke);
+    assert!(ok.deterministic);
 
-    assert!(SweepFlags::parse(["--smoke"].into_iter().map(String::from), true).unwrap().smoke);
     for bad in [
-        vec!["--smoke"],                // smoke not allowed here
+        vec!["--smoke"],                // no reduced grid exists
         vec!["--interrupt-after", "2"], // requires --resume
         vec!["--interrupt-after", "two", "--resume", "x"],
         vec!["--resume"], // missing path
         vec!["--frobnicate"],
     ] {
         assert!(
-            SweepFlags::parse(bad.iter().map(ToString::to_string), false).is_err(),
+            SweepFlags::parse(bad.iter().map(ToString::to_string)).is_err(),
             "{bad:?} must be rejected"
         );
     }

@@ -2,11 +2,11 @@
 //! property harness built on them.
 //!
 //! One audited source for every seeded draw and integrity hash in the
-//! workspace: the simulator's counter-keyed fault streams
-//! (`qm_sim::fault`) and the snapshot format's section checksums
-//! (`qm_sim::snapshot`) both build on [`mix`]. Keeping the finalizer in
-//! one place means one set of tests vouches for its avalanche behaviour,
-//! and a change to it cannot silently diverge between its users.
+//! workspace: the snapshot format's section checksums
+//! (`qm_sim::snapshot`) and the property harness's draws both build on
+//! [`mix`]. Keeping the finalizer in one place means one set of tests
+//! vouches for its avalanche behaviour, and a change to it cannot
+//! silently diverge between its users.
 //!
 //! The same finalizer drives [`Gen`], the input stream of the property
 //! harness [`check`] that every randomized test in the workspace runs
@@ -32,14 +32,6 @@ pub fn mix(mut z: u64) -> u64 {
 #[must_use]
 pub fn draw(seed: u64, stream: u64, seq: u64) -> u64 {
     mix(seed ^ mix((stream << 56) ^ seq))
-}
-
-/// Whether the `seq`-th draw of `stream` under `seed` hits an event with
-/// probability `ppm` parts-per-million.
-#[inline]
-#[must_use]
-pub fn hits(seed: u64, stream: u64, seq: u64, ppm: u32) -> bool {
-    ppm > 0 && draw(seed, stream, seq) % 1_000_000 < u64::from(ppm)
 }
 
 /// Integrity checksum of a byte string: a [`mix`]-based rolling fold over
@@ -224,12 +216,6 @@ mod tests {
         assert_ne!(draw(1, 2, 3), draw(1, 2, 4));
         assert_ne!(draw(1, 2, 3), draw(1, 3, 3));
         assert_ne!(draw(1, 2, 3), draw(2, 2, 3));
-    }
-
-    #[test]
-    fn hits_honours_the_ppm_extremes() {
-        assert!((0..1000).all(|seq| !hits(7, 1, seq, 0)), "0 ppm never hits");
-        assert!((0..1000).all(|seq| hits(7, 1, seq, 1_000_000)), "1e6 ppm always hits");
     }
 
     #[test]

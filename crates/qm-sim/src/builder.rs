@@ -3,9 +3,7 @@
 //! Building a runnable system used to take a scatter of calls —
 //! `System::new`, `set_trace_sink`, `load_object`, `push_input`,
 //! `spawn_main` — in an order the caller had to get right. The builder
-//! consolidates them behind one fluent chain and is the only
-//! construction path that also installs a fault plan before anything
-//! runs:
+//! consolidates them behind one fluent chain:
 //!
 //! ```
 //! use qm_sim::{Simulation, SystemConfig};
@@ -36,7 +34,6 @@ use qm_isa::UWord;
 use qm_verify::{verify_object_at, Report, VerifyLevel, VerifyOptions};
 
 use crate::config::SystemConfig;
-use crate::fault::FaultPlan;
 use crate::snapshot::Snapshot;
 use crate::system::{SimError, System};
 use crate::trace::TraceSink;
@@ -76,7 +73,7 @@ fn verify_memoized(obj: &Object, entry: UWord, page_words: u32) -> Report {
 /// Fluent builder for a [`System`]; obtained from [`System::builder`].
 ///
 /// Defaults: a 1-PE [`SystemConfig`], no trace sink, no program, no
-/// inputs, no faults. When a program is given (via
+/// inputs. When a program is given (via
 /// [`object`](Self::object) or [`assembly`](Self::assembly)) the root
 /// context is spawned at the `main` label — or the object's base when no
 /// such label exists — unless [`no_spawn`](Self::no_spawn) or an
@@ -88,7 +85,6 @@ pub struct SimBuilder {
     object: Option<Object>,
     assembly: Option<String>,
     inputs: Vec<Word>,
-    fault_plan: Option<FaultPlan>,
     entry: Option<String>,
     spawn: bool,
     verify: VerifyLevel,
@@ -106,7 +102,6 @@ impl System {
             object: None,
             assembly: None,
             inputs: Vec::new(),
-            fault_plan: None,
             entry: None,
             spawn: true,
             verify: VerifyLevel::default(),
@@ -164,13 +159,6 @@ impl SimBuilder {
     /// Pre-load one host input word.
     pub fn input(mut self, value: Word) -> Self {
         self.inputs.push(value);
-        self
-    }
-
-    /// Install a fault-injection plan (see [`crate::fault`]). An empty
-    /// plan is equivalent to not calling this at all.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -234,11 +222,10 @@ impl SimBuilder {
     /// Resume from a snapshot file instead of building a fresh system.
     /// The restored run continues bit-identically to the captured one.
     /// Mutually exclusive with [`object`](Self::object),
-    /// [`assembly`](Self::assembly), [`inputs`](Self::inputs),
-    /// [`fault_plan`](Self::fault_plan) and [`entry`](Self::entry) —
-    /// the snapshot already carries the program, pending inputs and the
-    /// fault engine's exact mid-run state, so overriding any of them
-    /// would break the replay guarantee. A trace sink and a snapshot
+    /// [`assembly`](Self::assembly), [`inputs`](Self::inputs) and
+    /// [`entry`](Self::entry) — the snapshot already carries the program
+    /// and its pending inputs, so overriding any of them would break the
+    /// replay guarantee. A trace sink and a snapshot
     /// cadence may still be installed (host-side observers, not machine
     /// state).
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
@@ -246,8 +233,8 @@ impl SimBuilder {
         self
     }
 
-    /// Assemble (if needed), construct the system, install the sink and
-    /// fault plan, load the program, queue the inputs and spawn the root
+    /// Assemble (if needed), construct the system, install the sink,
+    /// load the program, queue the inputs and spawn the root
     /// context.
     ///
     /// # Errors
@@ -258,20 +245,19 @@ impl SimBuilder {
     /// [`SimError::Verify`] when [`verify`](Self::verify) is
     /// [`VerifyLevel::Strict`] and the static verifier found anything.
     /// [`SimError::Snapshot`] when [`resume_from`](Self::resume_from)
-    /// was combined with program/input/fault options, or the snapshot
+    /// was combined with program or input options, or the snapshot
     /// cannot be read.
     pub fn build(self) -> Result<System, SimError> {
         if let Some(path) = &self.resume_from {
             if self.object.is_some()
                 || self.assembly.is_some()
                 || !self.inputs.is_empty()
-                || self.fault_plan.is_some()
                 || self.entry.is_some()
                 || !self.spawn
             {
                 return Err(SimError::Snapshot(
                     "resume_from() carries the complete machine state; it cannot be \
-                     combined with object/assembly/inputs/fault_plan/entry/no_spawn"
+                     combined with object/assembly/inputs/entry/no_spawn"
                         .to_string(),
                 ));
             }
@@ -299,9 +285,6 @@ impl SimBuilder {
         let mut sys = System::new(self.cfg);
         if let Some(sink) = self.sink {
             sys.set_trace_sink(sink);
-        }
-        if let Some(plan) = &self.fault_plan {
-            sys.set_fault_plan(plan);
         }
         for v in self.inputs {
             sys.push_input(v);
@@ -344,7 +327,6 @@ impl std::fmt::Debug for SimBuilder {
             .field("object", &self.object.is_some())
             .field("assembly", &self.assembly.is_some())
             .field("inputs", &self.inputs)
-            .field("fault_plan", &self.fault_plan)
             .field("entry", &self.entry)
             .field("spawn", &self.spawn)
             .field("verify", &self.verify)
@@ -435,7 +417,7 @@ alt:    send+1 #0,#2
     }
 
     #[test]
-    fn resume_from_rejects_program_and_fault_options() {
+    fn resume_from_rejects_program_options() {
         let err = Simulation::builder()
             .resume_from("/nonexistent.snap")
             .assembly(ECHO)
@@ -447,7 +429,7 @@ alt:    send+1 #0,#2
         );
         let err = Simulation::builder()
             .resume_from("/nonexistent.snap")
-            .fault_plan(crate::fault::FaultPlan::seeded(1))
+            .entry("main")
             .build()
             .unwrap_err();
         assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
@@ -579,21 +561,5 @@ main:   plus+2 r0,r1 :r0
             );
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn empty_fault_plan_through_builder_installs_no_engine() {
-        let sys = Simulation::builder()
-            .assembly(ECHO)
-            .fault_plan(crate::fault::FaultPlan::seeded(9))
-            .build()
-            .unwrap();
-        assert!(!sys.faults_active(), "an empty plan must not arm the engine");
-        let sys = Simulation::builder()
-            .assembly(ECHO)
-            .fault_plan(crate::fault::FaultPlan::seeded(9).with_send_loss(1))
-            .build()
-            .unwrap();
-        assert!(sys.faults_active());
     }
 }

@@ -73,47 +73,6 @@ impl Default for KernelCosts {
     }
 }
 
-/// Retry, backoff and watchdog tuning for the fault-recovery machinery
-/// (see [`crate::fault`]). Carried inside a
-/// [`FaultPlan`](crate::fault::FaultPlan); irrelevant to fault-free runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Retries granted per transfer before it is forced through (the
-    /// bound guarantees liveness under any loss rate).
-    pub max_retries: u32,
-    /// Backoff before the first retry, in cycles; doubles per attempt.
-    pub backoff_base: u64,
-    /// Ceiling on any single backoff interval.
-    pub backoff_cap: u64,
-    /// Watchdog threshold: consecutive blocked run-loop steps tolerated
-    /// before the run aborts with
-    /// [`SimError::Watchdog`](crate::SimError::Watchdog). `0` disables
-    /// the watchdog. Only armed while a fault engine is installed.
-    pub watchdog_steps: u64,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_retries: 8,
-            backoff_base: 4,
-            backoff_cap: 1024,
-            watchdog_steps: 100_000,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Backoff interval before retry number `attempt` (0-based):
-    /// `backoff_base · 2^attempt`, clamped to `backoff_cap` and never
-    /// zero (a zero interval could re-ready a context in its own cycle).
-    #[must_use]
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        let doubled = self.backoff_base.saturating_mul(1u64 << attempt.min(32));
-        doubled.min(self.backoff_cap).max(1)
-    }
-}
-
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
@@ -273,17 +232,5 @@ mod tests {
             assert_eq!(c.partitions, pes.div_ceil(2));
             assert_eq!(c.partition_of(pes - 1), c.partitions - 1);
         }
-    }
-
-    #[test]
-    fn backoff_doubles_clamps_and_never_returns_zero() {
-        let r = RecoveryConfig { backoff_base: 4, backoff_cap: 24, ..RecoveryConfig::default() };
-        assert_eq!(r.backoff(0), 4);
-        assert_eq!(r.backoff(1), 8);
-        assert_eq!(r.backoff(2), 16);
-        assert_eq!(r.backoff(3), 24, "clamped to the cap");
-        assert_eq!(r.backoff(63), 24, "huge attempts saturate, no overflow");
-        let zero = RecoveryConfig { backoff_base: 0, ..RecoveryConfig::default() };
-        assert_eq!(zero.backoff(0), 1, "a zero interval is rounded up");
     }
 }

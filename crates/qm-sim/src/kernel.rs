@@ -88,10 +88,6 @@ pub struct Context {
     pub queue_page: UWord,
     /// Earliest time the context may (re)start.
     pub ready_at: u64,
-    /// Consecutive fault-injected send drops suffered by the context's
-    /// current transfer (see [`crate::fault`]); reset to zero when the
-    /// send finally completes. Always zero in fault-free runs.
-    pub send_retries: u32,
 }
 
 impl Context {
@@ -114,14 +110,7 @@ impl Context {
         regs.set_pom(pom);
         regs.write_global(REG_IN_CHAN, in_chan);
         regs.write_global(REG_OUT_CHAN, out_chan);
-        Context {
-            saved: regs.save(),
-            state: CtxState::Ready,
-            pe,
-            queue_page,
-            ready_at,
-            send_retries: 0,
-        }
+        Context { saved: regs.save(), state: CtxState::Ready, pe, queue_page, ready_at }
     }
 }
 

@@ -9,8 +9,8 @@
 //! schedules and retires *contexts* — the dynamic data-flow graph splicing
 //! mechanism of Chapter 4.
 //!
-//! * [`config`] — system size, bus/kernel cost parameters, scheduling
-//!   policy, recovery tuning.
+//! * [`config`] — system size, bus/kernel cost parameters and
+//!   scheduling policy.
 //! * [`msg`] — channel table / message-cache state machines.
 //! * [`memory`] — the shared, partitioned memory with ring-bus costs.
 //! * [`kernel`] — context records, state machine, kernel entry points.
@@ -18,13 +18,10 @@
 //! * [`system`] — the top-level simulator and run loop.
 //! * [`xlate`] — translated execution, the run loop's engine.
 //! * [`builder`] — fluent construction: [`Simulation::builder()`].
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the
-//!   recovery/degradation accounting.
 //! * [`snapshot`] — versioned capture/restore of complete machine state
-//!   (`qm-snap/v2`) with deterministic-replay guarantees.
+//!   (`qm-snap/v3`) with deterministic-replay guarantees.
 //! * [`report`] — the stable `qm-api/v1` JSON wire format for
-//!   [`RunOutcome`], [`DegradationReport`] and architectural state
-//!   digests (the contract `qm-serve` serves over HTTP).
+//!   [`RunOutcome`] and architectural state digests (the contract `qm-serve` serves over HTTP).
 //! * [`trace`] — structured event tracing: typed simulator events, the
 //!   sink trait, an in-memory recorder and a Chrome trace-event exporter.
 //! * [`amdahl`] — the analytic speed-up models of Figs 6.6–6.7.
@@ -56,13 +53,11 @@
 //!     .unwrap();
 //! let outcome = sys.run().unwrap();
 //! assert_eq!(outcome.output, vec![42]);
-//! assert!(outcome.degradation.is_clean(), "no faults were injected");
 //! ```
 
 pub mod amdahl;
 pub mod builder;
 pub mod config;
-pub mod fault;
 pub mod kernel;
 pub mod memory;
 pub mod msg;
@@ -80,14 +75,13 @@ pub mod xlate;
 pub mod determinism {}
 
 pub use builder::{SimBuilder, Simulation};
-pub use config::{RecoveryConfig, SystemConfig};
-pub use fault::{DegradationReport, FaultPlan, StallWindow};
+pub use config::SystemConfig;
 // Convenience duplicates of `qm_verify`'s types; the documented way in
 // is `qm_verify::{VerifyLevel, VerifyOptions}` (or the facade prelude).
 #[doc(hidden)]
 pub use qm_verify::{VerifyLevel, VerifyOptions};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use system::{BlockedCtx, RetryingCtx, RunOutcome, RunStatus, SimError, System};
+pub use system::{BlockedCtx, RunOutcome, RunStatus, SimError, System};
 pub use trace::{ChromeTrace, Recorder, TraceEvent, TraceRecord, TraceSink, Tracer};
 
 /// Machine word, shared with the rest of the workspace.

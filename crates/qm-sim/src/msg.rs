@@ -411,7 +411,7 @@ impl ChannelTable {
 
     /// Every context parked on a channel, with the channel, direction and
     /// (for senders) the offered value — sorted by context id. Consumed
-    /// by the deadlock and watchdog wait-for reports, which render these
+    /// by the deadlock wait-for reports, which render these
     /// records into text at the edge (there is no stringly-typed
     /// variant). Walks every channel, so it is diagnostic-only: the run
     /// loop must never reach it outside an error path (the `diag_scans`

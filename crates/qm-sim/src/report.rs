@@ -1,7 +1,7 @@
 //! Stable `qm-api/v1` wire format for simulator results.
 //!
-//! Every result type the simulator hands to callers — [`RunOutcome`],
-//! [`DegradationReport`], and the architectural
+//! Every result type the simulator hands to callers — [`RunOutcome`]
+//! and the architectural
 //! [`state_digest`](crate::snapshot::Snapshot::state_digest) — gains a
 //! `to_json()` rendering into the versioned envelope of
 //! [`qm_core::json`]:
@@ -20,7 +20,6 @@
 
 use qm_core::json::{Envelope, JsonBuf};
 
-use crate::fault::DegradationReport;
 use crate::system::{PeReport, RunOutcome};
 
 /// Render a 64-bit architectural state digest as its canonical wire
@@ -40,20 +39,6 @@ pub fn state_digest_json(digest: u64, cycle: u64) -> String {
         j.str_field("digest", &digest_hex(digest));
         j.u64_field("cycle", cycle);
     })
-}
-
-/// Write the `data` body of a [`DegradationReport`] (shared between its
-/// own envelope and its embedding inside `run_outcome`).
-pub fn write_degradation(j: &mut JsonBuf, d: &DegradationReport) {
-    j.u64_field("send_drops", d.send_drops);
-    j.u64_field("bus_drops", d.bus_drops);
-    j.u64_field("pe_stalls", d.pe_stalls);
-    j.u64_field("trap_delays", d.trap_delays);
-    j.u64_field("retries", d.retries);
-    j.u64_field("recovered_transfers", d.recovered_transfers);
-    j.u64_field("stall_cycles", d.stall_cycles);
-    j.u64_field("backoff_cycles", d.backoff_cycles);
-    j.u64_field("delay_cycles", d.delay_cycles);
 }
 
 fn write_pe(j: &mut JsonBuf, p: &PeReport) {
@@ -102,10 +87,6 @@ pub fn write_run_outcome(j: &mut JsonBuf, o: &RunOutcome) {
     j.u64_field("remote_accesses", o.mem.remote_accesses);
     j.u64_field("bus_cycles", o.mem.bus_cycles);
     j.end_obj();
-    j.key("degradation");
-    j.begin_obj();
-    write_degradation(j, &o.degradation);
-    j.end_obj();
     j.key("pes");
     j.begin_arr();
     for p in &o.pes {
@@ -119,14 +100,6 @@ impl RunOutcome {
     #[must_use]
     pub fn to_json(&self) -> String {
         Envelope::render("run_outcome", |j| write_run_outcome(j, self))
-    }
-}
-
-impl DegradationReport {
-    /// Serialise as a `qm-api/v1` `degradation_report` envelope.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        Envelope::render("degradation_report", |j| write_degradation(j, self))
     }
 }
 
@@ -152,16 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_envelope_carries_every_counter() {
-        let d = DegradationReport { send_drops: 1, retries: 2, ..DegradationReport::default() };
-        let json = d.to_json();
-        assert!(json.contains("\"kind\":\"degradation_report\""), "{json}");
-        assert!(json.contains("\"send_drops\":1"), "{json}");
-        assert!(json.contains("\"retries\":2"), "{json}");
-        assert!(json.contains("\"delay_cycles\":0"), "{json}");
-    }
-
-    #[test]
     fn run_outcome_envelope_from_a_real_run() {
         let src = "
 main:   send+3 #0,#7
@@ -173,7 +136,7 @@ main:   send+3 #0,#7
         assert!(json.starts_with("{\"schema\":\"qm-api/v1\",\"kind\":\"run_outcome\""), "{json}");
         assert!(json.contains("\"output\":[7]"), "{json}");
         assert!(json.contains(&format!("\"elapsed_cycles\":{}", outcome.elapsed_cycles)), "{json}");
-        assert!(json.contains("\"degradation\":{\"send_drops\":0"), "{json}");
+        assert!(json.contains("\"mem\":{\"local_accesses\":"), "{json}");
         // The body parses back with the shared parser.
         let v = qm_core::json::parse(&json).expect("valid JSON");
         assert_eq!(v.get("kind").and_then(qm_core::json::JsonValue::as_str), Some("run_outcome"));

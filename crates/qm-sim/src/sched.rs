@@ -115,13 +115,6 @@ impl Scheduler {
         self.ready[pe].len()
     }
 
-    /// Total contexts queued ready across all PEs (watchdog reports use
-    /// this to distinguish livelock-with-work from full deadlock).
-    #[must_use]
-    pub fn total_ready(&self) -> usize {
-        self.ready.iter().map(BinaryHeap::len).sum()
-    }
-
     /// Earliest `ready_at` queued on `pe`, if any.
     #[must_use]
     pub fn min_ready_at(&self, pe: usize) -> Option<u64> {

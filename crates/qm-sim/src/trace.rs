@@ -166,57 +166,6 @@ pub enum TraceEvent {
         /// The trap argument word.
         arg: Word,
     },
-    /// Fault injection idled the acting PE for a stall window
-    /// (see [`crate::fault`]).
-    FaultStall {
-        /// First stalled cycle.
-        from: u64,
-        /// First cycle after the window (the PE's clock is advanced
-        /// here).
-        until: u64,
-    },
-    /// Fault injection lost a channel send in transit; the sending
-    /// context retries after backoff.
-    FaultSendDrop {
-        /// The sending context.
-        ctx: CtxId,
-        /// Channel the lost send targeted.
-        chan: Word,
-        /// The word that was lost.
-        value: Word,
-        /// Retry attempt number this drop triggers (1-based).
-        attempt: u32,
-        /// Cycle the retry is scheduled at.
-        retry_at: u64,
-    },
-    /// Fault injection dropped a cross-PE bus transfer one or more
-    /// times; it was re-sent immediately at extra cost.
-    FaultBusDrop {
-        /// Channel whose transfer was dropped.
-        chan: Word,
-        /// Consecutive drops before the transfer got through.
-        attempts: u32,
-        /// Extra bus cycles charged for the re-sends.
-        penalty: u64,
-    },
-    /// Fault injection delayed a kernel trap.
-    FaultTrapDelay {
-        /// The trapping context.
-        ctx: CtxId,
-        /// Kernel entry number of the delayed trap.
-        entry: Word,
-        /// Extra cycles charged.
-        delay: u64,
-    },
-    /// A transfer completed after one or more fault-injected drops.
-    FaultRecovered {
-        /// The sending context that finally got through.
-        ctx: CtxId,
-        /// Channel the transfer completed on.
-        chan: Word,
-        /// Drops the transfer survived.
-        retries: u32,
-    },
 }
 
 /// A recorded event with its timestamp and originating PE.
@@ -445,15 +394,11 @@ struct ChromeBuf {
     threads: HashSet<(usize, CtxId)>,
     pes: HashSet<usize>,
     bus_lanes: HashSet<usize>,
-    fault_lanes: HashSet<usize>,
     last_ts: u64,
 }
 
 /// Thread lane used for bus-transfer instants (no owning context).
 const BUS_TID: u64 = 1_000_000;
-/// Thread lane used for fault-injection instants with no owning context
-/// (stalls, bus drops).
-const FAULT_TID: u64 = 1_000_001;
 
 impl ChromeBuf {
     fn slice_begin(&mut self, pe: usize, ctx: CtxId, ts: u64, resident: bool) {
@@ -600,58 +545,6 @@ impl ChromeBuf {
                     &format!("\"entry\":{entry},\"arg\":{arg}"),
                 );
             }
-            TraceEvent::FaultStall { from, until } => {
-                self.fault_lanes.insert(pe);
-                self.instant(
-                    pe,
-                    FAULT_TID,
-                    ts,
-                    "fault:stall",
-                    &format!("\"from\":{from},\"until\":{until}"),
-                );
-            }
-            TraceEvent::FaultSendDrop { ctx, chan, value, attempt, retry_at } => {
-                self.threads.insert((pe, ctx));
-                self.instant(
-                    pe,
-                    ctx as u64,
-                    ts,
-                    "fault:send-drop",
-                    &format!(
-                        "\"chan\":{chan},\"value\":{value},\"attempt\":{attempt},\"retry_at\":{retry_at}"
-                    ),
-                );
-            }
-            TraceEvent::FaultBusDrop { chan, attempts, penalty } => {
-                self.fault_lanes.insert(pe);
-                self.instant(
-                    pe,
-                    FAULT_TID,
-                    ts,
-                    "fault:bus-drop",
-                    &format!("\"chan\":{chan},\"attempts\":{attempts},\"penalty\":{penalty}"),
-                );
-            }
-            TraceEvent::FaultTrapDelay { ctx, entry, delay } => {
-                self.threads.insert((pe, ctx));
-                self.instant(
-                    pe,
-                    ctx as u64,
-                    ts,
-                    "fault:trap-delay",
-                    &format!("\"entry\":{entry},\"delay\":{delay}"),
-                );
-            }
-            TraceEvent::FaultRecovered { ctx, chan, retries } => {
-                self.threads.insert((pe, ctx));
-                self.instant(
-                    pe,
-                    ctx as u64,
-                    ts,
-                    "fault:recovered",
-                    &format!("\"chan\":{chan},\"retries\":{retries}"),
-                );
-            }
         }
     }
 
@@ -677,13 +570,6 @@ impl ChromeBuf {
         for pe in buses {
             parts.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pe},\"tid\":{BUS_TID},\"args\":{{\"name\":\"ring bus\"}}}}"
-            ));
-        }
-        let mut faults: Vec<_> = self.fault_lanes.iter().copied().collect();
-        faults.sort_unstable();
-        for pe in faults {
-            parts.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pe},\"tid\":{FAULT_TID},\"args\":{{\"name\":\"faults\"}}}}"
             ));
         }
         parts.extend(self.events.iter().cloned());
@@ -835,34 +721,6 @@ mod tests {
         assert!(json.contains("block:recv"));
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn chrome_trace_renders_fault_events_on_their_own_lane() {
-        let ct = ChromeTrace::new();
-        let mut t = Tracer::new(ct.sink());
-        t.emit(3, 0, || TraceEvent::FaultStall { from: 3, until: 9 });
-        t.emit(5, 0, || TraceEvent::FaultSendDrop {
-            ctx: 1,
-            chan: 2,
-            value: 7,
-            attempt: 1,
-            retry_at: 9,
-        });
-        t.emit(6, 0, || TraceEvent::FaultBusDrop { chan: 2, attempts: 2, penalty: 20 });
-        t.emit(7, 0, || TraceEvent::FaultTrapDelay { ctx: 1, entry: 0, delay: 12 });
-        t.emit(9, 0, || TraceEvent::FaultRecovered { ctx: 1, chan: 2, retries: 1 });
-        let json = ct.to_json();
-        for tag in [
-            "fault:stall",
-            "fault:send-drop",
-            "fault:bus-drop",
-            "fault:trap-delay",
-            "fault:recovered",
-        ] {
-            assert!(json.contains(tag), "missing {tag}");
-        }
-        assert!(json.contains("\"name\":\"faults\""), "fault lane is named");
     }
 
     #[test]

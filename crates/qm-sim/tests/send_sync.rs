@@ -8,7 +8,6 @@
 //! trait object) becomes a compile failure here, not a runtime surprise
 //! in the server.
 
-use qm_sim::fault::FaultPlan;
 use qm_sim::snapshot::Snapshot;
 use qm_sim::system::{RunOutcome, SimError, System};
 use qm_sim::SystemConfig;
@@ -27,7 +26,6 @@ fn serving_types_are_thread_mobile() {
     // Everything that crosses worker threads by value or by Arc.
     assert_send_sync::<Snapshot>();
     assert_send_sync::<SystemConfig>();
-    assert_send_sync::<FaultPlan>();
     assert_send_sync::<RunOutcome>();
     assert_send_sync::<SimError>();
     assert_send_sync::<qm_verify::Report>();

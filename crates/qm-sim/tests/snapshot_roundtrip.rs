@@ -1,14 +1,15 @@
-//! Hardening and canonical-bytes tests for the `qm-snap/v2` format via
+//! Hardening and canonical-bytes tests for the `qm-snap/v3` format via
 //! the public API: corrupt inputs yield structured errors (never
 //! panics), and capture → encode → decode → restore → capture is
-//! byte-identical — including for mid-run states with an armed fault
-//! engine, blocked contexts and a retry in flight.
+//! byte-identical — including for mid-run states with blocked contexts
+//! and a placement policy that reads other PEs' clocks.
 //!
 //! (Dependency-free on purpose: part of the offline test gate.)
 
+use qm_sim::config::Placement;
 use qm_sim::snapshot::{Snapshot, SnapshotError};
 use qm_sim::system::RunStatus;
-use qm_sim::{FaultPlan, Simulation, System, SystemConfig};
+use qm_sim::{Simulation, System, SystemConfig};
 
 /// Fork–join with a child per PE; enough channel traffic to leave
 /// blocked contexts at most capture points.
@@ -28,16 +29,10 @@ child:  recv r17,#0 :r0
         trap #2,#0
 ";
 
-fn paused_faulty_system() -> System {
+fn paused_system() -> System {
     let mut sys = Simulation::builder()
-        .config(SystemConfig::with_pes(4))
+        .config(SystemConfig { placement: Placement::LeastLoaded, ..SystemConfig::with_pes(4) })
         .assembly(FORK_JOIN)
-        .fault_plan(
-            FaultPlan::seeded(0x5EED_CAFE)
-                .with_send_loss(500_000)
-                .with_bus_drops(200_000)
-                .with_stall(1, 5, 30),
-        )
         .build()
         .expect("assembles");
     let status = sys.run_until(60).expect("partial run");
@@ -47,7 +42,7 @@ fn paused_faulty_system() -> System {
 
 #[test]
 fn mid_run_capture_round_trips_byte_identically() {
-    let sys = paused_faulty_system();
+    let sys = paused_system();
     let snap = Snapshot::capture(&sys);
     assert!(snap.cycle() > 0, "capture is genuinely mid-run");
     let bytes = snap.encode();
@@ -64,7 +59,7 @@ fn mid_run_capture_round_trips_byte_identically() {
 
 #[test]
 fn digests_agree_across_the_round_trip_and_track_progress() {
-    let sys = paused_faulty_system();
+    let sys = paused_system();
     let snap = Snapshot::capture(&sys);
     let restored = System::restore(&snap).expect("restores");
     assert_eq!(
@@ -83,7 +78,7 @@ fn digests_agree_across_the_round_trip_and_track_progress() {
 
 #[test]
 fn wrong_magic_is_rejected() {
-    let mut bytes = Snapshot::capture(&paused_faulty_system()).encode();
+    let mut bytes = Snapshot::capture(&paused_system()).encode();
     bytes[0] = b'X';
     assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadMagic));
     assert_eq!(Snapshot::decode(b"not a snapshot at all..."), Err(SnapshotError::BadMagic));
@@ -91,14 +86,14 @@ fn wrong_magic_is_rejected() {
 
 #[test]
 fn unknown_versions_are_rejected_with_the_version() {
-    let mut bytes = Snapshot::capture(&paused_faulty_system()).encode();
+    let mut bytes = Snapshot::capture(&paused_system()).encode();
     bytes[8] = 0x2A;
     assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::UnknownVersion(0x2A)));
 }
 
 #[test]
 fn every_truncation_point_errors_instead_of_panicking() {
-    let bytes = Snapshot::capture(&paused_faulty_system()).encode();
+    let bytes = Snapshot::capture(&paused_system()).encode();
     for len in 0..bytes.len() {
         let err = Snapshot::decode(&bytes[..len]).expect_err("truncated input must not decode");
         assert!(
@@ -110,7 +105,7 @@ fn every_truncation_point_errors_instead_of_panicking() {
 
 #[test]
 fn every_single_byte_flip_is_detected() {
-    let bytes = Snapshot::capture(&paused_faulty_system()).encode();
+    let bytes = Snapshot::capture(&paused_system()).encode();
     // Flipping any payload byte must surface as *some* structured error
     // (usually a checksum mismatch; table/header flips hit the earlier
     // guards). Step a few bytes at a time to keep the test quick.
@@ -133,7 +128,7 @@ fn io_errors_are_structured() {
     let err = Snapshot::read_from(std::path::Path::new("/nonexistent/dir/x.snap"))
         .expect_err("missing file");
     assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
-    let sys = paused_faulty_system();
+    let sys = paused_system();
     let err = Snapshot::capture(&sys)
         .write_to(std::path::Path::new("/nonexistent/dir/x.snap"))
         .expect_err("unwritable path");

@@ -7,15 +7,16 @@
 //! `docs/DETERMINISM.md`).
 //!
 //! Its inputs are random workloads × PE counts (1–128) × channel
-//! capacities × seeded fault plans × pause points, a fixed grid of the
+//! capacities × placements × pause points, a fixed grid of the
 //! same, and hand-written programs that reach every rung of the fallback
 //! ladder: code-write epochs, the per-run fallback, a program Strict
 //! verification rejects and words that do not decode.
 
 use qm_core::rng::check;
+use qm_sim::config::Placement;
 use qm_sim::snapshot::Snapshot;
 use qm_sim::system::RunStatus;
-use qm_sim::{FaultPlan, RunOutcome, Simulation, System, SystemConfig};
+use qm_sim::{RunOutcome, Simulation, System, SystemConfig};
 use qm_verify::VerifyLevel;
 use qm_workloads::{Workload, WorkloadRun};
 
@@ -66,14 +67,11 @@ fn engine_matches_oracle(
     b
 }
 
-fn template(pes: usize, capacity: usize, plan: Option<&FaultPlan>) -> WorkloadRun {
+fn template(pes: usize, capacity: usize, placement: Placement) -> WorkloadRun {
     let mut cfg = SystemConfig::with_pes(pes);
     cfg.channel_capacity = capacity;
-    let mut run = WorkloadRun::new().config(cfg);
-    if let Some(plan) = plan {
-        run = run.fault_plan(plan.clone());
-    }
-    run
+    cfg.placement = placement;
+    WorkloadRun::new().config(cfg)
 }
 
 fn workload_agrees(
@@ -81,19 +79,18 @@ fn workload_agrees(
     w: &Workload,
     pes: usize,
     capacity: usize,
-    plan: Option<&FaultPlan>,
+    placement: Placement,
     pause_at: u64,
 ) -> Result<RunOutcome, String> {
-    let build = || template(pes, capacity, plan).prepare(w).expect("prepare").0;
+    let build = || template(pes, capacity, placement).prepare(w).expect("prepare").0;
     engine_matches_oracle(label, build, pause_at)
 }
 
 /// The default channel capacity.
 const CAP: usize = 8;
 
-fn plan() -> FaultPlan {
-    FaultPlan::seeded(0xD1CE).with_send_loss(150_000).with_bus_drops(60_000)
-}
+/// The default placement.
+const RR: Placement = Placement::RoundRobin;
 
 #[test]
 fn engine_matches_oracle_on_random_configurations() {
@@ -104,15 +101,14 @@ fn engine_matches_oracle_on_random_configurations() {
             _ => ("cholesky", qm_workloads::cholesky(g.range(2..=7))),
         };
         let (pes, capacity) = (g.range(1..=128), g.range(0..9));
-        let plan = (g.below(2) == 1).then(|| {
-            FaultPlan::seeded(g.range(1..=u64::MAX))
-                .with_send_loss(g.range(0..300_000))
-                .with_bus_drops(g.range(0..150_000))
-                .with_trap_delays(g.range(0..300_000), 8)
-        });
+        let placement = match g.below(3) {
+            0 => Placement::RoundRobin,
+            1 => Placement::LeastLoaded,
+            _ => Placement::Local,
+        };
         let pause_at = g.range(1..50_000);
-        let label = format!("{name}/{pes}pe/cap{capacity}/{plan:?}/pause{pause_at}");
-        workload_agrees(&label, &w, pes, capacity, plan.as_ref(), pause_at).ok();
+        let label = format!("{name}/{pes}pe/cap{capacity}/{placement:?}/pause{pause_at}");
+        workload_agrees(&label, &w, pes, capacity, placement, pause_at).ok();
     });
 }
 
@@ -120,7 +116,7 @@ fn engine_matches_oracle_on_random_configurations() {
 fn engine_matches_oracle_across_pe_counts() {
     let w = qm_workloads::matmul(4);
     for pes in [1, 2, 7, 128] {
-        workload_agrees(&format!("matmul4/{pes}pe"), &w, pes, CAP, None, 1_000).ok();
+        workload_agrees(&format!("matmul4/{pes}pe"), &w, pes, CAP, RR, 1_000).ok();
     }
 }
 
@@ -129,29 +125,33 @@ fn engine_matches_oracle_across_workloads() {
     for (label, w) in
         [("reduction16", qm_workloads::reduction(16)), ("cholesky6", qm_workloads::cholesky(6))]
     {
-        workload_agrees(label, &w, 4, CAP, None, 500).ok();
+        workload_agrees(label, &w, 4, CAP, RR, 500).ok();
     }
 }
 
 #[test]
 fn engine_matches_oracle_under_tight_capacity() {
     let w = qm_workloads::matmul(4);
-    workload_agrees("matmul4/4pe/cap2", &w, 4, 2, None, 1_000).ok();
+    workload_agrees("matmul4/4pe/cap2", &w, 4, 2, RR, 1_000).ok();
 }
 
 #[test]
-fn engine_matches_oracle_under_fault_injection() {
+fn engine_matches_oracle_under_least_loaded() {
+    // Load-counting placement reads other PEs' clocks at every fork, the
+    // one placement that makes a batch record the clocks it observed.
     let w = qm_workloads::matmul(4);
-    workload_agrees("matmul4/2pe/faulty", &w, 2, CAP, Some(&plan()), 1_000).ok();
-    workload_agrees("matmul4/128pe/faulty", &w, 128, CAP, Some(&plan()), 1_000).ok();
+    let ll = Placement::LeastLoaded;
+    workload_agrees("matmul4/2pe/least-loaded", &w, 2, CAP, ll, 1_000).ok();
+    workload_agrees("matmul4/128pe/least-loaded", &w, 128, CAP, ll, 1_000).ok();
 }
 
 #[test]
 fn snapshots_hand_off_mid_run() {
-    // The pause must land inside the run, with and without faults.
+    // The pause must land inside the run, under either spreading
+    // placement.
     let w = qm_workloads::matmul(4);
-    for plan in [None, Some(plan())] {
-        let out = workload_agrees("matmul4/2pe/handoff", &w, 2, CAP, plan.as_ref(), 2_000);
+    for placement in [RR, Placement::LeastLoaded] {
+        let out = workload_agrees("matmul4/2pe/handoff", &w, 2, CAP, placement, 2_000);
         let out = out.expect("matmul(4) runs");
         assert!(out.elapsed_cycles > 2_000, "the pause fell after the end of the run");
     }

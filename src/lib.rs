@@ -49,7 +49,6 @@ pub use qm_workloads as workloads;
 pub mod prelude {
     pub use qm_occam::{compile, Options};
     pub use qm_sim::config::SystemConfig;
-    pub use qm_sim::fault::FaultPlan;
     pub use qm_sim::snapshot::Snapshot;
     pub use qm_sim::system::{RunOutcome, RunStatus, System};
     pub use qm_sim::{SimError, Simulation};
