@@ -23,7 +23,7 @@ pub fn to_dot(label: &str, graph: &ContextGraph) -> String {
     }
     for id in 0..graph.len() {
         let node = graph.node(id);
-        for (slot, v) in node.vins.iter().enumerate() {
+        for (slot, v) in node.vins().iter().enumerate() {
             let tail = if graph.node(v.node).actor.value_outs() > 1 {
                 format!(" taillabel=\"{}\"", v.out)
             } else {
@@ -31,7 +31,7 @@ pub fn to_dot(label: &str, graph: &ContextGraph) -> String {
             };
             let _ = writeln!(out, "  n{} -> n{id} [label=\"{slot}\"{tail}];", v.node);
         }
-        for &c in &node.ctrl {
+        for c in graph.ctrl_preds(id) {
             let _ = writeln!(out, "  n{c} -> n{id} [style=dashed, color=gray50];");
         }
     }
