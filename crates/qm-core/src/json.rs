@@ -10,6 +10,11 @@
 //! specially, `qm-bench` did not; wall-clock floats were formatted with
 //! `{:.3}` in some emitters and free-form in others).
 //!
+//! [`parse`] takes untrusted input (`qm-serve` request bodies of up to
+//! 1 MiB), so its cost is linear in the input: the cursor scans each
+//! input byte once, and a string is decoded run by run, each run of
+//! plain bytes between escapes validated and copied as one slice.
+//!
 //! # The `qm-api/v1` envelope
 //!
 //! Every report type with a stable wire format serialises as
@@ -328,14 +333,7 @@ impl std::error::Error for JsonError {}
 /// nesting levels are rejected (hostile-input guard, in the same spirit
 /// as the snapshot decoder's length checks).
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(v)
+    Parser::new(text).document()
 }
 
 const MAX_DEPTH: usize = 64;
@@ -344,9 +342,32 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Decode strings with [`Parser::string_oracle`].
+    #[cfg(test)]
+    oracle: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            #[cfg(test)]
+            oracle: false,
+        }
+    }
+
+    fn document(mut self) -> Result<JsonValue, JsonError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { message: message.into(), at: self.pos }
     }
@@ -453,6 +474,72 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.oracle {
+            return self.string_oracle();
+        }
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or backslash in one
+            // piece. It starts and ends on char boundaries (the input is
+            // a &str and both stop bytes are ASCII), so it is valid UTF-8.
+            let rest = &self.bytes[self.pos..];
+            let len = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let run = std::str::from_utf8(&rest[..len]).map_err(|_| self.err("bad utf-8"))?;
+            out.push_str(run);
+            self.pos += len;
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(_) => out.push(self.unescape()?),
+            }
+        }
+    }
+
+    /// Decode the escape sequence whose backslash is at the cursor.
+    fn unescape(&mut self) -> Result<char, JsonError> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                // Exactly four hex digits: no sign, no shorter form.
+                let cp = hex
+                    .iter()
+                    .try_fold(0, |cp, &b| Some((cp << 4) | char::from(b).to_digit(16)?))
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                self.pos += 4;
+                // Surrogates are not paired; this parser only needs the
+                // BMP subset our own writer emits.
+                char::from_u32(cp).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(self.err("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The string routine this parser had before it decoded runs in one
+    /// piece: it re-validates the rest of the document for every
+    /// character, and takes `\u` digits through `u32::from_str_radix`
+    /// (which also accepts `+041`). Kept as the differential tests'
+    /// oracle.
+    #[cfg(test)]
+    fn string_oracle(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
@@ -522,6 +609,11 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{check, Gen};
+
+    fn parse_oracle(text: &str) -> Result<JsonValue, JsonError> {
+        Parser { oracle: true, ..Parser::new(text) }.document()
+    }
 
     #[test]
     fn escape_handles_specials() {
@@ -608,5 +700,191 @@ mod tests {
         assert_eq!(v2.get("n").and_then(JsonValue::as_u64), Some(123_456_789));
         assert!(v.get("n").is_some());
         assert_eq!(parse("-1.5").unwrap().as_u64(), None);
+    }
+
+    fn str_val(s: &str) -> Result<JsonValue, JsonError> {
+        Ok(JsonValue::Str(s.to_string()))
+    }
+
+    fn err(message: &str, at: usize) -> Result<JsonValue, JsonError> {
+        Err(JsonError { message: message.to_string(), at })
+    }
+
+    #[test]
+    fn strings_decode_runs_and_escapes() {
+        assert_eq!(parse(r#""""#), str_val(""));
+        assert_eq!(parse(r#""a\"b\\c\/d\n\t\r\b\f""#), str_val("a\"b\\c/d\n\t\r\u{8}\u{c}"));
+        assert_eq!(parse("\"é€😀\\u00e9x\""), str_val("é€😀éx"));
+        assert_eq!(parse("\"raw\ncontrol\""), str_val("raw\ncontrol"), "raw controls pass");
+        assert_eq!(parse(r#""\ud83d""#), str_val("\u{fffd}"), "lone surrogate");
+        assert_eq!(parse(r#""abc"#), err("unterminated string", 4));
+        assert_eq!(parse(r#""ab\"#), err("bad escape", 4));
+        assert_eq!(parse(r#""ab\x""#), err("bad escape", 4));
+        assert_eq!(parse(r#""ab\u12"#), err("truncated \\u escape", 4));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00E9\u20ac""#), str_val("Aé€"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, "\"\\u0é\""] {
+            assert_eq!(parse(bad), err("bad \\u escape", 2), "{bad}");
+        }
+        // `u32::from_str_radix` let the old routine read a sign.
+        assert_eq!(parse_oracle(r#""\u+041""#), str_val("A"));
+    }
+
+    /// Append a JSON string literal built to exercise the string
+    /// decoder: plain runs, 2–4-byte UTF-8, every escape, `\u` with good
+    /// and bad digits (never a `+`, which only the oracle accepts) and
+    /// bad escapes (drawn with weight `bad`). It grows to at least
+    /// `min_len` bytes.
+    fn gen_string(g: &mut Gen, min_len: usize, bad: u32, out: &mut String) {
+        const MULTIBYTE: [char; 10] =
+            ['é', 'ß', '\u{7ff}', '\u{800}', '€', '\u{ffff}', '😀', '𝄞', '\u{10000}', '\u{10ffff}'];
+        const NOT_HEX: [char; 8] = ['g', 'G', ' ', '-', '"', '\\', 'é', '€'];
+        out.push('"');
+        let start = out.len();
+        let pieces = g.range(0..8);
+        let mut n = 0;
+        while n < pieces || out.len() - start < min_len {
+            n += 1;
+            match g.weighted(&[6, 3, 3, 2, bad, 1, bad]) {
+                0 => {
+                    let len = g.range(0..24);
+                    out.extend(
+                        (0..len)
+                            .map(|_| char::from(g.range(b' '..=b'~')))
+                            .filter(|&c| c != '"' && c != '\\'),
+                    );
+                }
+                1 => out.push(*g.pick(&MULTIBYTE)),
+                2 => out.push_str(
+                    g.pick::<&str>(&[r#"\""#, r"\\", r"\/", r"\n", r"\t", r"\r", r"\b", r"\f"]),
+                ),
+                3 => {
+                    let cp = g.range(0..=u16::MAX as u32);
+                    out.push_str(&if g.below(2) == 0 {
+                        format!("\\u{cp:04x}")
+                    } else {
+                        format!("\\u{cp:04X}")
+                    });
+                }
+                4 => {
+                    out.push_str("\\u");
+                    let at = g.below(4);
+                    for i in 0..4 {
+                        if i == at {
+                            out.push(*g.pick(&NOT_HEX));
+                        } else {
+                            out.push(*g.pick(&['0', '9', 'a', 'F']));
+                        }
+                    }
+                }
+                5 => out.push(*g.pick(&['\n', '\t', '\u{1}', '\u{7f}'])),
+                _ => {
+                    out.push('\\');
+                    out.push(*g.pick(&['x', 'U', '0', 'é', ' ']));
+                }
+            }
+        }
+        out.push('"');
+    }
+
+    fn gen_value(g: &mut Gen, depth: u32, bad: u32, out: &mut String) {
+        let ws = |g: &mut Gen, out: &mut String| {
+            out.push_str(g.pick::<&str>(&["", "", " ", "\n\t", "\r\n  "]));
+        };
+        ws(g, out);
+        let kinds = if depth == 0 { 3 } else { 6 };
+        match g.below(kinds) {
+            0 => gen_string(g, 0, bad, out),
+            1 => out.push_str(g.pick::<&str>(&[
+                "0",
+                "-7",
+                "123456789",
+                "1.5e3",
+                "-0.25",
+                "1e999",
+                "true",
+                "false",
+                "null",
+            ])),
+            2 => out.push_str(&g.range(0u64..).to_string()),
+            3 => {
+                out.push('[');
+                for i in 0..g.range(0..5) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    gen_value(g, depth - 1, bad, out);
+                }
+                out.push(']');
+            }
+            4 => {
+                out.push('{');
+                for i in 0..g.range(0..5) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    ws(g, out);
+                    gen_string(g, 0, bad, out);
+                    ws(g, out);
+                    out.push(':');
+                    gen_value(g, depth - 1, bad, out);
+                }
+                out.push('}');
+            }
+            _ => {
+                // Deep enough, now and then, to trip the depth guard.
+                let levels = g.range(1..=70);
+                out.push_str(&"[".repeat(levels));
+                gen_value(g, 0, bad, out);
+                out.push_str(&"]".repeat(levels));
+            }
+        }
+        ws(g, out);
+    }
+
+    /// A generated document, sometimes with a string of tens of KiB,
+    /// and sometimes cut, extended or spliced at a char boundary so the
+    /// parsers also have to agree on errors.
+    fn gen_document(g: &mut Gen) -> String {
+        let mut doc = String::new();
+        let bad = u32::from(g.below(4) == 0);
+        let long = g.below(3) == 0;
+        if long {
+            doc.push('[');
+        }
+        gen_value(g, 4, bad, &mut doc);
+        if long {
+            doc.push(',');
+            let min_len = g.range(8_192..40_960);
+            gen_string(g, min_len, bad, &mut doc);
+            doc.push(']');
+        }
+        let mut at = g.range(0..=doc.len());
+        while !doc.is_char_boundary(at) {
+            at -= 1;
+        }
+        match g.below(8) {
+            0 => doc.truncate(at),
+            1 => doc.insert(at, *g.pick(&['"', '\\', ',', ']', '}', ':', 'u', '9', 'é'])),
+            2 => {
+                let tail = doc[at..].to_string();
+                doc.push_str(&tail);
+            }
+            _ => {}
+        }
+        doc
+    }
+
+    #[test]
+    fn parser_agrees_with_the_per_character_oracle() {
+        check(96, |g| {
+            let doc = gen_document(g);
+            let (got, want) = (parse(&doc), parse_oracle(&doc));
+            let head: String = doc.chars().take(200).collect();
+            assert_eq!(got, want, "{} bytes, starting {head:?}", doc.len());
+        });
     }
 }

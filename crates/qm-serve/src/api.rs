@@ -88,18 +88,29 @@ fn bad(message: impl Into<String>) -> ApiError {
 ///
 /// # Errors
 ///
-/// [`ApiError`] (`bad_request`) for unknown names.
+/// [`ApiError`] (`bad_request`) for unknown names and for sizes outside
+/// the workload's range (its constructor would panic on them).
 pub fn bundled_workload(name: &str, param: usize) -> Result<Workload, ApiError> {
-    match name {
-        "matmul" => Ok(qm_workloads::matmul(param)),
-        "fft" => Ok(qm_workloads::fft(param)),
-        "cholesky" => Ok(qm_workloads::cholesky(param)),
-        "congruence" => Ok(qm_workloads::congruence(param)),
-        "reduction" => Ok(qm_workloads::reduction(param)),
-        other => Err(bad(format!(
+    let (make, fits, sizes): (fn(usize) -> Workload, bool, &str) = match name {
+        "matmul" => (qm_workloads::matmul, (1..=16).contains(&param), "1..=16"),
+        "fft" => (
+            qm_workloads::fft,
+            param.is_power_of_two() && (4..=32).contains(&param),
+            "4, 8, 16 or 32",
+        ),
+        "cholesky" => (qm_workloads::cholesky, (2..=12).contains(&param), "2..=12"),
+        "congruence" => (qm_workloads::congruence, (1..=16).contains(&param), "1..=16"),
+        "reduction" => (qm_workloads::reduction, (4..=64).contains(&param), "4..=64"),
+        other => {
+            return Err(bad(format!(
             "unknown workload {other:?} (expected matmul, fft, cholesky, congruence or reduction)"
-        ))),
+        )))
+        }
+    };
+    if !fits {
+        return Err(bad(format!("{name} param must be {sizes}, not {param}")));
     }
+    Ok(make(param))
 }
 
 fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ApiError> {
@@ -265,6 +276,9 @@ mod tests {
             (br#"{"occam":"x","assembly":"y"}"#, "mutually exclusive"),
             (br#"{"workload":"matmul"}"#, "need a \"param\""),
             (br#"{"workload":"quicksort","param":4}"#, "unknown workload"),
+            (br#"{"workload":"matmul","param":0}"#, "matmul param must be 1..=16"),
+            (br#"{"workload":"fft","param":12}"#, "fft param must be 4, 8, 16 or 32"),
+            (br#"{"workload":"reduction","param":65}"#, "reduction param must be 4..=64"),
             (br#"{"assembly":"x","pes":0}"#, "pes must be"),
             (br#"{"assembly":"x","pes":2000}"#, "pes must be"),
             (br#"{"assembly":"x","shards":65}"#, "shards must be 0..=64"),
@@ -279,6 +293,16 @@ mod tests {
             let err = parse_job(body).unwrap_err();
             assert_eq!(err.status, 400, "{want}");
             assert!(err.message.contains(want), "{}: missing {want:?}", err.message);
+        }
+    }
+
+    #[test]
+    fn workload_sizes_are_checked_before_construction() {
+        for name in ["matmul", "fft", "cholesky", "congruence", "reduction"] {
+            let accepted: Vec<usize> =
+                (0..=70).filter(|&n| bundled_workload(name, n).is_ok()).collect();
+            assert!(!accepted.is_empty(), "{name} accepts some size");
+            assert!(bundled_workload(name, usize::MAX).is_err(), "{name}");
         }
     }
 
