@@ -8,9 +8,10 @@
 //! perf_gate --tolerance <pct>    override the +5% default
 //! ```
 //!
-//! Measurements are calibration-normalised (see `qm_bench::perf`), so a
-//! gate run on a slower machine than the one that produced the baseline
-//! still passes — only a change in simulator work per cycle fails it.
+//! Measurements are normalised by a host-speed probe that calls no
+//! simulator code (see `qm_bench::perf`), so a gate run on a slower
+//! machine than the one that produced the baseline still passes — only
+//! a change in simulator work per cycle fails it.
 //! `--smoke` is for environments too noisy to enforce timing (it still
 //! hard-fails on cycle-count drift, which is machine-independent).
 
@@ -86,9 +87,9 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "calibration: {:.1} ns/cycle now vs {:.1} baseline (informative; the gate \
+        "calibration: {:.1} ns/item now vs {:.1} baseline (informative; the gate \
          compares calibration-relative costs)",
-        now.calibration_ns_per_cycle, baseline.calibration_ns_per_cycle
+        now.calibration_ns_per_item, baseline.calibration_ns_per_item
     );
 
     // Timing-only failures get re-measured and merged (per-figure

@@ -11,17 +11,20 @@
 //!    `ns/cycle` is the machine-dependent residual. Only the
 //!    simulation loop is timed; compiling the workload is untimed
 //!    setup.
-//! 2. **By an interleaved calibration run.** A fixed channel
-//!    ping-pong — raw assembly, no compiler in the loop — measures
-//!    what the host pays per cycle on the simulator's hot path
+//! 2. **By an interleaved calibration probe.** A fixed piece of host
+//!    work — sort pseudo-random words, index a sample of them in a
+//!    `BTreeMap`, fold them — measures how fast the host runs
 //!    *immediately before each timed run*. The gated figure is the
-//!    dimensionless ratio `point ns/cycle ÷ calibration ns/cycle`
-//!    (`rel_cost`): host speed, CPU throttling and noisy neighbours
-//!    multiply both halves of a pair and cancel, so the same baseline
-//!    gates on fast laptops and oversubscribed CI containers alike.
+//!    ratio `point ns/cycle ÷ probe ns/item` (`rel_cost`): host speed,
+//!    CPU throttling and noisy neighbours multiply both halves of a
+//!    pair and cancel, so the same baseline gates on fast laptops and
+//!    oversubscribed CI containers alike. The probe calls no
+//!    repository code, so no change to the simulator moves it: a
+//!    uniform slowdown of the simulator shows in every point, and a
+//!    uniform speed-up cannot make an unchanged point read slower.
 //!
-//! What remains is a genuine change in simulator work per cycle
-//! relative to the hot path — exactly what the scheduler-scan
+//! What remains is a genuine change in simulator work per cycle —
+//! exactly what the scheduler-scan
 //! regression this gate was built against would show (it was ~8× on
 //! `perf/cholesky/1pe`, vs the 5% default tolerance). Each figure is
 //! the minimum over [`RUNS`] pairs, the standard robust estimator for
@@ -31,11 +34,10 @@
 //! mismatch means the simulation itself changed, which is a different
 //! failure (and a louder one) than a slowdown.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use qm_sim::config::SystemConfig;
-use qm_sim::system::System;
-use qm_verify::VerifyLevel;
 
 use crate::sweep::{f3, json_escape, run_point, SweepPoint};
 
@@ -45,34 +47,8 @@ pub const RUNS: usize = 5;
 /// Default relative tolerance of the gate (fail above +5%).
 pub const TOLERANCE: f64 = 0.05;
 
-/// The calibration program: one echo child, 40 000 ping-pongs through a
-/// channel pair. Every iteration crosses the whole steady-state path —
-/// blocking send, context switch with window rollout, rendezvous wake,
-/// scheduler re-plant, dispatch with window restore — and nothing else,
-/// so its ns/cycle tracks host and build speed on exactly the code the
-/// gated points spend their time in.
-const CALIBRATION: &str = "
-main:   trap #0,#child :r0,r1
-        plus r0,#0 :r19
-        plus r1,#0 :r20
-        plus #40000,#0 :r17
-loop:   send r19,#5
-        recv r20,#0 :r2
-        plus r2,#0 :r21
-        minus r17,#1 :r17
-        bne r17,@loop
-        send r19,#0
-        recv r20,#0 :r2
-        plus r2,#0 :r21
-        trap #2,#0
-child:  plus r17,#0 :r25
-        plus r18,#0 :r26
-cl:     recv r25,#0 :r2
-        plus r2,#0 :r27
-        send r26,r27
-        bne r27,@cl
-        trap #2,#0
-";
+/// Words the calibration probe sorts; every seventh is indexed.
+const PROBE_ITEMS: u32 = 100_000;
 
 /// One gated figure: a point's deterministic cycle count and its
 /// measured per-cycle host cost.
@@ -86,8 +62,8 @@ pub struct PerfPoint {
     /// informative only — raw wall time is not gated).
     pub ns_per_cycle: f64,
     /// The gated figure: this point's ns/cycle divided by the
-    /// interleaved calibration run's ns/cycle (minimum over [`RUNS`]
-    /// pairs). Dimensionless and host-independent.
+    /// interleaved calibration probe's ns/item (minimum over [`RUNS`]
+    /// pairs). Host-independent.
     pub rel_cost: f64,
 }
 
@@ -95,10 +71,10 @@ pub struct PerfPoint {
 /// Both the committed baseline and a fresh gate run have this shape.
 #[derive(Debug, Clone)]
 pub struct PerfBaseline {
-    /// Calibration ns/cycle on the host that produced this measurement
-    /// (minimum over all pairs; informative only — `rel_cost` already
-    /// embeds its own per-pair calibration).
-    pub calibration_ns_per_cycle: f64,
+    /// Calibration probe ns/item on the host that produced this
+    /// measurement (minimum over all pairs; informative only —
+    /// `rel_cost` already embeds its own per-pair calibration).
+    pub calibration_ns_per_item: f64,
     /// Gated points, in grid order.
     pub points: Vec<PerfPoint>,
 }
@@ -129,22 +105,26 @@ fn per_cycle(ns: u128, cycles: u64) -> f64 {
     ns as f64 / (cycles.max(1) as f64)
 }
 
-/// Run the calibration program once and return `(wall ns, cycles)`.
-///
-/// # Panics
-///
-/// Panics if the fixed calibration program fails to build or run —
-/// a harness bug by construction.
-fn calibration_run() -> (u128, u64) {
-    let mut sys = System::builder()
-        .config(SystemConfig::with_pes(1))
-        .assembly(CALIBRATION)
-        .verify(VerifyLevel::Off)
-        .build()
-        .expect("calibration program builds");
+/// Run the calibration probe once: `(wall ns per item, checksum)`.
+/// The probe is fixed host work that calls no repository code; the
+/// checksum keeps the optimiser from discarding it and lets a test pin
+/// that the work itself never varies.
+#[allow(clippy::cast_precision_loss)]
+fn calibration_run() -> (f64, u64) {
     let t = Instant::now();
-    let out = sys.run().expect("calibration program runs");
-    (t.elapsed().as_nanos(), out.elapsed_cycles)
+    let mut x: u32 = 12345;
+    let mut v: Vec<u32> = (0..PROBE_ITEMS)
+        .map(|_| {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            x
+        })
+        .collect();
+    v.sort_unstable();
+    let index: BTreeMap<u32, usize> =
+        v.iter().step_by(7).enumerate().map(|(i, &e)| (e, i)).collect();
+    let fold = v.iter().fold(0u64, |a, &e| a.wrapping_mul(31).wrapping_add(u64::from(e)));
+    let sum = std::hint::black_box(fold ^ index.len() as u64);
+    (t.elapsed().as_nanos() as f64 / f64::from(PROBE_ITEMS), sum)
 }
 
 /// Run one gate point with only the simulation loop timed (compilation
@@ -191,8 +171,7 @@ pub fn measure(runs: usize) -> PerfBaseline {
             let mut best_ns = f64::INFINITY;
             let mut best_calib = f64::INFINITY;
             for _ in 0..runs {
-                let (calib_ns, calib_cycles) = calibration_run();
-                best_calib = best_calib.min(per_cycle(calib_ns, calib_cycles));
+                best_calib = best_calib.min(calibration_run().0);
                 let (ns, timed_cycles) = timed_point(p);
                 assert_eq!(timed_cycles, cycles, "{}: cycle count varies between runs", p.id);
                 best_ns = best_ns.min(per_cycle(ns, cycles));
@@ -206,18 +185,18 @@ pub fn measure(runs: usize) -> PerfBaseline {
             }
         })
         .collect();
-    PerfBaseline { calibration_ns_per_cycle: calib_best, points }
+    PerfBaseline { calibration_ns_per_item: calib_best, points }
 }
 
 impl PerfBaseline {
-    /// Serialise as `BENCH_baseline.json` (schema `qm-bench-perf/v1`).
+    /// Serialise as `BENCH_baseline.json` (schema `qm-bench-perf/v2`).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"qm-bench-perf/v1\",\n");
+        out.push_str("  \"schema\": \"qm-bench-perf/v2\",\n");
         out.push_str(&format!(
-            "  \"calibration_ns_per_cycle\": {},\n",
-            f3(self.calibration_ns_per_cycle)
+            "  \"calibration_ns_per_item\": {},\n",
+            f3(self.calibration_ns_per_item)
         ));
         out.push_str("  \"points\": [\n");
         let rows: Vec<String> = self
@@ -239,7 +218,7 @@ impl PerfBaseline {
         out
     }
 
-    /// Parse a `qm-bench-perf/v1` file (the exact shape
+    /// Parse a `qm-bench-perf/v2` file (the exact shape
     /// [`to_json`](Self::to_json) writes; this is a schema reader, not
     /// a general JSON parser).
     ///
@@ -247,11 +226,11 @@ impl PerfBaseline {
     ///
     /// A message naming the missing or malformed field.
     pub fn parse(text: &str) -> Result<PerfBaseline, String> {
-        if !text.contains("\"schema\": \"qm-bench-perf/v1\"") {
-            return Err("not a qm-bench-perf/v1 file".into());
+        if !text.contains("\"schema\": \"qm-bench-perf/v2\"") {
+            return Err("not a qm-bench-perf/v2 file".into());
         }
-        let calibration_ns_per_cycle = field_f64(text, "calibration_ns_per_cycle")
-            .ok_or("missing calibration_ns_per_cycle")?;
+        let calibration_ns_per_item =
+            field_f64(text, "calibration_ns_per_item").ok_or("missing calibration_ns_per_item")?;
         let mut points = Vec::new();
         for line in text.lines() {
             let line = line.trim();
@@ -271,7 +250,7 @@ impl PerfBaseline {
         if points.is_empty() {
             return Err("no points in baseline".into());
         }
-        Ok(PerfBaseline { calibration_ns_per_cycle, points })
+        Ok(PerfBaseline { calibration_ns_per_item, points })
     }
 }
 
@@ -295,7 +274,7 @@ fn field_str(text: &str, key: &str) -> Option<String> {
 /// noise a second chance to get out of the way, while a genuine
 /// regression survives every merge.
 pub fn merge_min(a: &mut PerfBaseline, b: &PerfBaseline) {
-    a.calibration_ns_per_cycle = a.calibration_ns_per_cycle.min(b.calibration_ns_per_cycle);
+    a.calibration_ns_per_item = a.calibration_ns_per_item.min(b.calibration_ns_per_item);
     for p in &mut a.points {
         if let Some(q) = b.points.iter().find(|q| q.id == p.id) {
             p.ns_per_cycle = p.ns_per_cycle.min(q.ns_per_cycle);
@@ -366,7 +345,7 @@ mod tests {
 
     fn sample() -> PerfBaseline {
         PerfBaseline {
-            calibration_ns_per_cycle: 100.0,
+            calibration_ns_per_item: 100.0,
             points: vec![
                 PerfPoint {
                     id: "perf/a/1pe".into(),
@@ -391,7 +370,7 @@ mod tests {
         assert_eq!(parsed.points.len(), 2);
         assert_eq!(parsed.points[0].id, "perf/a/1pe");
         assert_eq!(parsed.points[0].cycles, 1000);
-        assert!((parsed.calibration_ns_per_cycle - 100.0).abs() < 1e-9);
+        assert!((parsed.calibration_ns_per_item - 100.0).abs() < 1e-9);
         assert!((parsed.points[1].ns_per_cycle - 80.0).abs() < 1e-9);
         assert!((parsed.points[1].rel_cost - 0.8).abs() < 1e-9);
     }
@@ -401,7 +380,7 @@ mod tests {
         let base = sample();
         // A slower host moves raw ns/cycle but not rel_cost: passes.
         let mut now = sample();
-        now.calibration_ns_per_cycle = 200.0;
+        now.calibration_ns_per_item = 200.0;
         for p in &mut now.points {
             p.ns_per_cycle *= 2.0;
         }
@@ -435,10 +414,10 @@ mod tests {
 
     #[test]
     fn calibration_program_is_deterministic() {
-        let (_, c1) = calibration_run();
-        let (_, c2) = calibration_run();
-        assert_eq!(c1, c2, "calibration cycles are deterministic");
-        assert!(c1 > 100_000, "calibration runs long enough to time: {c1}");
+        let (ns1, sum1) = calibration_run();
+        let (ns2, sum2) = calibration_run();
+        assert_eq!(sum1, sum2, "the calibration probe does the same work every run");
+        assert!(ns1 > 0.0 && ns2 > 0.0, "calibration probe is timed: {ns1} {ns2}");
     }
 
     #[test]
