@@ -338,7 +338,7 @@ fn parse_statement(text: &str, line: usize) -> Result<Item<'_>> {
     let err = |msg: String| IsaError::Asm { line, msg };
     if let Some(rest) = text.strip_prefix(".word") {
         let arg = rest.trim();
-        return if let Ok(v) = parse_int(arg) {
+        return if let Some(v) = parse_int(arg) {
             Ok(Item::Word(WordSpec::Value(v)))
         } else if arg.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') && !arg.is_empty() {
             Ok(Item::Word(WordSpec::Label(arg)))
@@ -403,7 +403,7 @@ fn parse_statement(text: &str, line: usize) -> Result<Item<'_>> {
 fn parse_src(tok: &str, line: usize) -> Result<SrcSpec<'_>> {
     let err = |msg: String| IsaError::Asm { line, msg };
     if let Some(rest) = tok.strip_prefix('#') {
-        if let Ok(v) = parse_int(rest) {
+        if let Some(v) = parse_int(rest) {
             return Ok(SrcSpec::Mode(if (-15..=15).contains(&v) {
                 #[allow(clippy::cast_possible_truncation)]
                 SrcMode::Imm(v as i8)
@@ -443,20 +443,22 @@ fn parse_reg(tok: &str, max: u16) -> Option<u8> {
     (n <= max).then_some(n as u8)
 }
 
-fn parse_int(s: &str) -> std::result::Result<Word, std::num::ParseIntError> {
+/// A numeric literal: decimal, or `0x` hex (any 32-bit pattern), with an
+/// optional leading `-`. The sign applies to the whole magnitude, so
+/// `-2147483648` is `i32::MIN`; decimal magnitudes outside the `Word`
+/// range do not parse (the operand is then read as a label).
+fn parse_int(s: &str) -> Option<Word> {
     let (neg, body) = match s.strip_prefix('-') {
         Some(b) => (true, b),
         None => (false, s),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+    if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
         #[allow(clippy::cast_possible_wrap)]
-        {
-            u32::from_str_radix(hex, 16).map(|u| u as Word)?
-        }
-    } else {
-        body.parse::<Word>()?
-    };
-    Ok(if neg { v.wrapping_neg() } else { v })
+        let v = u32::from_str_radix(hex, 16).ok()? as Word;
+        return Some(if neg { v.wrapping_neg() } else { v });
+    }
+    let v = body.parse::<i64>().ok()?;
+    Word::try_from(if neg { v.checked_neg()? } else { v }).ok()
 }
 
 /// Disassemble a block of instruction words into assembly text, one
@@ -599,6 +601,29 @@ mod tests {
         assert_eq!(obj.words()[1], 0x8000_0400);
         let obj = assemble("plus #100,#0 :r0").unwrap();
         assert_eq!(obj.words().len(), 2, "100 exceeds small-immediate range");
+    }
+
+    #[test]
+    fn extreme_immediates_round_trip() {
+        for (src, value) in [
+            ("plus #-2147483648,#0 :r0", i32::MIN),
+            ("plus #2147483647,#0 :r0", i32::MAX),
+            ("plus #0x80000000,#0 :r0", i32::MIN),
+            ("plus #-0x80000000,#0 :r0", i32::MIN),
+            (".word -2147483648", i32::MIN),
+        ] {
+            let obj = assemble(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            #[allow(clippy::cast_sign_loss)]
+            let want = value as u32;
+            assert_eq!(obj.words().last(), Some(&want), "{src}");
+            let text = disassemble(obj.words()).join("\n");
+            let again = assemble(&text).unwrap_or_else(|e| panic!("{src} -> {text}: {e}"));
+            assert_eq!(again.words(), obj.words(), "{src} -> {text}");
+        }
+        // Decimal magnitudes beyond the word range are not numbers.
+        assert!(assemble("plus #2147483648,#0 :r0").is_err());
+        assert!(assemble("plus #-2147483649,#0 :r0").is_err());
+        assert!(assemble("plus #-9223372036854775808,#0 :r0").is_err());
     }
 
     #[test]

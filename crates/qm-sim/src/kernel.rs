@@ -27,7 +27,10 @@ pub mod entry {
     /// Read the global cycle clock into `dst1` (the `now` actor).
     pub const NOW: Word = 4;
     /// Suspend the caller until the clock reaches `arg` (the `wait`
-    /// actor).
+    /// actor). A target at or below the current cycle is already due
+    /// and does not suspend; that includes every negative `arg`, which
+    /// is a cycle before the run began (raw assembly is untrusted, so
+    /// `arg` may be any word).
     pub const WAIT: Word = 5;
     /// Allocate a fresh channel identifier into `dst1` (used for OCCAM
     /// `chan` declarations).

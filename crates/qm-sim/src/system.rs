@@ -471,16 +471,15 @@ impl System {
     /// is blocked only acts when some context (possibly that one,
     /// re-woken) is ready.
     fn actor_time(&self, pe: usize) -> Option<u64> {
-        let unit = &self.pes[pe];
-        let running = unit.current.is_some_and(|c| self.contexts[c].state == CtxState::Running);
-        if running {
-            Some(unit.pe.cycles)
+        let cycles = self.pes[pe].pe.cycles;
+        if self.is_running(pe) {
+            Some(cycles)
         } else {
-            self.sched.min_ready_at(pe).map(|r| r.max(unit.pe.cycles))
+            self.sched.min_ready_at(pe).map(|r| r.max(cycles))
         }
     }
 
-    /// Re-plant every PE's actor candidate from current state (run-loop
+    /// Re-plant every PE's actor hint from current state (run-loop
     /// entry: spawns/loads may have happened in any order outside it).
     fn rebuild_actors(&mut self) {
         self.sched.clear_actors();
@@ -659,7 +658,8 @@ impl System {
                 Ok(())
             }
             entry::WAIT => {
-                let target = arg as u64;
+                // A negative target lies before cycle 0: already due.
+                let target = u64::try_from(arg).unwrap_or(0);
                 if target > self.pes[i].pe.cycles {
                     let ctx_id = self.pes[i].current.expect("WAIT from a running context");
                     self.contexts[ctx_id].ready_at = target;
@@ -708,16 +708,14 @@ impl System {
                 return Err(SimError::Deadlock { blocked: self.deadlock_report() });
             };
             if t >= limit {
-                // The popped actor hint is discarded; the next run_until
-                // re-plants every candidate via rebuild_actors.
+                // The next run_until re-plants every hint via
+                // rebuild_actors.
                 return Ok(RunStatus::Paused { cycle: t });
             }
             if self.snap_every.is_some() {
                 self.write_due_snapshots(t)?;
             }
-            let running =
-                self.pes[i].current.is_some_and(|c| self.contexts[c].state == CtxState::Running);
-            if !running {
+            if !self.is_running(i) {
                 self.dispatch(i);
             }
             let ctx_id = self.pes[i].current.expect("dispatched");
@@ -731,8 +729,8 @@ impl System {
             let result = self.step_pe(i, ctx_id, before, slot.as_ref());
             let continued = matches!(result, StepResult::Continue);
             self.retire(i, ctx_id, before, result, self.tracer.enabled())?;
-            // The acting PE's next-action time changed: re-plant its heap
-            // candidate (other PEs were hinted by push_ready on wakes).
+            // The acting PE's next-action time changed: re-key its heap
+            // hint (other PEs were hinted by push_ready on wakes).
             let t = self.actor_time(i);
             self.sched.refresh(i, t);
             // After a sequential retire in an untraced run, keep stepping
@@ -841,16 +839,23 @@ impl System {
         self.block_current(i);
     }
 
-    /// Retire as many further steps of PE `i`'s running context as the
-    /// serial schedule allows, without per-step scheduling. Called only
-    /// right after that context retired an instruction and continued, in
-    /// an untraced run. See `crate::xlate` for the two batching rules
-    /// (any step runs while this PE is provably the serial scheduler's
-    /// next pick; local-only steps additionally run ahead of the global
-    /// cycle order) and the equivalence argument behind each.
+    /// Whether PE `pe`'s resident context is running (not blocked).
+    fn is_running(&self, pe: usize) -> bool {
+        self.pes[pe].current.is_some_and(|c| self.contexts[c].state == CtxState::Running)
+    }
+
+    /// Retire as many further steps of running contexts as the serial
+    /// schedule allows, without per-step scheduling, starting with PE
+    /// `i`'s. Called only right after that context retired an
+    /// instruction and continued, in an untraced run. See `crate::xlate`
+    /// for the batching rules (any step runs while this PE is provably
+    /// the serial scheduler's next pick; local-only steps additionally
+    /// run ahead of the global cycle order; the batch hands off to the
+    /// PE that stopped it when that PE is provably next) and the
+    /// equivalence argument behind each.
     ///
-    /// Each iteration re-checks everything that depends on PE `i`
-    /// itself: the hard bound (pause limit, snapshot boundary), the
+    /// Each iteration re-checks everything that depends on the acting
+    /// PE itself: the hard bound (pause limit, snapshot boundary), the
     /// code-write epoch, and that the next instruction has a translated
     /// slot — anything else exits to the outer loop, which re-proves the
     /// schedule from scratch. Every step retires through
@@ -861,13 +866,17 @@ impl System {
     /// # Errors
     ///
     /// As [`Self::retire`].
-    pub(crate) fn run_translated_batch(&mut self, i: usize, limit: u64) -> Result<(), SimError> {
+    pub(crate) fn run_translated_batch(
+        &mut self,
+        mut i: usize,
+        limit: u64,
+    ) -> Result<(), SimError> {
         // Moved out for the batch, so its slots stay borrowed across the
         // `&mut self` steps; nothing below reads `self.xlate`.
         let Some(xp) = self.xlate.take() else {
             return Ok(());
         };
-        let ctx_id = self.pes[i].current.expect("batched context is running");
+        let mut ctx_id = self.pes[i].current.expect("batched context is running");
         let hard = if self.snap_every.is_some() { limit.min(self.next_snap_at) } else { limit };
         // `LeastLoaded` forks tie-break on other PEs' *clocks*, and a
         // HALT ends the run with every clock as it stands, so a PE whose
@@ -877,10 +886,11 @@ impl System {
         // serial-exact whenever any other PE can act.
         let clocks_observed = self.cfg.placement == Placement::LeastLoaded || xp.may_halt;
         // Lower bound on every other PE's next-action `(time, pe)` heap
-        // key, fetched lazily and re-fetched after any step that may
-        // have woken another PE (a channel transfer completing).
-        // `(u64::MAX, _)` means no other PE can act.
-        let mut bound: Option<(u64, usize)> = None;
+        // key (`None`: no other PE can act). It stays valid while the
+        // scheduler's wake counter stands at `seen`: only a push that
+        // lowers some PE's key can lower the bound.
+        let mut bound = self.sched.min_other_hint(i);
+        let mut seen = self.sched.wakes();
         let mut retired = false;
         let mut outcome = Ok(());
         while self.memory.code_writes == xp.epoch {
@@ -895,15 +905,29 @@ impl System {
             };
             let seq = d.is_sequential();
             if clocks_observed || !(seq && d.is_local_only(&unit.pe)) {
-                let b = *bound
-                    .get_or_insert_with(|| self.sched.min_other_hint(i).unwrap_or((u64::MAX, 0)));
-                // The serial scheduler pops the least `(time, pe)` key,
+                if self.sched.wakes() != seen {
+                    seen = self.sched.wakes();
+                    bound = self.sched.min_other_hint(i);
+                }
+                // The serial scheduler picks the least `(time, pe)` key,
                 // and a running PE's key is `(cycles, pe)`: this PE is
                 // provably next exactly while its key compares below
                 // every other PE's — including winning the equal-time
                 // tie by lower index, as the heap would.
-                if (before, i) >= b {
-                    break;
+                if let Some((t, j)) = bound.filter(|&b| (before, i) >= b) {
+                    // PE `j` holds the least other hint. When `j` runs
+                    // and that hint is its clock, the hint is exact and
+                    // `(t, j)` is the serial scheduler's next pick: hand
+                    // the batch to `j` instead of leaving it.
+                    if t >= hard || self.pes[j].pe.cycles != t || !self.is_running(j) {
+                        break;
+                    }
+                    self.sched.refresh(i, Some(before));
+                    i = j;
+                    ctx_id = self.pes[j].current.expect("running PE has a context");
+                    bound = self.sched.min_other_hint(i);
+                    retired = false;
+                    continue;
                 }
             }
             let result = self.step_pe(i, ctx_id, before, Some(d));
@@ -916,18 +940,13 @@ impl System {
             if !continued {
                 break;
             }
-            if !seq {
-                // A completed transfer may have readied a context on
-                // another PE: re-prove the bound.
-                bound = None;
-            }
         }
         self.xlate = Some(xp);
         if retired {
-            // Keep PE `i`'s heap hint tight: its clock moved across the
-            // whole batch but was only re-planted for the pre-batch
-            // step. A zero-step batch that fell straight through to the
-            // outer loop changed nothing, so the hint is still exact.
+            // Keep the acting PE's heap hint tight: its clock moved
+            // across the batch but was last re-keyed before it. A PE
+            // that retired nothing since it took the batch over (or a
+            // zero-step batch) still has an exact hint.
             let t = self.actor_time(i);
             self.sched.refresh(i, t);
         }
@@ -1389,6 +1408,32 @@ main:   trap #4,#0 :r17          ; now → r17
 ";
         let out = run_src(1, src);
         assert_eq!(out.output, vec![-1], "second reading is past the deadline");
+    }
+
+    #[test]
+    fn negative_wait_targets_are_already_due() {
+        let prog = |target: &str| {
+            format!(
+                "main:   trap #5,#{target}
+        trap #4,#0 :r17
+        send #0,r17
+        trap #2,#0
+"
+            )
+        };
+        // Negative targets once read as cycles near `u64::MAX`: `-1`
+        // panicked `run`, `-2` overflowed the clock and `-100` ran for
+        // 2^64 cycles. Each is now the same no-op as a target of 0.
+        let due = run_src(1, &prog("0"));
+        for target in ["-1", "-2"] {
+            let out = run_src(1, &prog(target));
+            assert_eq!(out.output, due.output, "wait #{target}");
+            assert_eq!(out.elapsed_cycles, due.elapsed_cycles, "wait #{target}");
+        }
+        // `i32::MIN` takes an immediate word, which costs one cycle more.
+        let out = run_src(1, &prog("-2147483648"));
+        assert_eq!(out.elapsed_cycles, due.elapsed_cycles + 1, "wait #i32::MIN");
+        assert_eq!(out.output, vec![due.output[0] + 1], "wait #i32::MIN");
     }
 
     #[test]

@@ -41,20 +41,26 @@
 //! against the real kernel services — without re-proving the schedule
 //! per step. Two rules
 //! decide how far it may run, both inside the hard bound of the pause
-//! limit and the next snapshot boundary:
+//! limit and the next snapshot boundary, and a third decides where it
+//! continues when the first rule stops it:
 //!
 //! * **Any step may run while this PE is provably next.** While the
 //!   PE's `(clock, pe)` key compares below a conservative lower bound
 //!   on every other PE's next-action key
-//!   (`Scheduler::min_other_hint`, O(log) from the
-//!   actor heap — not an O(PEs) scan; the lexicographic compare wins
-//!   equal-time ties by lower PE index, exactly as the heap does), the
-//!   serial scheduler would dispatch this same PE anyway, so executing
-//!   its next step — a `send`, a global `store`, even a `trap` — *is*
-//!   the serial schedule. A step that can wake another PE (a channel transfer
-//!   completing) invalidates the cached bound; a step that blocks or
-//!   traps exits the batch to the outer loop's context-switch and
-//!   kernel paths.
+//!   (`Scheduler::min_other_hint`, O(1) from the indexed actor heap —
+//!   not an O(PEs) scan; the lexicographic compare wins equal-time ties
+//!   by lower PE index, exactly as the heap does), the serial scheduler
+//!   would dispatch this same PE anyway, so executing its next step — a
+//!   `send`, a global `store`, even a `trap` — *is* the serial
+//!   schedule. The bound is a minimum over other PEs' hints, and while
+//!   this PE acts the only way any of those hints can fall is a
+//!   `push_ready` that lowers a key: a channel transfer that wakes a
+//!   context, a fork or a `WAIT` re-queue. `Scheduler::wakes` counts
+//!   those pushes, so the bound is re-read only when the counter has
+//!   moved since it was read — not after every non-sequential step (a
+//!   third of matmul's instructions are sends and receives). A step that
+//!   blocks or traps exits the batch to the outer loop's context-switch
+//!   and kernel paths.
 //! * **Local-only steps also run ahead of the global cycle order.** A
 //!   step that provably touches nothing but the PE's own registers and
 //!   local plane ([`DecodedInstr::is_local_only`] — ALU/compare,
@@ -73,6 +79,29 @@
 //!   pause at `limit` retires exactly the steps with start cycle below
 //!   `limit` in either order, and a deadlock or completion can only be
 //!   declared once no runnable work remains anywhere.
+//!
+//! * **Hand-off to the PE that is provably next.** Say the first rule
+//!   stops PE `i` at the bound `(t, j)`: PE `j` holds the least hint of
+//!   every PE but `i`, and `(clock_i, i) ≥ (t, j)`. If `j` has a
+//!   running context and `t` equals `j`'s clock, the hint is exact,
+//!   since a running PE's next-action time *is* its clock. Every other
+//!   PE `k` then has a true key at or above its hint, which is above
+//!   `(t, j)` because `k ≠ j`, and PE `i`'s key is above it too. So
+//!   `(t, j)` is the unique least key, the serial scheduler's next pick
+//!   at exactly cycle `t`. The outer loop would pick `j`, find it
+//!   running (no dispatch), and step it. The batch does the same
+//!   without leaving: it re-keys `i` at its exact clock, switches to
+//!   `j`, and reads the bound for `j`. `j`'s first step passes that
+//!   bound, because every other key, `i`'s included, is above `(t, j)`.
+//!   So every hand-off retires at least one step, and the batch cannot
+//!   loop. A hand-off needs `t` below the hard bound; otherwise the
+//!   outer loop's pause or snapshot comes first. When `j` is not
+//!   running, its next action is a dispatch, which only the outer loop
+//!   performs, so the batch exits as before. Local-only steps that `i`
+//!   ran ahead of the cycle order are unaffected: the outer loop would
+//!   have made the same choice from the same state after the batch
+//!   exited, so the two rules above still cover every step on either
+//!   side of the hand-off.
 //!
 //! The local-only rule assumes no other PE can observe this PE's
 //! private state, and two things violate that. `LeastLoaded` placement
