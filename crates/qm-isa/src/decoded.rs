@@ -17,7 +17,7 @@
 //! behaviour cannot drift between the two.
 
 use crate::isa::{Instruction, Opcode, SrcMode, REG_DUMMY};
-use crate::mem::DataPort;
+use crate::mem::{DataPort, CODE_LIMIT};
 use crate::pe::{BlockReason, Pe, RecvOutcome, SendOutcome, Services, StepResult};
 use crate::{Result, UWord, Word};
 
@@ -68,6 +68,38 @@ impl DecodedInstr {
     pub fn translate(words: &[u32]) -> Result<DecodedInstr> {
         let (instr, used) = Instruction::decode(words)?;
         Ok(Self::from_instr(&instr, used))
+    }
+
+    /// Fetch and decode the instruction at `pc`, reading code words
+    /// through `word` (an address to the word there, as
+    /// [`DataPort::fetch_code`] reads it). This is the one fetch rule of
+    /// [`Pe::step`] and of the translated engine. A PC at or above
+    /// [`CODE_LIMIT`] faults; the instruction stream ends there, so an
+    /// instruction whose immediate words would lie past it does not
+    /// decode.
+    ///
+    /// # Errors
+    ///
+    /// The fault message [`Pe::step`] returns as [`StepResult::Error`]:
+    /// "fetch outside the code segment at …" or the decode error.
+    pub fn fetch(
+        pc: UWord,
+        mut word: impl FnMut(UWord) -> u32,
+    ) -> std::result::Result<DecodedInstr, String> {
+        if pc >= CODE_LIMIT {
+            return Err(format!("fetch outside the code segment at {pc:#010x}"));
+        }
+        let mut words = [0; 3];
+        let mut n = 0;
+        for k in 0..3 {
+            let addr = pc + 4 * k;
+            if addr >= CODE_LIMIT {
+                break;
+            }
+            words[n] = word(addr);
+            n += 1;
+        }
+        Self::translate(&words[..n]).map_err(|e| e.to_string())
     }
 
     /// Pre-resolve an already-decoded instruction. `used` is the
@@ -149,12 +181,14 @@ impl DecodedInstr {
         )
     }
 
-    /// True for a `trap`/`ftrap` that may enter kernel entry `entry`:
-    /// its entry operand is that immediate or is read at run time.
-    #[must_use]
-    pub fn may_trap_to(&self, entry: Word) -> bool {
-        matches!(self.op, Opcode::Trap | Opcode::Ftrap)
-            && !matches!(self.src1, XSrc::Imm(e) if e != entry)
+    /// The queue-slot addresses a `dup` writes when executed from
+    /// `pe`'s current register state; none for any other instruction.
+    pub fn dup_targets<'a>(&'a self, pe: &'a Pe) -> impl Iterator<Item = UWord> + 'a {
+        let offsets = match self.op {
+            Opcode::Dup1 | Opcode::Dup2 => [Some(self.off1), self.two.then_some(self.off2)],
+            _ => [None, None],
+        };
+        offsets.into_iter().flatten().map(|off| pe.regs.queue_slot_addr(u32::from(off)))
     }
 
     /// True when executing this instruction from `pe`'s *current*
@@ -182,10 +216,7 @@ impl DecodedInstr {
             XSrc::Global(_) | XSrc::Imm(_) => true,
         };
         match self.op {
-            Opcode::Dup1 | Opcode::Dup2 => {
-                is_local(pe.regs.queue_slot_addr(u32::from(self.off1)))
-                    && (!self.two || is_local(pe.regs.queue_slot_addr(u32::from(self.off2))))
-            }
+            Opcode::Dup1 | Opcode::Dup2 => self.dup_targets(pe).all(is_local),
             Opcode::Fetch
             | Opcode::Fchb
             | Opcode::Store
@@ -338,10 +369,14 @@ fn exec_mem_write(
     let a = read_xsrc(pe, d.src1, port);
     let b = read_xsrc(pe, d.src2, port);
     #[allow(clippy::cast_sign_loss)]
+    let addr = a as UWord;
+    if addr < CODE_LIMIT {
+        return StepResult::Error(format!("store into the read-only code segment at {addr:#010x}"));
+    }
     let extra = if d.op == Opcode::Store {
-        port.write_word(pe.id, a as UWord, b)
+        port.write_word(pe.id, addr, b)
     } else {
-        port.write_byte(pe.id, a as UWord, b)
+        port.write_byte(pe.id, addr, b)
     };
     pe.cycles += pe.model.mem_extra + extra;
     pe.stats.mem_writes += 1;

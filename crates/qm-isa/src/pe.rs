@@ -91,7 +91,9 @@ pub enum StepResult {
         /// True for `fret`.
         fast: bool,
     },
-    /// The instruction stream was undecodable.
+    /// A fault: the PC lies outside the code segment, the words there
+    /// do not decode, or a `store`/`storb` addressed the read-only code
+    /// segment. The PC was not advanced.
     Error(String),
 }
 
@@ -294,22 +296,17 @@ impl Pe {
         self.last_result = value;
     }
 
-    /// Execute one instruction: fetch, translate to the shared decoded
-    /// form and run it. The translated engine in `qm-sim` caches the
-    /// [`DecodedInstr`] and calls [`Pe::step_decoded`] directly; both
-    /// paths execute the same code, so they cannot disagree.
+    /// Execute one instruction: fetch it by [`DecodedInstr::fetch`]'s
+    /// rule, which faults outside the code segment, and run it. The
+    /// translated engine in `qm-sim` caches the [`DecodedInstr`] and
+    /// calls [`Pe::step_decoded`] directly; both paths execute the same
+    /// code, so they cannot disagree. A fault charges no cycles.
     pub fn step(&mut self, port: &mut dyn DataPort, svc: &mut dyn Services) -> StepResult {
-        let pc0 = self.regs.pc();
-        let words = [
-            port.fetch_code(self.id, pc0),
-            port.fetch_code(self.id, pc0.wrapping_add(4)),
-            port.fetch_code(self.id, pc0.wrapping_add(8)),
-        ];
-        let d = match DecodedInstr::translate(&words) {
-            Ok(d) => d,
-            Err(e) => return StepResult::Error(e.to_string()),
-        };
-        self.step_decoded(&d, port, svc)
+        let id = self.id;
+        match DecodedInstr::fetch(self.regs.pc(), |addr| port.fetch_code(id, addr)) {
+            Ok(d) => self.step_decoded(&d, port, svc),
+            Err(fault) => StepResult::Error(fault),
+        }
     }
 
     /// Execute one pre-decoded instruction. `d` must be the translation

@@ -91,6 +91,32 @@ fn error_envelopes_cover_the_failure_paths() {
 }
 
 #[test]
+fn a_store_into_code_fails_the_job_with_the_fault() {
+    // Whole and in one-cycle slices (each slice a snapshot and resume),
+    // the fault settles the job as failed: no panic, no 5xx.
+    let (server, addr) = start();
+    let program = r#""assembly":"main: plus #1,#2 :r17\n plus r17,#3 :r17\n store #main,r17\n trap #3,#0","verify":"off""#;
+    for slicing in ["", r#","slice_cycles":1"#] {
+        let (status, v) = submit(&addr, &format!("{{{program}{slicing}}}"));
+        assert_eq!(status, 202, "{v:?}");
+        let id = v.get("data").and_then(|d| d.get("id")).and_then(JsonValue::as_u64).unwrap();
+        let done = wait_done(&addr, id);
+        assert_eq!(done.get("status").and_then(JsonValue::as_str), Some("failed"), "{done:?}");
+        let error = done.get("error").expect("error");
+        assert_eq!(error.get("code").and_then(JsonValue::as_str), Some("sim_error"), "{done:?}");
+        let message = error.get("message").and_then(JsonValue::as_str).unwrap_or_default();
+        assert!(
+            message.contains("store into the read-only code segment at 0x00000000"),
+            "{message}"
+        );
+        if !slicing.is_empty() {
+            assert!(done.get("slices").and_then(JsonValue::as_u64).unwrap() > 1, "{done:?}");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn health_reports_progress_and_cache_counters() {
     let (server, addr) = start();
     let (status, body) = request(&addr, "GET", "/v1/health", "").unwrap();

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use qm_isa::mem::{global_home, is_local, DataPort, LOCAL_BASE};
+use qm_isa::mem::{global_home, is_local, DataPort, CODE_LIMIT, LOCAL_BASE};
 
 use crate::config::SystemConfig;
 use crate::trace::{TraceBuffer, TraceEvent};
@@ -95,6 +95,20 @@ impl LocalPlane {
             }
             None => {
                 self.spill.insert(addr & !3, value);
+            }
+        }
+    }
+
+    /// Mark the word at `addr` never written again (it reads as 0).
+    fn remove(&mut self, addr: UWord) {
+        match Self::index(addr) {
+            Some((p, s)) => {
+                if let Some(Some(page)) = self.pages.get_mut(p) {
+                    page.present[s / 64] &= !(1 << (s % 64));
+                }
+            }
+            None => {
+                self.spill.remove(&(addr & !3));
             }
         }
     }
@@ -232,14 +246,11 @@ pub struct SharedMemory {
     /// Deferred bus-transfer trace events, drained by the run loop after
     /// each step. Inert unless the system installs a trace sink.
     pub trace: TraceBuffer,
-    /// Monotone count of writes into the code segment (below
-    /// `GLOBAL_BASE`): run-time stores, host loads and pokes. Code is
-    /// contractually pure, but a program *can* store there; the
-    /// translated engine compares this epoch against
-    /// the one its decoded slots were built from and retranslates (or
-    /// falls back to `Pe::step`) when they differ. Transient (not
-    /// snapshotted): a restored system translates afresh.
-    pub(crate) code_writes: u64,
+    /// Set when the code image may differ from the one last translated:
+    /// at creation, on a restore and on every host write below
+    /// `CODE_LIMIT`. Nothing writes code at run time, so the run loop
+    /// reads this once per `run_until`.
+    pub(crate) code_changed: bool,
 }
 
 impl SharedMemory {
@@ -252,7 +263,7 @@ impl SharedMemory {
             config: config.clone(),
             stats: MemStats::default(),
             trace: TraceBuffer::default(),
-            code_writes: 0,
+            code_changed: true,
         }
     }
 
@@ -274,8 +285,7 @@ impl SharedMemory {
         }
     }
 
-    /// Load raw words into global memory (code or data). Loading into
-    /// the code segment moves the code-write epoch, like a store.
+    /// Load raw words into global memory (code or data).
     ///
     /// # Panics
     ///
@@ -294,25 +304,36 @@ impl SharedMemory {
         self.global.get(addr & !3).unwrap_or(0)
     }
 
-    /// Poke a global word (host-side initialisation, no cost). A poke
-    /// into the code segment moves the code-write epoch, like a store.
+    /// Poke a global word (host-side initialisation, no cost). This is
+    /// the only way to change the code segment.
     pub fn poke_global(&mut self, addr: UWord, value: Word) {
-        if addr < qm_isa::mem::GLOBAL_BASE {
-            self.code_writes += 1;
-        }
+        self.code_changed |= addr < CODE_LIMIT;
         self.global.insert(addr & !3, value);
     }
 
-    /// Addresses of the populated code-segment words (below
-    /// `GLOBAL_BASE`), unordered.
+    /// Addresses of the populated code-segment words, unordered.
     pub(crate) fn code_addrs(&self) -> impl Iterator<Item = UWord> + '_ {
-        self.global.map.keys().copied().filter(|&a| a < qm_isa::mem::GLOBAL_BASE)
+        self.global.map.keys().copied().filter(|&a| a < CODE_LIMIT)
     }
 
     /// Peek a PE-local word.
     #[must_use]
     pub fn peek_local(&self, pe: usize, addr: UWord) -> Word {
         self.locals[pe].get(addr & !3).unwrap_or(0)
+    }
+
+    /// PE `pe`'s local word at `addr`, or `None` when never written.
+    pub(crate) fn local_word(&self, pe: usize, addr: UWord) -> Option<Word> {
+        self.locals[pe].get(addr & !3)
+    }
+
+    /// Put back a local word read by [`SharedMemory::local_word`],
+    /// without cost or statistics.
+    pub(crate) fn restore_local(&mut self, pe: usize, addr: UWord, word: Option<Word>) {
+        match word {
+            Some(value) => self.locals[pe].insert(addr & !3, value),
+            None => self.locals[pe].remove(addr),
+        }
     }
 
     /// Export every populated word for snapshots: the global plane and
@@ -328,6 +349,7 @@ impl SharedMemory {
     /// PE.
     pub(crate) fn restore_planes(&mut self, global: MemPlane, locals: Vec<MemPlane>) {
         debug_assert_eq!(locals.len(), self.locals.len());
+        self.code_changed = true;
         self.global = GlobalPlane::default();
         for (a, w) in global {
             self.global.insert(a, w);
@@ -362,14 +384,13 @@ impl DataPort for SharedMemory {
         let a = addr & !3;
         if is_local(addr) {
             self.locals[pe].insert(a, value);
-        } else {
-            if addr < qm_isa::mem::GLOBAL_BASE {
-                // A store rewrote the code segment: bump the epoch so the
-                // translated engine drops its stale decoded slots.
-                self.code_writes += 1;
-            }
+        } else if addr >= CODE_LIMIT {
             self.global.insert(a, value);
         }
+        // The code segment is read-only at run time: `store` and `storb`
+        // fault before they get here, and a queue-page write (`dup`, or
+        // a roll-out on a context switch) into it, possible only after a
+        // program pointed its queue pointer there, is dropped.
         cost
     }
 

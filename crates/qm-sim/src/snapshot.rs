@@ -1105,8 +1105,43 @@ impl System {
         if !(1..=1024).contains(&cfg.pes) {
             return bad(format!("unsupported PE count {}", cfg.pes));
         }
-        if cfg.partitions == 0 {
-            return bad("zero partitions".into());
+        if !(1..=1024).contains(&cfg.partitions) {
+            return bad(format!("unsupported partition count {}", cfg.partitions));
+        }
+        // Clocks and counters only ever grow by small steps: one this
+        // close to overflowing came from a corrupt snapshot.
+        let counters = [
+            snap.mem_stats.local_accesses,
+            snap.mem_stats.remote_accesses,
+            snap.mem_stats.bus_cycles,
+            snap.transfers,
+            snap.instr_count,
+        ];
+        let per_pe = snap.pes.iter().flat_map(|p| {
+            let s = &p.stats;
+            [p.cycles, p.busy, s.instructions, s.window_hits, s.window_misses, s.mem_reads]
+                .into_iter()
+                .chain([s.mem_writes, s.sends, s.recvs, s.traps, s.context_switches, s.rollouts])
+        });
+        if counters.into_iter().chain(per_pe).any(|v| v >= 1 << 62) {
+            return bad("a clock or counter at or past 2^62".into());
+        }
+        // Every step adds a few of these; bounding them keeps every sum
+        // of a run far from overflow.
+        let model = |m: &qm_isa::pe::CycleModel| {
+            [m.base, m.imm_word, m.mem_extra, m.window_miss, m.branch_taken, m.trap, m.channel]
+                .into_iter()
+                .chain([m.context_switch, m.rollout_per_reg])
+        };
+        let (b, k) = (&cfg.bus, &cfg.kernel);
+        let costs = [b.mem_same_partition, b.mem_remote_base, b.mem_per_segment, b.chan_local]
+            .into_iter()
+            .chain([b.chan_same_partition, b.chan_remote_base, b.chan_per_segment])
+            .chain([k.fork, k.end, k.dispatch])
+            .chain(model(&cfg.cycle_model))
+            .chain(snap.pes.iter().flat_map(|p| model(&p.model)));
+        if costs.into_iter().any(|c| c >= 1 << 32) {
+            return bad("a cycle cost at or past 2^32".into());
         }
         if !cfg.queue_page_words.is_power_of_two() || cfg.queue_page_words > 256 {
             return bad(format!("bad queue page size {}", cfg.queue_page_words));
@@ -1149,6 +1184,18 @@ impl System {
             for ctx in refs {
                 if ctx >= ctxs {
                     return bad(format!("chan {} names nonexistent context {ctx}", c.chan));
+                }
+            }
+            let pe_refs = c
+                .buffer
+                .iter()
+                .map(|&(_, pe)| pe)
+                .chain(c.senders.iter().map(|&(_, pe, _)| pe))
+                .chain(c.receivers.iter().map(|&(_, pe)| pe))
+                .chain(c.ready.iter().map(|&(_, _, pe)| pe));
+            for pe in pe_refs {
+                if pe >= pes {
+                    return bad(format!("chan {} names nonexistent pe{pe}", c.chan));
                 }
             }
         }

@@ -228,13 +228,19 @@ pub struct System {
     /// Next cycle boundary an automatic snapshot fires at (snapshotted,
     /// so a resumed run hits the identical boundaries).
     pub(crate) next_snap_at: u64,
-    /// Cached translation of the loaded object (`None` until the first
-    /// step, or after the retranslation budget is spent). Host-side, not
-    /// machine state: it is *not* snapshotted.
+    /// Translation of the code image (`None` until the first
+    /// `run_until`). Host-side, not machine state: it is *not*
+    /// snapshotted.
     pub(crate) xlate: Option<crate::xlate::XProgram>,
-    /// Retranslations performed this run-lifetime (code-write epochs
-    /// absorbed); capped by `xlate::MAX_RETRANSLATIONS`.
-    pub(crate) xlate_retrans: u32,
+    /// Per PE, its state from before it ran ahead of the cycle order
+    /// (`crate::xlate`); host-side and settled on every `run_until` exit.
+    pub(crate) ahead: Vec<crate::xlate::RunAhead>,
+    /// The step a HALT or fault ended the run at, `(cycle, pe)`, until
+    /// `run_until` rewinds the PEs that ran ahead of it.
+    pub(crate) ended_at: Option<(u64, usize)>,
+    /// Every step goes through `Pe::step`, unbatched
+    /// ([`System::use_step_oracle`]).
+    pub(crate) step_oracle: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -320,7 +326,7 @@ impl System {
     #[must_use]
     pub fn new(cfg: SystemConfig) -> Self {
         let memory = SharedMemory::new(&cfg);
-        let pes = (0..cfg.pes)
+        let pes: Vec<PeUnit> = (0..cfg.pes)
             .map(|i| {
                 let mut pe = Pe::new(i);
                 pe.model = cfg.cycle_model;
@@ -328,6 +334,7 @@ impl System {
             })
             .collect();
         let pages = (0..cfg.pes).map(|_| PageAllocator::new(cfg.queue_page_words)).collect();
+        let ahead = pes.iter().map(|u| crate::xlate::RunAhead::new(&u.pe)).collect();
         System {
             sched: Scheduler::new(cfg.pes),
             memory,
@@ -349,7 +356,9 @@ impl System {
             snap_dir: String::from("."),
             next_snap_at: 0,
             xlate: None,
-            xlate_retrans: 0,
+            ahead,
+            ended_at: None,
+            step_oracle: false,
             cfg,
         }
     }
@@ -702,7 +711,22 @@ impl System {
     /// automatic cadence snapshot (see
     /// [`System::set_snapshot_cadence`]) cannot be written.
     pub fn run_until(&mut self, limit: u64) -> Result<RunStatus, SimError> {
+        self.translate_if_changed();
         self.rebuild_actors();
+        let paused = self.run_steps(limit);
+        if let Some((t, j)) = self.ended_at.take() {
+            self.rewind_run_ahead(t, j);
+        }
+        self.ahead.iter_mut().for_each(crate::xlate::RunAhead::settle);
+        Ok(match paused? {
+            Some(cycle) => RunStatus::Paused { cycle },
+            None => RunStatus::Done(self.outcome()),
+        })
+    }
+
+    /// The run loop of [`System::run_until`], on a current translation:
+    /// the cycle it paused at, or `None` when the program completed.
+    fn run_steps(&mut self, limit: u64) -> Result<Option<u64>, SimError> {
         while !self.halted && self.live > 0 {
             let Some((i, t)) = self.next_actor() else {
                 return Err(SimError::Deadlock { blocked: self.deadlock_report() });
@@ -710,7 +734,7 @@ impl System {
             if t >= limit {
                 // The next run_until re-plants every hint via
                 // rebuild_actors.
-                return Ok(RunStatus::Paused { cycle: t });
+                return Ok(Some(t));
             }
             if self.snap_every.is_some() {
                 self.write_due_snapshots(t)?;
@@ -720,53 +744,74 @@ impl System {
             }
             let ctx_id = self.pes[i].current.expect("dispatched");
             let before = self.pes[i].pe.cycles;
-            // The pre-decoded slot for this PC, or `None` — a word that
-            // does not decode, or the per-run fallback — for `Pe::step`
-            // (see crate::xlate for the equivalence argument).
-            self.ensure_translation();
-            let slot =
-                self.xlate.as_ref().and_then(|xp| xp.slot(self.pes[i].pe.regs.pc())).copied();
-            let result = self.step_pe(i, ctx_id, before, slot.as_ref());
+            // PE `i` holds the least key: every step it ran ahead is now
+            // in the serial past.
+            self.ahead[i].settle();
+            let result = if self.step_oracle {
+                self.step_on_oracle(i, ctx_id, before)
+            } else {
+                let xp = self.xlate.as_ref().expect("translated on entry");
+                match xp.slot(self.pes[i].pe.regs.pc()) {
+                    Ok(&d) => self.step_pe(i, ctx_id, before, &d),
+                    Err(pc) => StepResult::Error(xp.fault(pc)),
+                }
+            };
             let continued = matches!(result, StepResult::Continue);
             self.retire(i, ctx_id, before, result, self.tracer.enabled())?;
             // The acting PE's next-action time changed: re-key its heap
             // hint (other PEs were hinted by push_ready on wakes).
             let t = self.actor_time(i);
             self.sched.refresh(i, t);
-            // After a sequential retire in an untraced run, keep stepping
-            // this context in a tight loop up to the first cycle at which
-            // the per-step checks above could choose differently.
-            if continued && !self.tracer.enabled() {
+            // After a sequential retire in an untraced engine run, keep
+            // stepping this context in a tight loop up to the first cycle
+            // at which the per-step checks above could choose differently.
+            if continued && !self.tracer.enabled() && !self.step_oracle {
                 self.run_translated_batch(i, limit)?;
             }
         }
-        Ok(RunStatus::Done(self.outcome()))
+        Ok(None)
     }
 
-    /// Execute PE `i`'s next instruction for context `ctx_id`, starting
-    /// at cycle `before`: through its translated slot when there is one,
-    /// otherwise through `Pe::step` (fetch and decode from memory).
+    /// PE `i`, the memory and the kernel services for a step of
+    /// context `ctx_id` starting at cycle `time`.
     #[inline(always)]
-    fn step_pe(
+    fn step_parts(
         &mut self,
         i: usize,
         ctx_id: CtxId,
-        before: u64,
-        slot: Option<&DecodedInstr>,
-    ) -> StepResult {
-        let mut svc = Svc {
+        time: u64,
+    ) -> (&mut Pe, &mut SharedMemory, Svc<'_>) {
+        let svc = Svc {
             channels: &mut self.channels,
             contexts: &mut self.contexts,
             sched: &mut self.sched,
             cfg: &self.cfg,
             tracer: &mut self.tracer,
             ctx: ctx_id,
-            time: before,
+            time,
         };
-        match slot {
-            Some(d) => self.pes[i].pe.step_decoded(d, &mut self.memory, &mut svc),
-            None => self.pes[i].pe.step(&mut self.memory, &mut svc),
-        }
+        (&mut self.pes[i].pe, &mut self.memory, svc)
+    }
+
+    /// Execute PE `i`'s next instruction `d` for context `ctx_id`,
+    /// starting at cycle `before`.
+    #[inline(always)]
+    pub(crate) fn step_pe(
+        &mut self,
+        i: usize,
+        ctx_id: CtxId,
+        before: u64,
+        d: &DecodedInstr,
+    ) -> StepResult {
+        let (pe, memory, mut svc) = self.step_parts(i, ctx_id, before);
+        pe.step_decoded(d, memory, &mut svc)
+    }
+
+    /// [`System::step_pe`] on the `Pe::step` oracle: fetch and decode
+    /// from memory.
+    fn step_on_oracle(&mut self, i: usize, ctx_id: CtxId, before: u64) -> StepResult {
+        let (pe, memory, mut svc) = self.step_parts(i, ctx_id, before);
+        pe.step(memory, &mut svc)
     }
 
     /// Retire one step of PE `i`'s context `ctx_id` that started at
@@ -795,9 +840,16 @@ impl System {
             StepResult::Continue | StepResult::Return { .. } => {}
             StepResult::Blocked(reason) => self.park(i, ctx_id, reason),
             StepResult::Trap { entry: e, arg, dst1, dst2, .. } => {
-                self.handle_trap(i, e, arg, dst1, dst2)?;
+                let served = self.handle_trap(i, e, arg, dst1, dst2);
+                if served.is_err() || self.halted {
+                    self.ended_at = Some((before, i));
+                }
+                served?;
             }
-            StepResult::Error(msg) => return Err(SimError::Pe(msg)),
+            StepResult::Error(msg) => {
+                self.ended_at = Some((before, i));
+                return Err(SimError::Pe(msg));
+            }
         }
         let unit = &mut self.pes[i];
         let after = unit.pe.cycles;
@@ -847,21 +899,20 @@ impl System {
     /// Retire as many further steps of running contexts as the serial
     /// schedule allows, without per-step scheduling, starting with PE
     /// `i`'s. Called only right after that context retired an
-    /// instruction and continued, in an untraced run. See `crate::xlate`
-    /// for the batching rules (any step runs while this PE is provably
-    /// the serial scheduler's next pick; local-only steps additionally
-    /// run ahead of the global cycle order; the batch hands off to the
-    /// PE that stopped it when that PE is provably next) and the
-    /// equivalence argument behind each.
+    /// instruction and continued, in an untraced engine run. See
+    /// `crate::xlate` for the batching rules (any step runs while this
+    /// PE is provably the serial scheduler's next pick; local-only steps
+    /// additionally run ahead of the global cycle order, saved for a
+    /// rewind; the batch hands off to the PE that stopped it when that
+    /// PE is provably next) and the equivalence argument behind each.
     ///
     /// Each iteration re-checks everything that depends on the acting
-    /// PE itself: the hard bound (pause limit, snapshot boundary), the
-    /// code-write epoch, and that the next instruction has a translated
-    /// slot — anything else exits to the outer loop, which re-proves the
-    /// schedule from scratch. Every step retires through
-    /// [`Self::retire`], so the budget error fires at exactly the
-    /// retired count the outer loop would raise it; a step that blocks
-    /// or traps ends the batch.
+    /// PE itself: the hard bound (pause limit, snapshot boundary) and
+    /// whether it is provably next — anything else exits to the outer
+    /// loop, which re-proves the schedule from scratch. Every step
+    /// retires through [`Self::retire`], so the budget error fires at
+    /// exactly the retired count the outer loop would raise it; a step
+    /// that blocks, traps or faults ends the batch.
     ///
     /// # Errors
     ///
@@ -873,18 +924,14 @@ impl System {
     ) -> Result<(), SimError> {
         // Moved out for the batch, so its slots stay borrowed across the
         // `&mut self` steps; nothing below reads `self.xlate`.
-        let Some(xp) = self.xlate.take() else {
-            return Ok(());
-        };
+        let xp = self.xlate.take().expect("translated on entry");
         let mut ctx_id = self.pes[i].current.expect("batched context is running");
         let hard = if self.snap_every.is_some() { limit.min(self.next_snap_at) } else { limit };
-        // `LeastLoaded` forks tie-break on other PEs' *clocks*, and a
-        // HALT ends the run with every clock as it stands, so a PE whose
-        // clock ran ahead through local-only steps would be observed.
-        // Then every step keeps the cycle-order bound, which makes the
-        // batch exactly the serial dispatch prefix — clocks stay
-        // serial-exact whenever any other PE can act.
-        let clocks_observed = self.cfg.placement == Placement::LeastLoaded || xp.may_halt;
+        // `LeastLoaded` forks tie-break on other PEs' *clocks*, so a PE
+        // whose clock ran ahead through local-only steps would be
+        // observed. Then every step keeps the cycle-order bound, which
+        // makes the batch exactly the serial dispatch prefix.
+        let may_run_ahead = self.cfg.placement != Placement::LeastLoaded;
         // Lower bound on every other PE's next-action `(time, pe)` heap
         // key (`None`: no other PE can act). It stays valid while the
         // scheduler's wake counter stands at `seen`: only a push that
@@ -893,28 +940,28 @@ impl System {
         let mut seen = self.sched.wakes();
         let mut retired = false;
         let mut outcome = Ok(());
-        while self.memory.code_writes == xp.epoch {
+        loop {
             let unit = &self.pes[i];
             let before = unit.pe.cycles;
             if before >= hard {
                 break;
             }
-            let pc = unit.pe.regs.pc();
-            let Some(d) = xp.slot(pc) else {
-                break;
-            };
-            let seq = d.is_sequential();
-            if clocks_observed || !(seq && d.is_local_only(&unit.pe)) {
-                if self.sched.wakes() != seen {
-                    seen = self.sched.wakes();
-                    bound = self.sched.min_other_hint(i);
-                }
-                // The serial scheduler picks the least `(time, pe)` key,
-                // and a running PE's key is `(cycles, pe)`: this PE is
-                // provably next exactly while its key compares below
-                // every other PE's — including winning the equal-time
-                // tie by lower index, as the heap would.
-                if let Some((t, j)) = bound.filter(|&b| (before, i) >= b) {
+            let slot = xp.slot(unit.pe.regs.pc());
+            if self.sched.wakes() != seen {
+                seen = self.sched.wakes();
+                bound = self.sched.min_other_hint(i);
+            }
+            // The serial scheduler picks the least `(time, pe)` key, and
+            // a running PE's key is `(cycles, pe)`: this PE is provably
+            // next exactly while its key compares below every other PE's
+            // — including winning the equal-time tie by lower index, as
+            // the heap would.
+            if let Some((t, j)) = bound.filter(|&b| (before, i) >= b) {
+                let ahead = match slot {
+                    Ok(d) if may_run_ahead && d.is_local_only(&unit.pe) => self.run_ahead(i, d),
+                    _ => false,
+                };
+                if !ahead {
                     // PE `j` holds the least other hint. When `j` runs
                     // and that hint is its clock, the hint is exact and
                     // `(t, j)` is the serial scheduler's next pick: hand
@@ -929,8 +976,13 @@ impl System {
                     retired = false;
                     continue;
                 }
+            } else {
+                self.ahead[i].settle();
             }
-            let result = self.step_pe(i, ctx_id, before, Some(d));
+            let result = match slot {
+                Ok(d) => self.step_pe(i, ctx_id, before, d),
+                Err(pc) => StepResult::Error(xp.fault(pc)),
+            };
             let continued = matches!(result, StepResult::Continue | StepResult::Return { .. });
             retired = true;
             if let Err(e) = self.retire(i, ctx_id, before, result, false) {

@@ -4,32 +4,30 @@
 //! that never change for a given code word: three `fetch_code` hash
 //! lookups and a full decode. `XProgram` pays them *once per code
 //! address*, caching the [`DecodedInstr`] (operands resolved, exec
-//! function pointer bound) for every word of the loaded object. The run
-//! loop then dispatches straight into the shared exec functions — the
-//! same ones `Pe::step` runs — so the engine cannot disagree with the
-//! `Pe::step` oracle on cycles, statistics, traces or
+//! function pointer bound) for every populated word of the code
+//! segment. The run loop then dispatches straight into the shared exec
+//! functions — the same ones `Pe::step` runs — so the engine cannot
+//! disagree with the `Pe::step` oracle on cycles, statistics, traces or
 //! snapshot bytes. That bit-identity is the engine contract
 //! (`docs/DETERMINISM.md`), pinned by the qm-workloads test
 //! `tests/xlate_equivalence.rs` and the full sweep's `identical` flag.
 //!
-//! # Fallback ladder
+//! # One translation per code image
 //!
-//! Translation needs no verifier certificate: it degrades — never
-//! diverges — in three ways, each ending in `Pe::step`, which
-//! reproduces the reference behaviour or error exactly:
-//!
-//! * **Per-slot**: a word that does not decode (data in the code
-//!   segment, mid-immediate jump targets) gets no slot; executing from
-//!   it falls back to `Pe::step`.
-//! * **Per-epoch**: any store, host load or poke below `GLOBAL_BASE`
-//!   bumps `SharedMemory::code_writes`; a stale `XProgram` is retranslated
-//!   from *current* memory before its next use, so self-modifying code
-//!   executes its new words exactly like `Pe::step`.
-//! * **Per-run**: pathologically self-modifying programs (more than
-//!   `MAX_RETRANSLATIONS` epochs) drop the translation for the rest of
-//!   the run and execute every step on `Pe::step`, unbatched — a
-//!   host-side throttle with no architectural effect. Tests put a run
-//!   into this state on purpose to use `Pe::step` as the oracle.
+//! The code segment is read-only at run time (`qm_isa::mem`): a
+//! `store`/`storb` into it faults, and the memory drops any other write
+//! there. The code image therefore changes only through the host — a
+//! load, a restore or a poke — and `System::run_until` retranslates on
+//! entry when it did. Every fetch has a slot, built by the one fetch
+//! rule [`DecodedInstr::fetch`]: the decoded instruction, or the fault
+//! `Pe::step` raises there (a word that does not decode, or an
+//! instruction whose immediate words would lie past the segment). Slots
+//! cover every populated code word and the two words below the lowest
+//! one, which can read it as an immediate. Every other code address
+//! reads only zero words and shares one blank slot; a PC past the
+//! segment gets the fetch fault. A misaligned PC uses its aligned word,
+//! as `fetch_code` does. The engine never calls `Pe::step`; only the
+//! oracle does ([`System::use_step_oracle`]).
 //!
 //! # The batched serial fast path
 //!
@@ -51,9 +49,9 @@
 //!   not an O(PEs) scan; the lexicographic compare wins equal-time ties
 //!   by lower PE index, exactly as the heap does), the serial scheduler
 //!   would dispatch this same PE anyway, so executing its next step — a
-//!   `send`, a global `store`, even a `trap` — *is* the serial
-//!   schedule. The bound is a minimum over other PEs' hints, and while
-//!   this PE acts the only way any of those hints can fall is a
+//!   `send`, a global `store`, even a `trap` or a fault — *is* the
+//!   serial schedule. The bound is a minimum over other PEs' hints, and
+//!   while this PE acts the only way any of those hints can fall is a
 //!   `push_ready` that lowers a key: a channel transfer that wakes a
 //!   context, a fork or a `WAIT` re-queue. `Scheduler::wakes` counts
 //!   those pushes, so the bound is re-read only when the counter has
@@ -103,167 +101,282 @@
 //!   exited, so the two rules above still cover every step on either
 //!   side of the hand-off.
 //!
-//! The local-only rule assumes no other PE can observe this PE's
-//! private state, and two things violate that. `LeastLoaded` placement
-//! tie-breaks forks on other PEs' clocks. A `trap #3` (HALT) ends the
-//! run the moment it retires, and the outcome then sums every PE's
-//! clock and counters — including steps that ran ahead of the halting
-//! step in the cycle order. So under `LeastLoaded`, and for any
-//! translation in which some code word may decode as a trap into the
-//! halt entry (`#3` or an entry computed at run time; the scan covers
-//! the object and every other populated code-segment word), *every*
-//! batched step keeps the cycle-order bound. The batch is then exactly
-//! the serial dispatch prefix, and clocks stay serial-exact at every
-//! point another PE can observe them. A retranslation rescans, so a
-//! halt stored into the code segment is seen before it can run. The
-//! scan does not reach the data segment (`GLOBAL_BASE` and up): a
-//! program that halts by executing words it stored there is outside
-//! the bit-identity contract.
+//! # Rewinding a run that ends early
+//!
+//! The local-only rule assumes nothing observes this PE's private state
+//! before the serial schedule reaches it, and two things can.
+//! `LeastLoaded` placement tie-breaks forks on other PEs' clocks, so
+//! under it every batched step keeps the cycle-order bound. And a run
+//! can end early: a `trap #3` (HALT) or a fault at PE `j`'s step from
+//! cycle `t` ends it with every PE as it stands, including steps that
+//! ran ahead of `(t, j)`. So before a PE's first step ahead of the
+//! bound, the batch saves its state in a `RunAhead`, and it logs the
+//! local words that step and every later one overwrites. When the run
+//! ends at `(t, j)`, `System::rewind_run_ahead` puts each saved PE back
+//! and replays its steps that precede `(t, j)` in the cycle order.
+//! Every step since the save is local-only, so it depends on nothing
+//! but the PE's own state and replays exactly. A save is dropped as
+//! soon as the PE is provably next again, since every step it took is
+//! then in the serial past, and on every exit from `run_until`, since a
+//! pause retires exactly the steps below the limit in either order.
+//! Past `MAX_UNDO` logged words the PE waits for the cycle order like
+//! any other step, which bounds the log.
 //!
 //! One carve-out concerns the instruction budget: the budget error still fires at the exact
 //! same retired-instruction count as on the oracle, but because
 //! local-only steps may retire ahead of the global cycle order, the
 //! machine state behind an *aborted* run (budget exhaustion — a host
 //! safety valve, not an architectural event) may interleave
-//! differently. Completed runs, pauses, snapshots, deadlocks and every
-//! architectural observable are bit-identical (`docs/DETERMINISM.md`).
+//! differently. Completed runs, halts, faults, pauses, snapshots,
+//! deadlocks and every architectural observable are bit-identical
+//! (`docs/DETERMINISM.md`).
 
 use qm_isa::decoded::DecodedInstr;
+use qm_isa::mem::{CODE_BASE, CODE_LIMIT};
+use qm_isa::pe::{Pe, StepResult};
+use qm_isa::Opcode;
 use qm_isa::UWord;
 
-use crate::kernel::entry;
 use crate::memory::SharedMemory;
 use crate::system::System;
+use crate::Word;
 
-/// Retranslation budget per run: a program that rewrites its code
-/// segment more than this many times executes on `Pe::step` from then
-/// on (identical results, no translation churn).
-pub(crate) const MAX_RETRANSLATIONS: u32 = 16;
+/// Most local words one PE's run-ahead may overwrite before it waits
+/// for the cycle order.
+const MAX_UNDO: usize = 1024;
 
-/// The translation of the loaded object: one pre-decoded slot per code
-/// word address in `base .. base + 4 * slots.len()`. Slots are
-/// position-indexed, so computed jumps and mid-instruction targets
-/// resolve exactly like `Pe::step`'s fetch at that address.
-#[derive(Debug, Clone)]
+/// What the engine runs at one code address: the decoded instruction,
+/// or the fault `Pe::step` raises fetching there.
+type Slot = Result<DecodedInstr, Box<str>>;
+
+/// The translation of the code image: one slot per code word in
+/// `slots`, starting at word `first`, and `blank` for every other code
+/// address (see the module docs).
+#[derive(Debug)]
 pub(crate) struct XProgram {
-    base: UWord,
-    slots: Vec<Option<DecodedInstr>>,
-    /// `SharedMemory::code_writes` at translation time; a mismatch means
-    /// the code segment changed and this translation is stale.
-    pub(crate) epoch: u64,
-    /// Some code word may decode as a `trap` into the halt entry
-    /// (`#3`, or an entry computed at run time): local-only steps then
-    /// keep the cycle-order bound (see the module docs).
-    pub(crate) may_halt: bool,
+    /// Word index (address / 4) of `slots[0]`.
+    first: usize,
+    slots: Vec<Slot>,
+    /// The slot of a code address whose words all read as zero.
+    blank: Slot,
 }
 
 impl XProgram {
-    /// Translate `len` code words starting at `base`, reading *current*
-    /// memory through the same default-zero view `fetch_code` uses — a
-    /// slot decodes exactly the words `Pe::step` would fetch at that
-    /// address, or stays empty when decode fails there.
-    pub(crate) fn translate(mem: &SharedMemory, base: UWord, len: usize, epoch: u64) -> XProgram {
-        let decode_at = |addr: UWord| {
-            #[allow(clippy::cast_sign_loss)]
-            let word = |k: UWord| mem.peek_global(addr.wrapping_add(4 * k)) as u32;
-            DecodedInstr::translate(&[word(0), word(1), word(2)]).ok()
+    /// Translate the code segment as it stands in `mem`, through the
+    /// default-zero view `fetch_code` uses.
+    pub(crate) fn translate(mem: &SharedMemory) -> XProgram {
+        #[allow(clippy::cast_sign_loss)]
+        let decode = |pc: UWord| -> Slot {
+            DecodedInstr::fetch(pc, |addr| mem.peek_global(addr) as u32).map_err(Into::into)
         };
-        let slots: Vec<_> =
-            (0..len).map(|i| decode_at(base.wrapping_add(4 * i as UWord))).collect();
-        // Code-segment words the object does not cover can still be
-        // jumped to (and then run on `Pe::step`), so they count too.
-        let end = base.wrapping_add(4 * len as UWord);
-        let beyond = mem.code_addrs().filter(|a| !(base..end).contains(a)).filter_map(decode_at);
-        let may_halt =
-            slots.iter().flatten().copied().chain(beyond).any(|d| d.may_trap_to(entry::HALT));
-        XProgram { base, slots, epoch, may_halt }
+        let (lo, hi) =
+            mem.code_addrs().fold((CODE_LIMIT, CODE_BASE), |(lo, hi), a| (lo.min(a), hi.max(a)));
+        let first = (lo as usize / 4).saturating_sub(2);
+        // Empty when no code word is populated (`first` is then past
+        // `hi`).
+        let slots = (first..=hi as usize / 4).map(|w| decode((w * 4) as UWord)).collect();
+        // Word 0 has no immediate operand, so a zero word decodes alike
+        // wherever the segment's end cuts the stream short.
+        let blank = DecodedInstr::fetch(CODE_BASE, |_| 0).map_err(Into::into);
+        XProgram { first, slots, blank }
     }
 
-    /// The slot for the instruction at `pc`, or `None` when `pc` is
-    /// outside the translated range or the words there do not decode.
+    /// The slot of `pc`, or `None` past the code segment.
     #[inline]
-    pub(crate) fn slot(&self, pc: UWord) -> Option<&DecodedInstr> {
-        let off = pc.wrapping_sub(self.base);
-        if off & 3 != 0 {
-            return None;
+    fn entry(&self, pc: UWord) -> Option<&Slot> {
+        match self.slots.get((pc as usize / 4).wrapping_sub(self.first)) {
+            Some(slot) => Some(slot),
+            None => (pc < CODE_LIMIT).then_some(&self.blank),
         }
-        self.slots.get((off / 4) as usize)?.as_ref()
+    }
+
+    /// The instruction at `pc`, or `Err(pc)` when fetching there
+    /// faults ([`XProgram::fault`] says how).
+    #[inline]
+    pub(crate) fn slot(&self, pc: UWord) -> Result<&DecodedInstr, UWord> {
+        match self.entry(pc) {
+            Some(Ok(d)) => Ok(d),
+            _ => Err(pc),
+        }
+    }
+
+    /// The fault message `Pe::step` returns fetching at `pc`, where
+    /// [`XProgram::slot`] has no instruction.
+    #[cold]
+    pub(crate) fn fault(&self, pc: UWord) -> String {
+        match self.entry(pc) {
+            Some(Err(fault)) => fault.to_string(),
+            _ => DecodedInstr::fetch(pc, |_| 0).expect_err("the PC lies past the code segment"),
+        }
+    }
+}
+
+/// A PE's state from before its first step ahead of the cycle order,
+/// and the local words it has overwritten since (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct RunAhead {
+    /// Whether `pe`, `busy` and `undo` hold a save.
+    active: bool,
+    pe: Pe,
+    busy: u64,
+    /// Overwritten local words with their earlier contents, oldest
+    /// first (`None`: never written).
+    undo: Vec<(UWord, Option<Word>)>,
+}
+
+impl RunAhead {
+    /// An empty save for `pe`.
+    pub(crate) fn new(pe: &Pe) -> RunAhead {
+        RunAhead { active: false, pe: pe.clone(), busy: 0, undo: Vec::new() }
+    }
+
+    /// Drop the save: every step the PE took is in the serial past.
+    #[inline]
+    pub(crate) fn settle(&mut self) {
+        self.active = false;
     }
 }
 
 impl System {
-    /// Make the cached translation match the current code segment:
-    /// (re)translate when the code-write epoch moved, drop the
-    /// translation for the run after [`MAX_RETRANSLATIONS`] epochs.
-    /// Cheap when current (one counter compare).
-    pub(crate) fn ensure_translation(&mut self) {
-        let epoch = self.memory.code_writes;
-        if self.xlate.as_ref().is_some_and(|xp| xp.epoch == epoch) {
-            return;
+    /// Retranslate if the code image changed since the last translation
+    /// (the oracle needs none).
+    pub(crate) fn translate_if_changed(&mut self) {
+        if self.memory.code_changed && !self.step_oracle {
+            self.xlate = Some(XProgram::translate(&self.memory));
+            self.memory.code_changed = false;
         }
-        if self.xlate_retrans >= MAX_RETRANSLATIONS {
-            self.xlate = None;
-            return;
-        }
-        let Some(obj) = self.symbol_snap.as_deref() else {
-            self.xlate = None;
-            return;
-        };
-        self.xlate_retrans += 1;
-        self.xlate = Some(XProgram::translate(&self.memory, obj.base, obj.words.len(), epoch));
     }
 
-    /// Run every remaining step on `Pe::step`, unbatched: the per-run
-    /// fallback a program reaches after [`MAX_RETRANSLATIONS`] code
-    /// epochs, entered on purpose. This is the test oracle the engine is
-    /// checked against, not an execution option; the state is host-side,
-    /// so a restored snapshot translates again until this is re-applied.
+    /// Prepare PE `i`'s local-only step `d` to run ahead of the cycle
+    /// order: save the PE on its first such step and log the local
+    /// words `d` overwrites. False when the log is full.
+    #[inline]
+    pub(crate) fn run_ahead(&mut self, i: usize, d: &DecodedInstr) -> bool {
+        if !self.ahead[i].active {
+            self.save_for_rewind(i);
+        }
+        if !matches!(d.opcode(), Opcode::Dup1 | Opcode::Dup2) {
+            return true;
+        }
+        let (save, pe, memory) = (&mut self.ahead[i], &self.pes[i].pe, &self.memory);
+        if save.undo.len() >= MAX_UNDO {
+            return false;
+        }
+        save.undo.extend(d.dup_targets(pe).map(|addr| (addr, memory.local_word(i, addr))));
+        true
+    }
+
+    /// Start PE `i`'s save: its state before its first step ahead.
+    #[cold]
+    fn save_for_rewind(&mut self, i: usize) {
+        let (save, unit) = (&mut self.ahead[i], &self.pes[i]);
+        save.active = true;
+        save.pe.clone_from(&unit.pe);
+        save.busy = unit.busy;
+        save.undo.clear();
+    }
+
+    /// The run ended at PE `j`'s step from cycle `t`, by a HALT or a
+    /// fault: put every PE that ran ahead back to its save, then replay
+    /// its steps that precede `(t, j)` in the cycle order.
+    pub(crate) fn rewind_run_ahead(&mut self, t: u64, j: usize) {
+        let Some(xp) = self.xlate.take() else {
+            return;
+        };
+        for k in 0..self.pes.len() {
+            let save = &mut self.ahead[k];
+            if !save.active {
+                continue;
+            }
+            save.active = false;
+            for &(addr, word) in save.undo.iter().rev() {
+                self.memory.restore_local(k, addr, word);
+            }
+            let unit = &mut self.pes[k];
+            let (now, then) = (&unit.pe.stats, &save.pe.stats);
+            // A local-only step accesses memory only by window fills
+            // and `dup` writes, each one local access.
+            self.memory.stats.local_accesses -=
+                (now.window_misses - then.window_misses) + (now.mem_writes - then.mem_writes);
+            self.instr_count -= now.instructions - then.instructions;
+            unit.pe.clone_from(&save.pe);
+            unit.busy = save.busy;
+            let ctx_id = unit.current.expect("a PE that ran ahead is running");
+            while (self.pes[k].pe.cycles, k) < (t, j) {
+                let before = self.pes[k].pe.cycles;
+                let Ok(&d) = xp.slot(self.pes[k].pe.regs.pc()) else {
+                    unreachable!("a replayed step ran before");
+                };
+                let result = self.step_pe(k, ctx_id, before, &d);
+                debug_assert_eq!(result, StepResult::Continue);
+                let unit = &mut self.pes[k];
+                unit.busy += unit.pe.cycles - before;
+                self.instr_count += 1;
+            }
+        }
+        self.xlate = Some(xp);
+    }
+
+    /// Run every step on `Pe::step`, unbatched, from now on: the test
+    /// oracle the engine is checked against, not an execution option.
+    /// The flag is host-side, so a restored snapshot runs on the engine
+    /// until this is applied again.
     #[doc(hidden)]
     pub fn use_step_oracle(&mut self) {
-        self.xlate = None;
-        self.xlate_retrans = MAX_RETRANSLATIONS;
+        self.step_oracle = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::MAX_RETRANSLATIONS;
-    use crate::{Simulation, VerifyLevel};
+    use qm_isa::decoded::DecodedInstr;
+    use qm_isa::mem::{CODE_BASE, CODE_LIMIT};
 
-    /// Rewrites `add`'s immediate word `n` times, then reports the sum.
-    fn rewriter(n: u32) -> String {
-        format!(
-            "main:   plus #0,#0 :r17
-                    plus #0,#0 :r19
-                    plus #add,#4 :r18
-            loop:   store r18,r17
-            add:    plus r19,#0x12345 :r19
-                    plus r17,#1 :r17
-                    lt r17,#{n} :r21
-                    bne r21,@loop
-                    send #0,r19
-                    trap #2,#0"
-        )
+    use crate::snapshot::Snapshot;
+    use crate::{SimError, Simulation, VerifyLevel};
+
+    /// Stores into `add`'s immediate word on every iteration.
+    const REWRITER: &str = "
+main:   plus #0,#0 :r17
+        plus #0,#0 :r19
+        plus #add,#4 :r18
+loop:   store r18,r17
+add:    plus r19,#0x12345 :r19
+        plus r17,#1 :r17
+        lt r17,#20 :r21
+        bne r21,@loop
+        send #0,r19
+        trap #2,#0";
+
+    #[test]
+    fn store_into_code_faults_on_engine_and_oracle() {
+        let run = |oracle: bool| {
+            let mut sys =
+                Simulation::builder().assembly(REWRITER).verify(VerifyLevel::Off).build().unwrap();
+            if oracle {
+                sys.use_step_oracle();
+            }
+            let err = sys.run().unwrap_err();
+            let imm = sys.symbol("add").unwrap() + 4;
+            assert_eq!(
+                err,
+                SimError::Pe(format!("store into the read-only code segment at {imm:#010x}"))
+            );
+            (err, Snapshot::capture(&sys).encode())
+        };
+        let (err, bytes) = run(false);
+        assert_eq!((err, bytes), run(true), "engine and oracle fault alike");
     }
 
     #[test]
-    fn code_epochs_retranslate_then_fall_back_for_the_run() {
-        let run = |n: u32| {
-            let src = rewriter(n);
-            let mut sys =
-                Simulation::builder().assembly(&src).verify(VerifyLevel::Off).build().unwrap();
-            let out = sys.run().unwrap();
-            let sum = crate::Word::try_from((0..n).sum::<u32>()).unwrap();
-            assert_eq!(out.output, vec![sum]);
-            sys
-        };
-        // One translation at start plus one per epoch, within budget.
-        let sys = run(3);
-        assert_eq!(sys.xlate_retrans, 4);
-        assert!(sys.xlate.is_some());
-        // Past the budget the run ends on `Pe::step`.
-        let sys = run(MAX_RETRANSLATIONS + 4);
-        assert_eq!(sys.xlate_retrans, MAX_RETRANSLATIONS);
-        assert!(sys.xlate.is_none(), "the translation was dropped for the run");
+    fn blank_code_decodes_alike_up_to_the_segment_end() {
+        let at = |pc| format!("{:?}", DecodedInstr::fetch(pc, |_| 0));
+        for pc in [CODE_LIMIT - 8, CODE_LIMIT - 4, CODE_LIMIT - 1] {
+            assert_eq!(at(pc), at(CODE_BASE), "{pc:#x}");
+        }
+        assert_eq!(
+            DecodedInstr::fetch(CODE_LIMIT, |_| 0).unwrap_err(),
+            "fetch outside the code segment at 0x00100000"
+        );
     }
 }

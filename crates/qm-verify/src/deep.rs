@@ -189,8 +189,8 @@ pub const FACT_WRITES_MEM: u8 = 2;
 
 /// The compiled fact table: one flag byte per code word, O(1) lookup by
 /// program counter. Empty (all zeroes) when confinement failed. The
-/// table describes the code image that was analyzed; a program that
-/// rewrites its code segment invalidates it.
+/// table describes the code image that was analyzed, which a run cannot
+/// change: the code segment is read-only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeepFacts {
     base: UWord,

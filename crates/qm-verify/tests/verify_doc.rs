@@ -127,10 +127,10 @@ fn the_contract_covers_every_promised_section() {
 #[test]
 fn facts_documented_as_analysis_only() {
     // The load-bearing sentences: the simulator never consumes the
-    // facts, and a code write invalidates the table.
+    // facts, and no run can change the code image the table describes.
     assert!(DOC.contains("The simulator does not read the table"));
     assert!(DOC.contains("never fed back into a simulation"));
-    assert!(DOC.contains("invalidates it"));
+    assert!(DOC.contains("which no run can change"));
     // And no verifier result decides which engine runs.
     assert!(DOC.contains("No verifier result gates the engine"));
 }

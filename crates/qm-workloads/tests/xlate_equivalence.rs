@@ -8,9 +8,10 @@
 //!
 //! Its inputs are random workloads × PE counts (1–128) × channel
 //! capacities × placements × pause points, a fixed grid of the
-//! same, and hand-written programs that reach every rung of the fallback
-//! ladder: code-write epochs, the per-run fallback, a program Strict
-//! verification rejects and words that do not decode.
+//! same, and hand-written programs that end in every fault the engine
+//! can raise — stores into the read-only code segment, fetches outside
+//! it and words that do not decode — plus a program Strict verification
+//! rejects and halts that cut another PE's run-ahead short.
 
 use qm_core::rng::check;
 use qm_sim::config::Placement;
@@ -163,11 +164,15 @@ fn unverified(src: &str) -> impl Fn() -> System + '_ {
     move || Simulation::builder().assembly(src).verify(VerifyLevel::Off).build().expect("builds")
 }
 
+/// The fault a store into the code segment raises at `addr`.
+fn code_store_fault(addr: u32) -> String {
+    format!("processing element fault: store into the read-only code segment at {addr:#010x}")
+}
+
 #[test]
-fn store_into_code_forces_a_retranslation() {
-    // The store rewrites `slot` before it runs: the code-write epoch
-    // moves, and the engine must execute the new word, not its stale
-    // translation.
+fn store_into_code_faults_identically() {
+    // The store would rewrite `slot` before it runs; the code segment is
+    // read-only, so both paths fault at the store instead.
     let src = "
 main:   fetch #alt,#0 :r18
         store #slot,r18
@@ -176,15 +181,15 @@ slot:   plus #1,#0 :r17
         trap #2,#0
 alt:    plus #2,#0 :r17
 ";
-    let out = engine_matches_oracle("code-write", unverified(src), 3).expect("runs");
-    assert_eq!(out.output, vec![2], "the rewritten instruction ran");
+    let slot = qm_isa::asm::assemble(src).expect("assembles").symbol("slot").expect("slot");
+    let err = engine_matches_oracle("code-write", unverified(src), 3).unwrap_err();
+    assert_eq!(err, code_store_fault(slot));
 }
 
 #[test]
-fn many_code_epochs_drop_to_the_per_run_fallback() {
-    // Twenty rewrites of `add`'s immediate word — more code epochs than
-    // the retranslation budget — so the engine ends the run on the
-    // per-run fallback. Each iteration adds the value it just stored.
+fn repeated_stores_into_code_fault_at_the_first() {
+    // A loop that would rewrite `add`'s immediate word twenty times
+    // faults on its first store.
     let src = "
 main:   plus #0,#0 :r17
         plus #0,#0 :r19
@@ -197,8 +202,56 @@ add:    plus r19,#0x12345 :r19
         send #0,r19
         trap #2,#0
 ";
-    let out = engine_matches_oracle("epochs", unverified(src), 60).expect("runs");
-    assert_eq!(out.output, vec![190], "0 + 1 + … + 19");
+    let add = qm_isa::asm::assemble(src).expect("assembles").symbol("add").expect("add");
+    let err = engine_matches_oracle("code-writes", unverified(src), 60).unwrap_err();
+    assert_eq!(err, code_store_fault(add + 4));
+}
+
+#[test]
+fn stored_halt_faults_where_the_oracle_does() {
+    // After a short loop, main builds the encoding of `trap #3,#0` from
+    // two immediates, neither of which decodes as a halt, and stores it
+    // over its own next instruction. By then the child, on the other
+    // PE, has run ahead of the cycle order through its long local loop,
+    // whose second half writes a queue word the oracle's child never
+    // reaches. The store faults, and the run must end with the child
+    // where the oracle left it, not where it ran ahead to.
+    // (When stores into code still ran, the engine executed the stored
+    // halt only after the child's whole loop.)
+    let halt = qm_isa::asm::assemble("trap #3,#0").expect("assembles").words()[0];
+    let src = format!(
+        "main:   trap #0,#idle :r0,r1
+        trap #0,#child :r0,r1
+        plus #0,#0 :r17
+mainl:  plus r17,#1 :r17
+        lt r17,#10 :r21
+        bne r21,@mainl
+        plus #{:#x},#0x40000000 :r18
+        store #slot,r18
+slot:   trap #2,#0
+child:  plus #0,#0 :r17
+childl: plus r17,#1 :r17
+        lt r17,#500 :r21
+        bne r21,@early
+        dup1 :r5
+early:  lt r17,#1000 :r21
+        bne r21,@childl
+        trap #2,#0
+idle:   trap #2,#0
+",
+        halt.wrapping_sub(0x4000_0000)
+    );
+    let slot = qm_isa::asm::assemble(&src).expect("assembles").symbol("slot").expect("slot");
+    let build = || {
+        Simulation::builder()
+            .assembly(&src)
+            .config(SystemConfig::with_pes(2))
+            .verify(VerifyLevel::Off)
+            .build()
+            .expect("builds")
+    };
+    let err = engine_matches_oracle("stored-halt", build, 20).unwrap_err();
+    assert_eq!(err, code_store_fault(slot));
 }
 
 #[test]
@@ -215,24 +268,33 @@ main:   plus+2 r0,r1 :r0
 }
 
 #[test]
-fn undecodable_words_fall_back_per_slot() {
-    // Code copied past the object's end has no slot: it runs on
-    // `Pe::step` and the program carries on.
+fn every_fetch_runs_or_faults_identically() {
+    // Code the host loaded past the object's end runs like the object.
     let past_end = "
-main:   plus #end,#8 :r19
-        fetch #tmpl,#0 :r18
-        store r19,r18
-        plus #tmpl,#4 :r20
-        fetch r20,#0 :r18
-        plus r19,#4 :r21
-        store r21,r18
-        plus r19,#0 :r31
-tmpl:   send #0,#5
-        trap #2,#0
+main:   plus #end,#8 :r31
 end:    .word 0
 ";
-    let out = engine_matches_oracle("past-end", unverified(past_end), 8).expect("runs");
-    assert_eq!(out.output, vec![5], "the copied code ran");
+    let obj = qm_isa::asm::assemble(past_end).expect("assembles");
+    let tail = qm_isa::asm::assemble("send #0,#5\n trap #2,#0").expect("assembles");
+    let build = || {
+        let mut sys = System::new(SystemConfig::with_pes(1));
+        sys.load_object(&obj);
+        sys.memory.load_words(obj.symbol("end").expect("end") + 8, tail.words());
+        sys.spawn_main(obj.base());
+        sys
+    };
+    let out = engine_matches_oracle("past-end", build, 2).expect("runs");
+    assert_eq!(out.output, vec![5], "the loaded code ran");
+    // A misaligned jump target runs the aligned word and carries on.
+    let misaligned = "
+main:   plus #tgt,#2 :r31
+        send #0,#1
+        trap #2,#0
+tgt:    send #0,#7
+        trap #2,#0
+";
+    let out = engine_matches_oracle("misaligned", unverified(misaligned), 2).expect("runs");
+    assert_eq!(out.output, vec![7], "the misaligned target ran");
     // A jump onto a data word and one into the middle of an immediate:
     // neither decodes, and both must fail with the oracle's error.
     let data = "
@@ -251,6 +313,13 @@ imm:    plus #0xFC000000,#0 :r17
         let err = engine_matches_oracle(label, unverified(src), 2).unwrap_err();
         assert!(err.contains("unknown opcode"), "{label}: {err}");
     }
+    // A jump into the data segment faults at the fetch.
+    let to_data = "
+main:   send #0,#1
+        plus #0x00100000,#0 :r31
+";
+    let err = engine_matches_oracle("to-data", unverified(to_data), 2).unwrap_err();
+    assert_eq!(err, "processing element fault: fetch outside the code segment at 0x00100000");
 }
 
 #[test]
