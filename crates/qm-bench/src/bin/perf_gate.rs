@@ -14,10 +14,18 @@
 //! a change in simulator work per cycle fails it.
 //! `--smoke` is for environments too noisy to enforce timing (it still
 //! hard-fails on cycle-count drift, which is machine-independent).
+//!
+//! A second, separate check times matmul(16) on 16 PEs against 1 PE in
+//! the same process and fails when the per-instruction cost ratio
+//! exceeds `MULTI_PE_RATIO_BOUND` (`qm_bench::perf::multi_pe_ratio`); it
+//! reads nothing from the baseline file and `--refresh` leaves it out.
 
 use std::process::ExitCode;
 
-use qm_bench::perf::{gate, measure, merge_min, PerfBaseline, RUNS, TOLERANCE};
+use qm_bench::perf::{
+    gate, measure, merge_min, multi_pe_ratio, PerfBaseline, MULTI_PE_RATIO_BOUND, RATIO_RUNS, RUNS,
+    TOLERANCE,
+};
 
 /// Re-measurement passes granted to points that fail on timing alone.
 const RETRIES: usize = 2;
@@ -124,6 +132,29 @@ fn main() -> ExitCode {
         };
         println!("{verdict} {:<22} x{:.2}  {}", line.id, line.ratio, line.detail);
     }
+
+    // The multi-PE ratio: a timing verdict, so re-measured like one and
+    // informative under --smoke.
+    let mut ratio = multi_pe_ratio(if smoke { 1 } else { RATIO_RUNS });
+    for retry in 1..=RETRIES {
+        if smoke || ratio <= MULTI_PE_RATIO_BOUND {
+            break;
+        }
+        eprintln!("perf_gate: ratio above its bound — re-measuring (retry {retry}/{RETRIES})...");
+        ratio = ratio.min(multi_pe_ratio(RATIO_RUNS));
+    }
+    let verdict = if ratio <= MULTI_PE_RATIO_BOUND {
+        "ok  "
+    } else if smoke {
+        "warn"
+    } else {
+        failed = true;
+        "FAIL"
+    };
+    println!(
+        "{verdict} {:<22} x{ratio:.2}  matmul(16) ns/instr, 16 PEs / 1 PE (bound {MULTI_PE_RATIO_BOUND:.2})",
+        "ratio/matmul16/16pe"
+    );
     if failed {
         eprintln!(
             "perf_gate: FAILED (tolerance +{:.0}%) — if the change is intended, \

@@ -283,6 +283,46 @@ pub fn merge_min(a: &mut PerfBaseline, b: &PerfBaseline) {
     }
 }
 
+/// Timing runs per side of the multi-PE ratio check; the minimum is
+/// kept.
+pub const RATIO_RUNS: usize = 7;
+
+/// Bound of the multi-PE ratio check: 1.56, the median ratio measured
+/// when quiet channel transfers began to run ahead of the cycle order
+/// (Intel Xeon, 2-vCPU shared host), plus 15%. The run loop before that
+/// change measured 1.69–2.36 on the same host (median 2.07).
+pub const MULTI_PE_RATIO_BOUND: f64 = 1.79;
+
+/// The multi-PE ratio check's figure: host ns per retired instruction
+/// of matmul(16) on 16 PEs divided by the same on 1 PE. Both runs retire
+/// the same instructions, so the ratio is the run loop's scheduling
+/// overhead at 16 PEs, and host speed cancels out of it. The two sides
+/// are timed in interleaved pairs, `runs` of them, and each side keeps
+/// its minimum. Gated against [`MULTI_PE_RATIO_BOUND`], apart from
+/// `BENCH_baseline.json`.
+///
+/// # Panics
+///
+/// Panics if matmul(16) fails to build or run.
+#[must_use]
+#[allow(clippy::cast_precision_loss)]
+pub fn multi_pe_ratio(runs: usize) -> f64 {
+    let w = qm_workloads::matmul(16);
+    let per_instr = |pes: usize| {
+        let run = qm_workloads::WorkloadRun::with_pes(pes);
+        let (mut sys, _) = run.prepare(&w).unwrap_or_else(|e| panic!("matmul(16): {e}"));
+        let t = Instant::now();
+        let out = sys.run().unwrap_or_else(|e| panic!("matmul(16) on {pes} PEs: {e}"));
+        t.elapsed().as_nanos() as f64 / out.instructions.max(1) as f64
+    };
+    let (mut one, mut sixteen) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..runs.max(1) {
+        one = one.min(per_instr(1));
+        sixteen = sixteen.min(per_instr(16));
+    }
+    sixteen / one
+}
+
 /// One gate comparison line: the point, its slowdown ratio
 /// (`> 1 + tolerance` fails), and whether it passed.
 #[derive(Debug, Clone)]

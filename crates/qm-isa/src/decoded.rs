@@ -191,32 +191,63 @@ impl DecodedInstr {
         offsets.into_iter().flatten().map(|off| pe.regs.queue_slot_addr(u32::from(off)))
     }
 
+    /// The channel a `send`/`recv` names when executed from `pe`'s
+    /// current register state, read without side effects: a window
+    /// miss reads its fill word through `word` (an address to the word
+    /// there) instead of filling the register. `None` for any other
+    /// instruction.
+    #[must_use]
+    #[inline]
+    pub fn channel_operand(&self, pe: &Pe, word: impl FnOnce(UWord) -> Word) -> Option<Word> {
+        if !matches!(self.op, Opcode::Send | Opcode::Recv) {
+            return None;
+        }
+        Some(match self.src1 {
+            XSrc::Window(n) => {
+                pe.regs.read_window(n).unwrap_or_else(|| word(pe.regs.vreg_to_addr(n)))
+            }
+            XSrc::Global(n) => pe.regs.read_global(n),
+            XSrc::Imm(v) => v,
+        })
+    }
+
+    /// True when reading both source operands from `pe`'s current
+    /// register state stays inside `pe`'s local plane: every window
+    /// register is present or fills from a local address. Every queue
+    /// slot lies in the queue pointer's page, so it is local exactly
+    /// when the queue pointer is.
+    #[must_use]
+    #[inline]
+    pub fn fills_local(&self, pe: &Pe) -> bool {
+        let present = |src: XSrc| match src {
+            XSrc::Window(n) => pe.regs.read_window(n).is_some(),
+            XSrc::Global(_) | XSrc::Imm(_) => true,
+        };
+        crate::mem::is_local(pe.regs.qp()) || present(self.src1) && present(self.src2)
+    }
+
     /// True when executing this instruction from `pe`'s *current*
     /// register state can only touch `pe`'s private local plane — never
     /// global memory, channels or the kernel. Window-miss fills read the
     /// queue page at [`crate::regs::RegisterFile::vreg_to_addr`] and
     /// `dup` writes the slots at
-    /// [`crate::regs::RegisterFile::queue_slot_addr`]; both are local
-    /// unless the program repointed its queue pointer at global space,
-    /// so each address is checked against [`crate::mem::is_local`]
-    /// before the claim is made. `fetch`/`store` are conservatively
-    /// non-local (their target address is a computed operand value).
+    /// [`crate::regs::RegisterFile::queue_slot_addr`]; both lie in the
+    /// queue pointer's page, so they are local unless the program
+    /// repointed its queue pointer at global space, which is checked
+    /// against [`crate::mem::is_local`] before the claim is made.
+    /// `fetch`/`store` are conservatively non-local (their target
+    /// address is a computed operand value).
     ///
     /// Local-only steps commute with every other PE's steps: they read
     /// and write nothing another PE's step touches. That is what lets a
     /// batching run loop retire them ahead of the global cycle order
     /// (`qm-sim::xlate`).
     #[must_use]
+    #[inline]
     pub fn is_local_only(&self, pe: &Pe) -> bool {
-        use crate::mem::is_local;
-        let fill_local = |src: XSrc| match src {
-            XSrc::Window(n) => {
-                pe.regs.read_window(n).is_some() || is_local(pe.regs.vreg_to_addr(n))
-            }
-            XSrc::Global(_) | XSrc::Imm(_) => true,
-        };
         match self.op {
-            Opcode::Dup1 | Opcode::Dup2 => self.dup_targets(pe).all(is_local),
+            // The slots a `dup` writes lie in the queue pointer's page.
+            Opcode::Dup1 | Opcode::Dup2 => crate::mem::is_local(pe.regs.qp()),
             Opcode::Fetch
             | Opcode::Fchb
             | Opcode::Store
@@ -229,7 +260,7 @@ impl DecodedInstr {
             | Opcode::Rett => false,
             // ALU/compare/branch: memory is reached only through
             // window-miss fills of the two source operands.
-            _ => fill_local(self.src1) && fill_local(self.src2),
+            _ => self.fills_local(pe),
         }
     }
 
@@ -564,6 +595,47 @@ mod tests {
                 assert_eq!(mem_a.peek(addr), mem_b.peek(addr), "{instr} @{addr:#x}");
             }
         }
+    }
+
+    #[test]
+    fn locality_checks_match_every_address_they_stand_for() {
+        // The queue-page shortcut of `is_local_only` and `fills_local`
+        // must agree with checking each fill and `dup` address, with the
+        // queue pointer on either side of the local base, under any page
+        // mask and window presence.
+        use crate::mem::is_local;
+        let mut instrs = pool();
+        instrs.push(Instruction::basic(Opcode::Send, SrcMode::Window(3), SrcMode::Window(15)));
+        instrs.push(Instruction::basic(Opcode::Minus, SrcMode::Window(9), SrcMode::Global(20)));
+        qm_core::rng::check(300, |g| {
+            let mut pe = Pe::new(0);
+            let qp = if g.below(2) == 0 { QP0 } else { 0x0010_0400 };
+            pe.reset(0, qp.wrapping_add(4 * g.range(0u32..256)));
+            pe.regs.set_pom(g.range(0u8..=255));
+            for v in 0..16 {
+                if g.below(2) == 0 {
+                    pe.regs.write_window(v, 1);
+                }
+            }
+            let fill = |src: XSrc| match src {
+                XSrc::Window(n) => {
+                    pe.regs.read_window(n).is_some() || is_local(pe.regs.vreg_to_addr(n))
+                }
+                XSrc::Global(_) | XSrc::Imm(_) => true,
+            };
+            for instr in &instrs {
+                let d = DecodedInstr::from_instr(instr, instr.size_words());
+                let fills = fill(d.src1) && fill(d.src2);
+                assert_eq!(d.fills_local(&pe), fills, "{instr}");
+                let local_only = match d.opcode() {
+                    Opcode::Dup1 | Opcode::Dup2 => d.dup_targets(&pe).all(is_local),
+                    Opcode::Fetch | Opcode::Fchb | Opcode::Store | Opcode::Storb => false,
+                    _ if d.is_sequential() => fills,
+                    _ => false,
+                };
+                assert_eq!(d.is_local_only(&pe), local_only, "{instr}");
+            }
+        });
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use config::SystemConfig;
 #[doc(hidden)]
 pub use qm_verify::{VerifyLevel, VerifyOptions};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use system::{BlockedCtx, RunOutcome, RunStatus, SimError, System};
+pub use system::{BlockedCtx, RunLoopStats, RunOutcome, RunStatus, SimError, System};
 pub use trace::{ChromeTrace, Recorder, TraceEvent, TraceRecord, TraceSink, Tracer};
 
 /// Machine word, shared with the rest of the workspace.

@@ -322,6 +322,16 @@ impl SharedMemory {
         self.locals[pe].get(addr & !3).unwrap_or(0)
     }
 
+    /// The word PE `pe` reads at `addr`, local or global, without cost
+    /// or statistics.
+    pub(crate) fn peek_word(&self, pe: usize, addr: UWord) -> Word {
+        if is_local(addr) {
+            self.peek_local(pe, addr)
+        } else {
+            self.peek_global(addr)
+        }
+    }
+
     /// PE `pe`'s local word at `addr`, or `None` when never written.
     pub(crate) fn local_word(&self, pe: usize, addr: UWord) -> Option<Word> {
         self.locals[pe].get(addr & !3)

@@ -32,6 +32,16 @@
 //! per transfer. All queues are `VecDeque`s that retain their capacity,
 //! which is what lets a warmed-up system run allocation-free per step
 //! (pinned by `tests/steady_state_alloc.rs`).
+//!
+//! # Transfers ahead of the cycle order
+//!
+//! The table also decides which transfers the batched run loop may
+//! retire ahead of the cycle order (`crate::xlate`): a *quiet* one
+//! (`ChannelTable::quiet`) completes in the message cache without
+//! waking anyone. It marks its channel with the run-ahead save that made
+//! it and hands back a `ChanUndo` record, which `ChannelTable::undo`
+//! applies when that PE is rewound. Markers, like the `contended`
+//! hint, are host-side: snapshots carry neither.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -160,6 +170,40 @@ struct Channel {
     /// cache, a value delivered to a woken receiver), so the hot path
     /// stays allocation-free and untouched channels cost nothing.
     high_water: u64,
+    /// The run-ahead save whose quiet transfers last touched this
+    /// channel (host-side, never snapshotted; see
+    /// [`ChannelTable::quiet`]).
+    mark: ChanMark,
+    /// Quiet transfers on this channel would likely meet another PE
+    /// ([`ChannelTable::contend`]); they stay in the cycle order
+    /// (host-side, like `mark`).
+    contended: bool,
+}
+
+/// A PE's run-ahead save, as a channel marker: the acting PE and the
+/// number of its save (wrapping). A marker is live only while that save
+/// is active, so settling the save clears every marker it left for
+/// free; a stale marker that a wrapped number makes look live costs at
+/// most a needless rewind or a transfer kept in the cycle order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ChanMark {
+    pub(crate) pe: u32,
+    pub(crate) save: u32,
+}
+
+/// How to take back one quiet transfer ([`ChannelTable::undo`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChanUndo {
+    chan: Word,
+    /// A receive, which took `(value, from_pe)` from the front of the
+    /// cache; otherwise a send, which appended one value.
+    recv: bool,
+    value: Word,
+    from_pe: u32,
+    /// The send was the channel's first use.
+    fresh: bool,
+    /// The send raised the channel's high-water mark (by one).
+    raised: bool,
 }
 
 impl Channel {
@@ -269,6 +313,102 @@ impl ChannelTable {
             c.touched = true;
             c
         }
+    }
+
+    /// Whether context `ctx`, running on the PE `mark` names, can
+    /// complete a send (`send`) or a receive on `chan` *quietly*,
+    /// touching nothing but the channel's cache, its own PE and the
+    /// transfer count: `chan` is not the host channel, `ctx` holds no
+    /// pending ack or ready value, a send finds no parked receiver and a
+    /// free cache slot, a receive finds a cached value and no parked
+    /// sender, no other PE's live marker (`live`) is on the channel and
+    /// the channel is not contended. If so, marks the channel with
+    /// `mark` and returns the record that undoes the transfer the step
+    /// is about to make; the step itself still runs through
+    /// [`ChannelTable::send`]/[`ChannelTable::recv`].
+    pub(crate) fn quiet(
+        &mut self,
+        ctx: CtxId,
+        chan: Word,
+        send: bool,
+        mark: ChanMark,
+        live: impl FnOnce(ChanMark) -> bool,
+    ) -> Option<ChanUndo> {
+        // Out-of-range ids live in the spill map, whose entries count as
+        // touched from creation: they never run ahead.
+        if !(1..DENSE_LIMIT).contains(&chan)
+            || matches!(self.acks.get(ctx), Some(Some(_)))
+            || matches!(self.ready.get(ctx), Some(Some(_)))
+        {
+            return None;
+        }
+        #[allow(clippy::cast_sign_loss)]
+        let i = chan as usize;
+        if i >= self.dense.len() {
+            if !send {
+                return None;
+            }
+            self.dense.resize_with(i + 1, Channel::default);
+        }
+        let c = &mut self.dense[i];
+        if c.contended || c.mark.pe != mark.pe && live(c.mark) {
+            return None;
+        }
+        let undo = if send {
+            if !c.waiting_receivers.is_empty() || c.buffer.len() >= self.capacity {
+                return None;
+            }
+            let occupancy = (c.buffer.len() + c.ready_count + 1) as u64;
+            let (fresh, raised) = (!c.touched, occupancy > c.high_water);
+            ChanUndo { chan, recv: false, value: 0, from_pe: 0, fresh, raised }
+        } else {
+            if !c.waiting_senders.is_empty() {
+                return None;
+            }
+            let &(value, from_pe) = c.buffer.front()?;
+            let from_pe = u32::try_from(from_pe).expect("PE indices fit in u32");
+            ChanUndo { chan, recv: true, value, from_pe, fresh: false, raised: false }
+        };
+        c.mark = mark;
+        Some(undo)
+    }
+
+    /// Take back the quiet transfer `u` recorded by
+    /// [`ChannelTable::quiet`]; records of one channel are undone newest
+    /// first.
+    pub(crate) fn undo(&mut self, u: &ChanUndo) {
+        #[allow(clippy::cast_sign_loss)]
+        let c = &mut self.dense[u.chan as usize];
+        if u.recv {
+            c.buffer.push_front((u.value, u.from_pe as usize));
+        } else {
+            c.buffer.pop_back();
+            c.high_water -= u64::from(u.raised);
+            c.touched &= !u.fresh;
+            self.transfers -= 1;
+        }
+    }
+
+    /// Keep `chan`'s transfers in the cycle order from now on: its ends
+    /// are on different PEs, or a contact on it made a PE redo its steps
+    /// ahead, so a quiet transfer on it would likely cost a rewind.
+    pub(crate) fn contend(&mut self, chan: Word) {
+        if (1..DENSE_LIMIT).contains(&chan) {
+            #[allow(clippy::cast_sign_loss)]
+            let i = chan as usize;
+            if i >= self.dense.len() {
+                self.dense.resize_with(i + 1, Channel::default);
+            }
+            self.dense[i].contended = true;
+        }
+    }
+
+    /// The marker on `chan` (the default, never live, when it has none).
+    #[inline]
+    pub(crate) fn mark(&self, chan: Word) -> ChanMark {
+        #[allow(clippy::cast_sign_loss)]
+        let c = (1..DENSE_LIMIT).contains(&chan).then(|| self.dense.get(chan as usize)).flatten();
+        c.map_or_else(ChanMark::default, |c| c.mark)
     }
 
     /// The slot for `chan` if `send`/`recv` ever touched it.

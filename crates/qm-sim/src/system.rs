@@ -177,6 +177,40 @@ pub enum RunStatus {
     },
 }
 
+/// Host-side counters of the run loop's scheduling decisions (see
+/// [`System::run_loop_stats`]), cumulative since the system was built or
+/// restored. They are not machine state: no [`RunOutcome`], snapshot or
+/// `state_digest` carries them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunLoopStats {
+    /// Steps dispatched by the outer loop (each re-proves the schedule
+    /// from the actor heap).
+    pub outer_steps: u64,
+    /// Batches handed in place to the PE that is provably next.
+    pub handoffs: u64,
+    /// PE states saved before a first step ahead of the cycle order.
+    pub saves: u64,
+    /// PEs rewound because a HALT or fault ended the run.
+    pub rewinds_at_end: u64,
+    /// PEs rewound because another PE's in-order channel operation met
+    /// their marker.
+    pub rewinds_on_contact: u64,
+    /// Batch stops at the cycle-order bound on a channel operation that
+    /// was not quiet.
+    pub stops_channel: u64,
+    /// Batch stops at the bound on a global fetch or store, or an
+    /// operand or `dup` outside the local plane; under `LeastLoaded`
+    /// placement, which never runs ahead, on any other step too.
+    pub stops_global: u64,
+    /// Batch stops at the bound on a trap, a return or a fault.
+    pub stops_trap: u64,
+    /// Batch stops at the bound because the PE's undo log was full.
+    pub stops_full_log: u64,
+    /// Batch exits at the bound because the PE holding it was not
+    /// running at its hint, so no hand-off was possible.
+    pub exits_not_running: u64,
+}
+
 pub(crate) struct PeUnit {
     pub(crate) pe: Pe,
     pub(crate) current: Option<CtxId>,
@@ -235,8 +269,15 @@ pub struct System {
     /// Per PE, its state from before it ran ahead of the cycle order
     /// (`crate::xlate`); host-side and settled on every `run_until` exit.
     pub(crate) ahead: Vec<crate::xlate::RunAhead>,
-    /// The step a HALT or fault ended the run at, `(cycle, pe)`, until
-    /// `run_until` rewinds the PEs that ran ahead of it.
+    /// PEs whose active save holds quiet channel transfers: while it is
+    /// zero, no channel marker is live and in-order steps skip the
+    /// contact check.
+    pub(crate) chan_saves: usize,
+    /// Host-side run-loop counters ([`System::run_loop_stats`]).
+    pub(crate) loop_stats: RunLoopStats,
+    /// The cycle-order key `(cycle, pe)` of the step a HALT or fault
+    /// ended the run at, until `run_until` rewinds the PEs that ran
+    /// ahead of it.
     pub(crate) ended_at: Option<(u64, usize)>,
     /// Every step goes through `Pe::step`, unbatched
     /// ([`System::use_step_oracle`]).
@@ -357,6 +398,8 @@ impl System {
             next_snap_at: 0,
             xlate: None,
             ahead,
+            chan_saves: 0,
+            loop_stats: RunLoopStats::default(),
             ended_at: None,
             step_oracle: false,
             cfg,
@@ -479,7 +522,7 @@ impl System {
     /// or `None` when nothing can run there. A PE whose resident context
     /// is blocked only acts when some context (possibly that one,
     /// re-woken) is ready.
-    fn actor_time(&self, pe: usize) -> Option<u64> {
+    pub(crate) fn actor_time(&self, pe: usize) -> Option<u64> {
         let cycles = self.pes[pe].pe.cycles;
         if self.is_running(pe) {
             Some(cycles)
@@ -602,6 +645,13 @@ impl System {
                 let c_in = self.channels.allocate();
                 let c_out =
                     if entry_no == entry::IFORK { parent_out } else { self.channels.allocate() };
+                if child_pe != i {
+                    // Both ends of these channels are on different PEs,
+                    // so a transfer on them would meet the other PE:
+                    // keep them in the cycle order.
+                    self.channels.contend(c_in);
+                    self.channels.contend(c_out);
+                }
                 let page = self.pages[child_pe].alloc();
                 let pom = self.pages[child_pe].pom();
                 self.pes[i].pe.cycles += self.cfg.kernel.fork;
@@ -717,7 +767,10 @@ impl System {
         if let Some((t, j)) = self.ended_at.take() {
             self.rewind_run_ahead(t, j);
         }
-        self.ahead.iter_mut().for_each(crate::xlate::RunAhead::settle);
+        for k in 0..self.pes.len() {
+            self.settle(k);
+        }
+        debug_assert_eq!(self.chan_saves, 0, "every save settled");
         Ok(match paused? {
             Some(cycle) => RunStatus::Paused { cycle },
             None => RunStatus::Done(self.outcome()),
@@ -744,20 +797,30 @@ impl System {
             }
             let ctx_id = self.pes[i].current.expect("dispatched");
             let before = self.pes[i].pe.cycles;
+            self.loop_stats.outer_steps += 1;
             // PE `i` holds the least key: every step it ran ahead is now
             // in the serial past.
-            self.ahead[i].settle();
+            self.settle(i);
             let result = if self.step_oracle {
                 self.step_on_oracle(i, ctx_id, before)
             } else {
                 let xp = self.xlate.as_ref().expect("translated on entry");
                 match xp.slot(self.pes[i].pe.regs.pc()) {
-                    Ok(&d) => self.step_pe(i, ctx_id, before, &d),
+                    Ok(&d) => {
+                        // The step's cycle-order key is `(t, i)`, the
+                        // dispatch included.
+                        if self.chan_saves > 0 {
+                            let xp = self.xlate.take().expect("translated on entry");
+                            self.contact(i, t, &d, &xp);
+                            self.xlate = Some(xp);
+                        }
+                        self.step_pe(i, ctx_id, before, &d)
+                    }
                     Err(pc) => StepResult::Error(xp.fault(pc)),
                 }
             };
             let continued = matches!(result, StepResult::Continue);
-            self.retire(i, ctx_id, before, result, self.tracer.enabled())?;
+            self.retire(i, ctx_id, (t, before), result, self.tracer.enabled())?;
             // The acting PE's next-action time changed: re-key its heap
             // hint (other PEs were hinted by push_ready on wakes).
             let t = self.actor_time(i);
@@ -814,8 +877,10 @@ impl System {
         pe.step(memory, &mut svc)
     }
 
-    /// Retire one step of PE `i`'s context `ctx_id` that started at
-    /// cycle `before`: apply its outcome (park a blocked context, serve
+    /// Retire one step of PE `i`'s context `ctx_id` whose cycle-order
+    /// key is `(at, i)` and whose instruction started at cycle `before`
+    /// (later than `at` when the step began with a dispatch): apply its
+    /// outcome (park a blocked context, serve
     /// a trap), then charge the PE's busy time and count the instruction
     /// against the budget; with `traced`, drain the step's buffered bus
     /// events first. The one retire path for the outer loop and the
@@ -832,7 +897,7 @@ impl System {
         &mut self,
         i: usize,
         ctx_id: CtxId,
-        before: u64,
+        (at, before): (u64, u64),
         result: StepResult,
         traced: bool,
     ) -> Result<(), SimError> {
@@ -842,12 +907,12 @@ impl System {
             StepResult::Trap { entry: e, arg, dst1, dst2, .. } => {
                 let served = self.handle_trap(i, e, arg, dst1, dst2);
                 if served.is_err() || self.halted {
-                    self.ended_at = Some((before, i));
+                    self.ended_at = Some((at, i));
                 }
                 served?;
             }
             StepResult::Error(msg) => {
-                self.ended_at = Some((before, i));
+                self.ended_at = Some((at, i));
                 return Err(SimError::Pe(msg));
             }
         }
@@ -958,26 +1023,55 @@ impl System {
             // the heap would.
             if let Some((t, j)) = bound.filter(|&b| (before, i) >= b) {
                 let ahead = match slot {
-                    Ok(d) if may_run_ahead && d.is_local_only(&unit.pe) => self.run_ahead(i, d),
+                    Ok(d) if may_run_ahead => {
+                        if d.is_local_only(&unit.pe) {
+                            self.run_ahead(i, d)
+                        } else {
+                            self.run_ahead_quiet(i, ctx_id, d)
+                        }
+                    }
                     _ => false,
                 };
                 if !ahead {
+                    self.note_stop(i, slot);
                     // PE `j` holds the least other hint. When `j` runs
                     // and that hint is its clock, the hint is exact and
                     // `(t, j)` is the serial scheduler's next pick: hand
                     // the batch to `j` instead of leaving it.
-                    if t >= hard || self.pes[j].pe.cycles != t || !self.is_running(j) {
+                    if t >= hard {
                         break;
                     }
+                    if self.pes[j].pe.cycles != t || !self.is_running(j) {
+                        self.loop_stats.exits_not_running += 1;
+                        break;
+                    }
+                    self.loop_stats.handoffs += 1;
                     self.sched.refresh(i, Some(before));
                     i = j;
+                    // `j` is next: every step it ran ahead is in the
+                    // serial past.
+                    self.settle(i);
                     ctx_id = self.pes[j].current.expect("running PE has a context");
                     bound = self.sched.min_other_hint(i);
                     retired = false;
                     continue;
                 }
             } else {
-                self.ahead[i].settle();
+                // Within a batch a PE's steps in the cycle order come
+                // before its steps ahead of it (the bound only falls
+                // while its clock rises), and the outer loop or the
+                // hand-off settled it when it took the batch.
+                debug_assert!(!self.ahead[i].is_active(), "an in-order PE holds no save");
+                // A channel operation in the cycle order first rewinds a
+                // PE that ran ahead on its channel; that PE's key fell,
+                // so the bound is read again.
+                if self.chan_saves > 0 {
+                    if let Ok(d) = slot {
+                        if self.contact(i, before, d, &xp) {
+                            bound = self.sched.min_other_hint(i);
+                        }
+                    }
+                }
             }
             let result = match slot {
                 Ok(d) => self.step_pe(i, ctx_id, before, d),
@@ -985,7 +1079,7 @@ impl System {
             };
             let continued = matches!(result, StepResult::Continue | StepResult::Return { .. });
             retired = true;
-            if let Err(e) = self.retire(i, ctx_id, before, result, false) {
+            if let Err(e) = self.retire(i, ctx_id, (before, before), result, false) {
                 outcome = Err(e);
                 break;
             }
@@ -1003,6 +1097,34 @@ impl System {
             self.sched.refresh(i, t);
         }
         outcome
+    }
+
+    /// Count a batch stop at the cycle-order bound by the kind of PE
+    /// `i`'s step that could not run ahead.
+    #[cold]
+    fn note_stop(&mut self, i: usize, slot: Result<&DecodedInstr, UWord>) {
+        use qm_isa::Opcode;
+        let stats = &mut self.loop_stats;
+        let Ok(d) = slot else {
+            stats.stops_trap += 1;
+            return;
+        };
+        match d.opcode() {
+            Opcode::Trap | Opcode::Ftrap | Opcode::Fret | Opcode::Rett => stats.stops_trap += 1,
+            _ if self.ahead[i].full() => stats.stops_full_log += 1,
+            Opcode::Send | Opcode::Recv => stats.stops_channel += 1,
+            _ => stats.stops_global += 1,
+        }
+    }
+
+    /// The run loop's scheduling counters so far: outer-loop steps,
+    /// in-batch hand-offs, run-ahead saves and rewinds, and why batches
+    /// stopped at the cycle-order bound. Host-side diagnostics, counted
+    /// only where a batch stops or hands off, never per batched step;
+    /// a restored system starts from zero.
+    #[must_use]
+    pub fn run_loop_stats(&self) -> RunLoopStats {
+        self.loop_stats
     }
 
     /// Arm automatic snapshots: every `every` cycles (of simulated time)

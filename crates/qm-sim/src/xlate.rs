@@ -78,6 +78,40 @@
 //!   `limit` in either order, and a deadlock or completion can only be
 //!   declared once no runnable work remains anywhere.
 //!
+//! * **Quiet channel transfers also run ahead of the cycle order.** In
+//!   the thesis's message processor (§5.5, Fig. 5.17) a transfer that
+//!   finds its peer's half already in the PE's message cache completes
+//!   there and never uses the bus. A `send`/`recv` is *quiet*
+//!   (`ChannelTable::quiet`) when its channel is not the host channel,
+//!   its context holds no pending ack or ready value, a send finds no
+//!   parked receiver and a free cache slot, a receive finds a cached
+//!   value and no parked sender, no other PE's live marker is on the
+//!   channel, and its operands fill from the local plane. Such a step
+//!   touches only its channel `c` (the cache, `touched`, the high-water
+//!   mark), its own PE and the transfer count, a plain sum; it wakes no
+//!   one, so it leaves every other PE's key alone. It therefore commutes
+//!   with every other PE's step that does not touch `c`, by the same
+//!   argument as a local-only step. The steps that do touch `c` are the
+//!   problem, and they are taken care of by *contact*: a quiet step
+//!   ahead logs a channel undo record (next to the local-word log, under
+//!   the same `MAX_UNDO`) and marks `c` with its PE and save. Only one
+//!   PE can hold a live marker on `c`, since another PE's transfer on a
+//!   marked channel is not quiet. Any channel operation in the cycle
+//!   order — in the outer loop or the batch — on a channel with a live
+//!   marker first rewinds the marking PE to that operation's key
+//!   `(t, k)` (the outer loop's key `t` includes the dispatch), as a HALT
+//!   does below, then proceeds. After the rewind the channel holds
+//!   exactly the marking PE's transfers before `(t, k)`, which is what
+//!   the serial schedule holds there, and that PE's key has fallen, so
+//!   the bound is read again. While no PE holds a marker the check is
+//!   one compare per in-order step, so a 1-PE run pays nothing. A
+//!   contact costs a rewind and the redone steps, so a channel that is
+//!   likely to meet another PE stays in the cycle order
+//!   (`ChannelTable::contend`): one whose two ends a fork put on
+//!   different PEs, and one a contact has rewound over. That choice
+//!   only decides which steps wait for the cycle order, never what a
+//!   step does.
+//!
 //! * **Hand-off to the PE that is provably next.** Say the first rule
 //!   stops PE `i` at the bound `(t, j)`: PE `j` holds the least hint of
 //!   every PE but `i`, and `(clock_i, i) ≥ (t, j)`. If `j` has a
@@ -95,11 +129,11 @@
 //!   loop. A hand-off needs `t` below the hard bound; otherwise the
 //!   outer loop's pause or snapshot comes first. When `j` is not
 //!   running, its next action is a dispatch, which only the outer loop
-//!   performs, so the batch exits as before. Local-only steps that `i`
-//!   ran ahead of the cycle order are unaffected: the outer loop would
-//!   have made the same choice from the same state after the batch
-//!   exited, so the two rules above still cover every step on either
-//!   side of the hand-off.
+//!   performs, so the batch exits as before. Steps that `i` ran ahead
+//!   of the cycle order are unaffected: the outer loop would have made
+//!   the same choice from the same state after the batch exited, so the
+//!   rules above still cover every step on either side of the
+//!   hand-off.
 //!
 //! # Rewinding a run that ends early
 //!
@@ -111,16 +145,25 @@
 //! cycle `t` ends it with every PE as it stands, including steps that
 //! ran ahead of `(t, j)`. So before a PE's first step ahead of the
 //! bound, the batch saves its state in a `RunAhead`, and it logs the
-//! local words that step and every later one overwrites. When the run
-//! ends at `(t, j)`, `System::rewind_run_ahead` puts each saved PE back
-//! and replays its steps that precede `(t, j)` in the cycle order.
-//! Every step since the save is local-only, so it depends on nothing
-//! but the PE's own state and replays exactly. A save is dropped as
-//! soon as the PE is provably next again, since every step it took is
-//! then in the serial past, and on every exit from `run_until`, since a
-//! pause retires exactly the steps below the limit in either order.
-//! Past `MAX_UNDO` logged words the PE waits for the cycle order like
-//! any other step, which bounds the log.
+//! local words that step and every later one overwrites, and the quiet
+//! transfers it makes. When the run ends at `(t, j)`,
+//! `System::rewind_run_ahead` undoes each saved PE's records, newest
+//! first, puts the PE back and replays its steps that precede `(t, j)`
+//! in the cycle order; a contact does the same for one PE in the middle
+//! of a run. Every step since the save is local-only or a quiet
+//! transfer on a channel no other PE has touched since (a touch would
+//! have been a contact), so it depends on nothing but the state the
+//! undo put back and replays exactly; and no undo crosses another PE's
+//! operation on the same channel. A PE's steps ahead all come from one
+//! stretch of one batch — once ahead of the bound it stays ahead, since
+//! the bound only falls while its clock rises — and it takes no further
+//! step until it is provably next. So a save is dropped, and its
+//! markers die with it, as soon as the PE is provably next again, since
+//! every step it took is then in the serial past, and on every exit
+//! from `run_until`, since a pause retires exactly the steps below the
+//! limit in either order, contacts included. Past `MAX_UNDO` records
+//! the PE waits for the cycle order like any other step, which bounds
+//! the log.
 //!
 //! One carve-out concerns the instruction budget: the budget error still fires at the exact
 //! same retired-instruction count as on the oracle, but because
@@ -138,8 +181,9 @@ use qm_isa::Opcode;
 use qm_isa::UWord;
 
 use crate::memory::SharedMemory;
+use crate::msg::{ChanMark, ChanUndo};
 use crate::system::System;
-use crate::Word;
+use crate::{CtxId, Word};
 
 /// Most local words one PE's run-ahead may overwrite before it waits
 /// for the cycle order.
@@ -212,28 +256,52 @@ impl XProgram {
 }
 
 /// A PE's state from before its first step ahead of the cycle order,
-/// and the local words it has overwritten since (see the module docs).
+/// and what it has changed since (see the module docs): the local words
+/// it overwrote and the quiet channel transfers it made.
 #[derive(Debug, Clone)]
 pub(crate) struct RunAhead {
-    /// Whether `pe`, `busy` and `undo` hold a save.
+    /// Whether `pe`, `busy`, `undo` and `chans` hold a save.
     active: bool,
+    /// The number of this PE's latest save (wrapping); channel markers
+    /// name it.
+    save: u32,
     pe: Pe,
     busy: u64,
     /// Overwritten local words with their earlier contents, oldest
     /// first (`None`: never written).
     undo: Vec<(UWord, Option<Word>)>,
+    /// Quiet channel transfers, oldest first.
+    chans: Vec<ChanUndo>,
 }
 
 impl RunAhead {
     /// An empty save for `pe`.
     pub(crate) fn new(pe: &Pe) -> RunAhead {
-        RunAhead { active: false, pe: pe.clone(), busy: 0, undo: Vec::new() }
+        RunAhead {
+            active: false,
+            save: 0,
+            pe: pe.clone(),
+            busy: 0,
+            undo: Vec::new(),
+            chans: Vec::new(),
+        }
     }
 
-    /// Drop the save: every step the PE took is in the serial past.
+    /// Whether `mark` names this PE's active save.
     #[inline]
-    pub(crate) fn settle(&mut self) {
-        self.active = false;
+    fn holds(&self, mark: ChanMark) -> bool {
+        self.active && self.save == mark.save
+    }
+
+    /// Whether this holds a save.
+    pub(crate) fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// Whether the two logs together hold `MAX_UNDO` records.
+    #[inline]
+    pub(crate) fn full(&self) -> bool {
+        self.undo.len() + self.chans.len() >= MAX_UNDO
     }
 }
 
@@ -259,62 +327,148 @@ impl System {
             return true;
         }
         let (save, pe, memory) = (&mut self.ahead[i], &self.pes[i].pe, &self.memory);
-        if save.undo.len() >= MAX_UNDO {
+        if save.full() {
             return false;
         }
         save.undo.extend(d.dup_targets(pe).map(|addr| (addr, memory.local_word(i, addr))));
         true
     }
 
+    /// Prepare PE `i`'s channel step `d` of context `ctx` to run ahead
+    /// of the cycle order when it is quiet (`ChannelTable::quiet`) and
+    /// its operands fill from the local plane: save the PE on its first
+    /// step ahead, mark the channel and log the transfer. False when the
+    /// step is not quiet or the log is full.
+    #[inline]
+    pub(crate) fn run_ahead_quiet(&mut self, i: usize, ctx: CtxId, d: &DecodedInstr) -> bool {
+        let (pe, memory) = (&self.pes[i].pe, &self.memory);
+        let Some(chan) = d.channel_operand(pe, |addr| memory.peek_word(i, addr)) else {
+            return false;
+        };
+        let save = &self.ahead[i];
+        if save.full() || !d.fills_local(pe) {
+            return false;
+        }
+        let number = if save.active { save.save } else { save.save.wrapping_add(1) };
+        let mark = ChanMark { pe: u32::try_from(i).expect("PE indices fit in u32"), save: number };
+        let send = d.opcode() == Opcode::Send;
+        let ahead = &self.ahead;
+        let live = |m: ChanMark| ahead[m.pe as usize].holds(m);
+        let Some(undo) = self.channels.quiet(ctx, chan, send, mark, live) else {
+            return false;
+        };
+        if !self.ahead[i].active {
+            self.save_for_rewind(i);
+        }
+        let save = &mut self.ahead[i];
+        if save.chans.is_empty() {
+            self.chan_saves += 1;
+        }
+        save.chans.push(undo);
+        true
+    }
+
     /// Start PE `i`'s save: its state before its first step ahead.
     #[cold]
     fn save_for_rewind(&mut self, i: usize) {
+        self.loop_stats.saves += 1;
         let (save, unit) = (&mut self.ahead[i], &self.pes[i]);
         save.active = true;
+        save.save = save.save.wrapping_add(1);
         save.pe.clone_from(&unit.pe);
         save.busy = unit.busy;
         save.undo.clear();
+        save.chans.clear();
     }
 
-    /// The run ended at PE `j`'s step from cycle `t`, by a HALT or a
-    /// fault: put every PE that ran ahead back to its save, then replay
-    /// its steps that precede `(t, j)` in the cycle order.
+    /// Drop PE `i`'s save, if any: every step it took is in the serial
+    /// past. Its channel markers die with it.
+    #[inline]
+    pub(crate) fn settle(&mut self, i: usize) {
+        let save = &mut self.ahead[i];
+        if save.active {
+            save.active = false;
+            self.chan_saves -= usize::from(!save.chans.is_empty());
+        }
+    }
+
+    /// PE `k`'s step `d`, whose cycle-order key is `(at, k)`, is about
+    /// to run in the cycle order. When it is a channel operation on a
+    /// channel whose marker is live, rewind the marking PE to `(at, k)`
+    /// first, so the channel sees its transfers in the cycle order, and
+    /// keep the channel in the cycle order from now on. True when it
+    /// rewound a PE (whose heap hint then moved down).
+    pub(crate) fn contact(&mut self, k: usize, at: u64, d: &DecodedInstr, xp: &XProgram) -> bool {
+        let (pe, memory) = (&self.pes[k].pe, &self.memory);
+        let Some(chan) = d.channel_operand(pe, |addr| memory.peek_word(k, addr)) else {
+            return false;
+        };
+        let mark = self.channels.mark(chan);
+        let m = mark.pe as usize;
+        if !self.ahead[m].holds(mark) {
+            return false;
+        }
+        self.loop_stats.rewinds_on_contact += 1;
+        self.channels.contend(chan);
+        self.rewind_pe(m, at, k, xp);
+        let t = self.actor_time(m);
+        self.sched.refresh(m, t);
+        true
+    }
+
+    /// The run ended at PE `j`'s step with cycle-order key `(t, j)`, by a
+    /// HALT or a fault: rewind every PE that ran ahead to `(t, j)`.
     pub(crate) fn rewind_run_ahead(&mut self, t: u64, j: usize) {
         let Some(xp) = self.xlate.take() else {
             return;
         };
         for k in 0..self.pes.len() {
-            let save = &mut self.ahead[k];
-            if !save.active {
-                continue;
-            }
-            save.active = false;
-            for &(addr, word) in save.undo.iter().rev() {
-                self.memory.restore_local(k, addr, word);
-            }
-            let unit = &mut self.pes[k];
-            let (now, then) = (&unit.pe.stats, &save.pe.stats);
-            // A local-only step accesses memory only by window fills
-            // and `dup` writes, each one local access.
-            self.memory.stats.local_accesses -=
-                (now.window_misses - then.window_misses) + (now.mem_writes - then.mem_writes);
-            self.instr_count -= now.instructions - then.instructions;
-            unit.pe.clone_from(&save.pe);
-            unit.busy = save.busy;
-            let ctx_id = unit.current.expect("a PE that ran ahead is running");
-            while (self.pes[k].pe.cycles, k) < (t, j) {
-                let before = self.pes[k].pe.cycles;
-                let Ok(&d) = xp.slot(self.pes[k].pe.regs.pc()) else {
-                    unreachable!("a replayed step ran before");
-                };
-                let result = self.step_pe(k, ctx_id, before, &d);
-                debug_assert_eq!(result, StepResult::Continue);
-                let unit = &mut self.pes[k];
-                unit.busy += unit.pe.cycles - before;
-                self.instr_count += 1;
+            if self.ahead[k].active {
+                self.loop_stats.rewinds_at_end += 1;
+                self.rewind_pe(k, t, j, &xp);
             }
         }
         self.xlate = Some(xp);
+    }
+
+    /// Rewind PE `k`, which ran ahead, to the key `(t, j)`: undo its
+    /// channel and local records newest first, restore the saved PE,
+    /// replay its steps that precede `(t, j)` in the cycle order and
+    /// settle it. Every step since the save was local-only or a quiet
+    /// transfer on a channel no other PE has touched since, so it
+    /// depends on nothing but the state the undo put back and replays
+    /// exactly.
+    #[cold]
+    fn rewind_pe(&mut self, k: usize, t: u64, j: usize, xp: &XProgram) {
+        self.settle(k);
+        let save = &self.ahead[k];
+        for &(addr, word) in save.undo.iter().rev() {
+            self.memory.restore_local(k, addr, word);
+        }
+        for u in save.chans.iter().rev() {
+            self.channels.undo(u);
+        }
+        let unit = &mut self.pes[k];
+        let (now, then) = (&unit.pe.stats, &save.pe.stats);
+        // A step ahead accesses memory only by local window fills and
+        // `dup` writes, each one local access.
+        self.memory.stats.local_accesses -=
+            (now.window_misses - then.window_misses) + (now.mem_writes - then.mem_writes);
+        self.instr_count -= now.instructions - then.instructions;
+        unit.pe.clone_from(&save.pe);
+        unit.busy = save.busy;
+        let ctx_id = unit.current.expect("a PE that ran ahead is running");
+        while (self.pes[k].pe.cycles, k) < (t, j) {
+            let before = self.pes[k].pe.cycles;
+            let Ok(&d) = xp.slot(self.pes[k].pe.regs.pc()) else {
+                unreachable!("a replayed step ran before");
+            };
+            let result = self.step_pe(k, ctx_id, before, &d);
+            debug_assert_eq!(result, StepResult::Continue);
+            let unit = &mut self.pes[k];
+            unit.busy += unit.pe.cycles - before;
+            self.instr_count += 1;
+        }
     }
 
     /// Run every step on `Pe::step`, unbatched, from now on: the test

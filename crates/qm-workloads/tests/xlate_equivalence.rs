@@ -11,13 +11,20 @@
 //! same, and hand-written programs that end in every fault the engine
 //! can raise — stores into the read-only code segment, fetches outside
 //! it and words that do not decode — plus a program Strict verification
-//! rejects and halts that cut another PE's run-ahead short.
+//! rejects and halts that cut another PE's run-ahead short, including a
+//! halt right after a dispatch. Channel *contacts* — an operation in the
+//! cycle order on a channel another PE ran ahead on with quiet
+//! transfers — get their own programs: receivers on two PEs taking
+//! turns, a channel passed on to a third PE, capacities 0 and 1, halts
+//! and faults while quiet transfers are ahead, and a pause at every
+//! cycle of a contact window. Each asserts through
+//! `System::run_loop_stats` that a contact really happened.
 
 use qm_core::rng::check;
 use qm_sim::config::Placement;
 use qm_sim::snapshot::Snapshot;
 use qm_sim::system::RunStatus;
-use qm_sim::{RunOutcome, Simulation, System, SystemConfig};
+use qm_sim::{RunLoopStats, RunOutcome, Simulation, System, SystemConfig};
 use qm_verify::VerifyLevel;
 use qm_workloads::{Workload, WorkloadRun};
 
@@ -381,4 +388,332 @@ fn halt_stops_every_pe_where_the_oracle_does() {
     };
     let out = engine_matches_oracle("halt-past-end", build, 20).expect("runs");
     assert!(out.instructions < 2000, "halt-past-end: the halt cut the long loop short");
+}
+
+/// `src` on `pes` PEs with channel capacity `capacity`, round-robin
+/// placement and verification off: the first fork lands on PE 0, the
+/// next on PE 1, and so on.
+fn on_pes(src: &str, pes: usize, capacity: usize) -> impl Fn() -> System + '_ {
+    move || {
+        let mut cfg = SystemConfig::with_pes(pes);
+        cfg.channel_capacity = capacity;
+        Simulation::builder()
+            .assembly(src)
+            .config(cfg)
+            .verify(VerifyLevel::Off)
+            .build()
+            .expect("builds")
+    }
+}
+
+/// The engine's run-loop counters over a full run.
+fn engine_stats(build: impl Fn() -> System) -> RunLoopStats {
+    let mut sys = build();
+    sys.run().ok();
+    sys.run_loop_stats()
+}
+
+/// A child that receives a channel on its input, then `turns` times
+/// spins `spin` iterations and receives one value from that channel,
+/// and finally sends the sum of the values on its output.
+fn turn_taker(name: &str, spin: u32, turns: u32) -> String {
+    format!(
+        "{name}: recv r17,#0 :r19
+        plus #0,#0 :r22
+        plus #0,#0 :r23
+{name}o: plus #0,#0 :r24
+{name}s: plus r24,#1 :r24
+        lt r24,#{spin} :r25
+        bne r25,@{name}s
+        recv r19,#0 :r26
+        plus r22,r26 :r22
+        plus r23,#1 :r23
+        lt r23,#{turns} :r25
+        bne r25,@{name}o
+        send r18,r22
+        trap #2,#0
+"
+    )
+}
+
+#[test]
+fn receivers_on_two_pes_take_turns_on_one_channel() {
+    // Main fills one channel with six distinct powers of two, then hands
+    // it to two children on PEs 1 and 2. The slower spinner runs ahead
+    // of the cycle order and takes its values quietly; the faster one's
+    // receives come earlier in the cycle order, so each of them must
+    // first rewind the other PE. The sums name which values each took.
+    let src = turns_program();
+    let out = engine_matches_oracle("turns", on_pes(&src, 3, CAP), 150).expect("runs");
+    assert_eq!(out.output.iter().sum::<i32>(), 63, "every value was taken once");
+    let stats = engine_stats(on_pes(&src, 3, CAP));
+    assert!(stats.rewinds_on_contact > 0, "no contact: {stats:?}");
+}
+
+#[test]
+fn a_channel_passed_on_to_a_third_pe_meets_its_first_owner() {
+    // Main fills a channel and passes it to a child on PE 1, which
+    // passes it on to a grandchild on PE 2; main and the grandchild then
+    // both take values from it, each spinning between turns.
+    let src = format!(
+        "main:   trap #0,#idle :r0,r1
+        trap #6,#0 :r19
+        send r19,#1
+        send r19,#2
+        send r19,#4
+        send r19,#8
+        send r19,#16
+        send r19,#32
+        trap #0,#a :r20,r21
+        send r20,r19
+        plus #0,#0 :r22
+        plus #0,#0 :r23
+mo:     plus #0,#0 :r24
+ms:     plus r24,#1 :r24
+        lt r24,#31 :r25
+        bne r25,@ms
+        recv r19,#0 :r26
+        plus r22,r26 :r22
+        plus r23,#1 :r23
+        lt r23,#3 :r25
+        bne r25,@mo
+        send #0,r22
+        recv r21,#0 :r24
+        send #0,r24
+        trap #2,#0
+idle:   trap #2,#0
+a:      recv r17,#0 :r19
+        trap #0,#b :r20,r21
+        send r20,r19
+        recv r21,#0 :r22
+        send r18,r22
+        trap #2,#0
+{}",
+        turn_taker("b", 17, 3)
+    );
+    let out = engine_matches_oracle("passed-on", on_pes(&src, 3, CAP), 200).expect("runs");
+    assert_eq!(out.output.iter().sum::<i32>(), 63, "every value was taken once");
+    let stats = engine_stats(on_pes(&src, 3, CAP));
+    assert!(stats.rewinds_on_contact > 0, "no contact: {stats:?}");
+}
+
+#[test]
+fn paced_sends_to_two_receivers_at_capacity_zero_and_one() {
+    // Main hands one channel to two children, then sends six values on
+    // it, spinning before each. At capacity 0 every transfer is a
+    // rendezvous, which is never quiet; at capacity 1 a receiver that
+    // ran ahead can take the one cached value quietly, and main's next
+    // send, earlier in the cycle order, must rewind it first.
+    let send_paced: String = [1, 2, 4, 8, 16, 32]
+        .iter()
+        .enumerate()
+        .map(|(k, v)| {
+            format!(
+                "        plus #0,#0 :r24
+p{k}:     plus r24,#1 :r24
+        lt r24,#9 :r25
+        bne r25,@p{k}
+        send r19,#{v}
+"
+            )
+        })
+        .collect();
+    let src = format!(
+        "main:   trap #0,#idle :r0,r1
+        trap #6,#0 :r19
+        trap #0,#a :r20,r21
+        trap #0,#b :r22,r23
+        send r20,r19
+        send r22,r19
+{send_paced}        recv r21,#0 :r24
+        send #0,r24
+        recv r23,#0 :r24
+        send #0,r24
+        trap #2,#0
+idle:   trap #2,#0
+{}{}",
+        turn_taker("a", 29, 3),
+        turn_taker("b", 13, 3)
+    );
+    for capacity in [0, 1] {
+        let label = format!("paced/cap{capacity}");
+        let out = engine_matches_oracle(&label, on_pes(&src, 3, capacity), 150).expect("runs");
+        assert_eq!(out.output.iter().sum::<i32>(), 63, "{label}: every value was taken once");
+    }
+    let rendezvous = engine_stats(on_pes(&src, 3, 0));
+    assert_eq!(rendezvous.rewinds_on_contact, 0, "a rendezvous is never quiet: {rendezvous:?}");
+    let cached = engine_stats(on_pes(&src, 3, 1));
+    assert!(cached.rewinds_on_contact > 0, "no contact: {cached:?}");
+}
+
+#[test]
+fn halts_and_faults_rewind_another_pes_quiet_transfers() {
+    // The child on PE 1 runs ahead through quiet transfers on a channel
+    // of its own, and sends main a value on the way, on a channel main
+    // allocated and passed to it. Main's receive of that value comes
+    // earlier in the cycle order than the child's send, so it rewinds
+    // the child and blocks. Main then ends the run, by a
+    // halt or a fault, while the child again holds quiet transfers ahead
+    // of the cycle order: the run must end with the child's channel,
+    // transfer count and high-water mark where the oracle left them.
+    let child = "c:      recv r17,#0 :r18
+        trap #6,#0 :r19
+        plus #0,#0 :r23
+c1:     send r19,r23
+        recv r19,#0 :r26
+        plus r23,#1 :r23
+        lt r23,#40 :r25
+        bne r25,@c1
+        send r18,r23
+c2:     send r19,r23
+        send r19,r23
+        recv r19,#0 :r26
+        recv r19,#0 :r26
+        plus r23,#1 :r23
+        lt r23,#400 :r25
+        bne r25,@c2
+        trap #2,#0
+";
+    for (label, end) in [("halt", "trap #3,#0"), ("fault", "store #main,r26")] {
+        let src = format!(
+            "main:   trap #0,#idle :r0,r1
+        trap #0,#c :r20,r21
+        trap #6,#0 :r22
+        send r20,r22
+        plus #0,#0 :r24
+ms:     plus r24,#1 :r24
+        lt r24,#30 :r25
+        bne r25,@ms
+        recv r22,#0 :r26
+        send #0,r26
+        {end}
+idle:   trap #2,#0
+{child}"
+        );
+        let result = engine_matches_oracle(label, on_pes(&src, 2, CAP), 300);
+        match label {
+            "halt" => assert_eq!(result.expect("halts").output, vec![40]),
+            _ => assert!(result.unwrap_err().contains("read-only code segment"), "{label}"),
+        }
+        let stats = engine_stats(on_pes(&src, 2, CAP));
+        assert!(stats.rewinds_on_contact > 0 && stats.rewinds_at_end > 0, "{label}: {stats:?}");
+    }
+}
+
+/// The six-value, two-receiver program of
+/// [`receivers_on_two_pes_take_turns_on_one_channel`].
+fn turns_program() -> String {
+    format!(
+        "main:   trap #0,#idle :r0,r1
+        trap #6,#0 :r19
+        send r19,#1
+        send r19,#2
+        send r19,#4
+        send r19,#8
+        send r19,#16
+        send r19,#32
+        trap #0,#a :r20,r21
+        trap #0,#b :r22,r23
+        send r20,r19
+        send r22,r19
+        recv r21,#0 :r24
+        send #0,r24
+        recv r23,#0 :r24
+        send #0,r24
+        trap #2,#0
+idle:   trap #2,#0
+{}{}",
+        turn_taker("a", 40, 3),
+        turn_taker("b", 23, 3)
+    )
+}
+
+#[test]
+fn pausing_at_every_cycle_of_a_contact_window_matches_the_oracle() {
+    // Pause the run-ahead-heavy turn-taking run at every cycle of the
+    // window in which its receivers meet on the shared channel: each
+    // paused engine must equal the oracle paused at the same cycle, and
+    // each snapshot must restore and finish as the uninterrupted run.
+    let src = turns_program();
+    let build = on_pes(&src, 3, CAP);
+    let full = {
+        let mut oracle = build();
+        oracle.use_step_oracle();
+        oracle.run().expect("runs")
+    };
+    let mut contacts = 0;
+    for limit in 300..700 {
+        let (mut engine, mut oracle) = (build(), build());
+        oracle.use_step_oracle();
+        let a = engine.run_until(limit).expect("runs");
+        let b = oracle.run_until(limit).expect("runs");
+        assert_eq!(a, b, "pause at {limit}");
+        let bytes = Snapshot::capture(&engine).encode();
+        assert_eq!(bytes, Snapshot::capture(&oracle).encode(), "snapshot at {limit}");
+        contacts += engine.run_loop_stats().rewinds_on_contact;
+        let mut restored =
+            System::restore(&Snapshot::decode(&bytes).expect("decodes")).expect("restores");
+        assert_eq!(restored.run().expect("finishes"), full, "finish from {limit}");
+    }
+    assert!(contacts > 0, "the window holds no contact");
+}
+
+#[test]
+fn run_loop_stats_count_scheduling_and_stay_out_of_snapshots() {
+    let w = qm_workloads::matmul(4);
+    let build = |pes| template(pes, CAP, RR).prepare(&w).expect("prepare").0;
+    // One PE is always the next to act: nothing stops at the cycle-order
+    // bound, hands off, runs ahead or rewinds.
+    let mut one = build(1);
+    one.run().expect("runs");
+    let s = one.run_loop_stats();
+    assert!(s.outer_steps > 0, "{s:?}");
+    assert_eq!(s, RunLoopStats { outer_steps: s.outer_steps, ..RunLoopStats::default() });
+    // Four PEs run ahead and hand off; every hand-off and every exit for
+    // a PE that was not running follows a stop at the bound.
+    let mut four = build(4);
+    four.run().expect("runs");
+    let s = four.run_loop_stats();
+    assert!(s.handoffs > 0 && s.saves > 0 && s.exits_not_running > 0, "{s:?}");
+    let stops = s.stops_channel + s.stops_global + s.stops_trap + s.stops_full_log;
+    assert!(stops >= s.handoffs + s.exits_not_running, "{s:?}");
+    assert_eq!(s.rewinds_at_end, 0, "matmul ends without a halt: {s:?}");
+    // The counters are host-side: pausing more often changes them but
+    // not the machine state, and a restored system starts from zero.
+    let (mut once, mut thrice) = (build(4), build(4));
+    once.run_until(3_000).expect("runs");
+    for limit in [1_000, 2_000, 3_000] {
+        thrice.run_until(limit).expect("runs");
+    }
+    assert_ne!(once.run_loop_stats(), thrice.run_loop_stats());
+    let snap = Snapshot::capture(&thrice);
+    assert_eq!(Snapshot::capture(&once).encode(), snap.encode());
+    let mut restored = System::restore(&snap).expect("restores");
+    assert_eq!(restored.run_loop_stats(), RunLoopStats::default());
+    assert_eq!(Snapshot::capture(&restored).state_digest(), snap.state_digest());
+    assert_eq!(restored.run().expect("finishes"), build(4).run().expect("runs"));
+}
+
+#[test]
+fn a_halt_right_after_a_dispatch_cuts_run_ahead_at_the_dispatch() {
+    // Main forks a halting child onto PE 0 and a long local loop onto
+    // PE 1, then ends. PE 0 dispatches the child at cycle `t` and the
+    // child halts as its first step, which starts only after the
+    // dispatch cost. In the cycle order that step is keyed `(t, 0)`, so
+    // the loop's steps from `t` on never ran; the rewind must not replay
+    // the ones that fall inside the dispatch.
+    let src = "main:   trap #0,#h :r0,r1
+        trap #0,#c :r0,r1
+        trap #2,#0
+h:      trap #3,#0
+c:      plus #0,#0 :r17
+cl:     plus r17,#1 :r17
+        lt r17,#1000 :r21
+        bne r21,@cl
+        trap #2,#0
+";
+    for (label, pes) in [("halt-after-dispatch/2pe", 2), ("halt-after-dispatch/3pe", 3)] {
+        let out = engine_matches_oracle(label, on_pes(src, pes, CAP), 5).expect("halts");
+        assert!(out.instructions < 1000, "{label}: the halt cut the loop short");
+    }
 }

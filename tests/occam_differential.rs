@@ -4,7 +4,9 @@
 //! contents must match exactly. One property, [`run_differential`],
 //! checks this on 1, 2 and 3 PEs, with the default options and with
 //! every optimization off, and also checks that compiling twice yields
-//! the same assembly.
+//! the same assembly and that the translated engine and the `Pe::step`
+//! oracle (`System::use_step_oracle`) agree on cycles, instructions and
+//! `state_digest` — on the splicing channels `par` compiles to, too.
 //!
 //! Its inputs are random programs from one generator ([`random_program`]),
 //! the shrunk failures that generator once found (the `seed_` tests,
@@ -23,6 +25,7 @@ use queue_machine::occam::interp::Interp;
 use queue_machine::occam::sema::SymKind;
 use queue_machine::occam::{codegen, parse, sema, Options};
 use queue_machine::sim::config::SystemConfig;
+use queue_machine::sim::snapshot::Snapshot;
 use queue_machine::sim::system::System;
 
 const ARRAY_LEN: i32 = 8;
@@ -43,10 +46,26 @@ fn run_differential(program: &Process) {
         let again = codegen::generate(&resolved, &opts).expect("compiles");
         assert_eq!(asm, again, "codegen is deterministic");
         let object = queue_machine::isa::asm::assemble(&asm).expect("assembles");
-        let mut sys = System::new(SystemConfig::with_pes(pes));
-        sys.load_object(&object);
-        sys.spawn_main(object.symbol("main").expect("main"));
+        let build = || {
+            let mut sys = System::new(SystemConfig::with_pes(pes));
+            sys.load_object(&object);
+            sys.spawn_main(object.symbol("main").expect("main"));
+            sys
+        };
+        let (mut sys, mut stepped) = (build(), build());
+        stepped.use_step_oracle();
         let out = sys.run().unwrap_or_else(|e| panic!("simulation failed (pes={pes}): {e}\n{asm}"));
+        let on_oracle = stepped.run().expect("the Pe::step oracle runs it too");
+        assert_eq!(
+            (out.elapsed_cycles, out.instructions),
+            (on_oracle.elapsed_cycles, on_oracle.instructions),
+            "engine and Pe::step oracle diverged (pes={pes})\n{asm}"
+        );
+        assert_eq!(
+            Snapshot::capture(&sys).state_digest(),
+            Snapshot::capture(&stepped).state_digest(),
+            "engine and Pe::step oracle digests diverged (pes={pes})\n{asm}"
+        );
         assert_eq!(out.output, oracle.output, "screen output diverged (pes={pes})\n{asm}");
         for (name, kind) in &resolved.syms {
             if let SymKind::Array { addr, len } = kind {
