@@ -29,9 +29,19 @@
 //! context re-executes exactly one channel instruction, so it can hold
 //! at most one of either): flat `Vec`s indexed by context id replace the
 //! old per-channel `HashSet`/`HashMap`, leaving zero hash-map traffic
-//! per transfer. All queues are `VecDeque`s that retain their capacity,
-//! which is what lets a warmed-up system run allocation-free per step
-//! (pinned by `tests/steady_state_alloc.rs`).
+//! per transfer.
+//!
+//! A channel's three queues (cached values, parked senders, parked
+//! receivers) are `(head, tail, len)` handles into three table-wide
+//! `CellPool`s, one per kind: doubly linked cells in one `Vec` each,
+//! plus a free list, like the fixed bank of message-cache slots of
+//! §5.5 (Fig. 5.15) that every channel draws from. A cell freed by a
+//! transfer on one channel is the next one any channel takes, so a
+//! fork's two fresh channels cost no allocation once the pools reach
+//! their peak occupancy, and a channel record is 64 bytes. That is
+//! what lets a warmed-up system run allocation-free per step, on warm
+//! channels and fresh ones alike (pinned by
+//! `tests/steady_state_alloc.rs`).
 //!
 //! # Transfers ahead of the cycle order
 //!
@@ -150,10 +160,13 @@ pub enum RecvResult {
 #[derive(Debug, Default)]
 struct Channel {
     /// Message-cache slots holding values already accepted from senders
-    /// (Fig. 5.15); `(value, sending PE)`.
-    buffer: VecDeque<(Word, usize)>,
-    waiting_senders: VecDeque<(CtxId, usize, Word)>,
-    waiting_receivers: VecDeque<(CtxId, usize)>,
+    /// (Fig. 5.15); `(value, sending PE)` cells in the table's `values`
+    /// pool.
+    buffer: Queue,
+    /// Parked senders, cells in the table's `senders` pool.
+    waiting_senders: Queue,
+    /// Parked receivers, cells in the table's `receivers` pool.
+    waiting_receivers: Queue,
     /// Delivered-but-uncollected values homed on this channel (the
     /// values themselves sit in the table's per-context `ready` slots;
     /// this count backs [`ChannelTable::state`]).
@@ -178,6 +191,151 @@ struct Channel {
     /// ([`ChannelTable::contend`]); they stay in the cycle order
     /// (host-side, like `mark`).
     contended: bool,
+}
+
+/// A queue's handle into a [`CellPool`]: its first and last cells and its
+/// length. The ends are meaningful only while `len > 0`, so the default
+/// (all zero) is the empty queue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Queue {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Queue {
+    #[inline]
+    fn len(self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
+/// One pooled queue element, linked both ways to its neighbours (a free
+/// cell links only `next`, into the free list).
+#[derive(Debug, Clone, Copy)]
+struct Cell<T> {
+    val: T,
+    prev: u32,
+    next: u32,
+}
+
+/// End of the free list.
+const NIL: u32 = u32::MAX;
+
+/// Table-wide storage for one kind of channel queue: every channel's
+/// queue of that kind is a doubly linked list of cells in one `Vec`, and
+/// a cell freed on any channel is the next one any channel takes. So the
+/// pool grows only to the peak number of elements live at once, and a
+/// warm table allocates nothing however many channels come and go.
+#[derive(Debug)]
+struct CellPool<T> {
+    cells: Vec<Cell<T>>,
+    /// Head of the free list (`NIL` when every cell is live).
+    free: u32,
+}
+
+impl<T> Default for CellPool<T> {
+    fn default() -> Self {
+        CellPool { cells: Vec::new(), free: NIL }
+    }
+}
+
+impl<T: Copy> CellPool<T> {
+    /// Store `cell`, in a cell from the free list if it has one.
+    #[inline]
+    fn take(&mut self, cell: Cell<T>) -> u32 {
+        if self.free == NIL {
+            let i = u32::try_from(self.cells.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("fewer than 2^32 - 1 queued elements");
+            self.cells.push(cell);
+            i
+        } else {
+            let i = self.free;
+            let c = &mut self.cells[i as usize];
+            self.free = c.next;
+            *c = cell;
+            i
+        }
+    }
+
+    /// Free cell `i`, returning what it held and its neighbours.
+    #[inline]
+    fn release(&mut self, i: u32) -> Cell<T> {
+        let c = &mut self.cells[i as usize];
+        let held = *c;
+        c.next = self.free;
+        self.free = i;
+        held
+    }
+
+    fn push_back(&mut self, q: &mut Queue, val: T) {
+        let i = self.take(Cell { val, prev: q.tail, next: NIL });
+        if q.len == 0 {
+            q.head = i;
+        } else {
+            self.cells[q.tail as usize].next = i;
+        }
+        q.tail = i;
+        q.len += 1;
+    }
+
+    fn push_front(&mut self, q: &mut Queue, val: T) {
+        let i = self.take(Cell { val, prev: NIL, next: q.head });
+        if q.len == 0 {
+            q.tail = i;
+        } else {
+            self.cells[q.head as usize].prev = i;
+        }
+        q.head = i;
+        q.len += 1;
+    }
+
+    fn pop_front(&mut self, q: &mut Queue) -> Option<T> {
+        if q.len == 0 {
+            return None;
+        }
+        let c = self.release(q.head);
+        q.head = c.next;
+        q.len -= 1;
+        Some(c.val)
+    }
+
+    fn pop_back(&mut self, q: &mut Queue) -> Option<T> {
+        if q.len == 0 {
+            return None;
+        }
+        let c = self.release(q.tail);
+        q.tail = c.prev;
+        q.len -= 1;
+        Some(c.val)
+    }
+
+    fn front(&self, q: Queue) -> Option<T> {
+        (q.len > 0).then(|| self.cells[q.head as usize].val)
+    }
+
+    /// `q`'s elements, front to back.
+    fn iter(&self, q: Queue) -> impl Iterator<Item = T> + '_ {
+        let mut at = q.head;
+        (0..q.len).map(move |_| {
+            let c = &self.cells[at as usize];
+            at = c.next;
+            c.val
+        })
+    }
+
+    /// Empty the pool (every queue into it must be dropped too).
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.free = NIL;
+    }
 }
 
 /// A PE's run-ahead save, as a channel marker: the acting PE and the
@@ -245,6 +403,12 @@ pub struct ChannelTable {
     dense: Vec<Channel>,
     /// Channels whose id falls outside `1..DENSE_LIMIT`.
     spill: HashMap<Word, Channel>,
+    /// Every channel's message-cache values.
+    values: CellPool<(Word, usize)>,
+    /// Every channel's parked senders `(ctx, pe, value)`.
+    senders: CellPool<(CtxId, usize, Word)>,
+    /// Every channel's parked receivers `(ctx, pe)`.
+    receivers: CellPool<(CtxId, usize)>,
     /// Per-context pending send acknowledgement: the channel it was
     /// earned on, consumed by the re-executed send. A blocked context
     /// re-executes exactly one instruction, so one slot suffices.
@@ -365,7 +529,7 @@ impl ChannelTable {
             if !c.waiting_senders.is_empty() {
                 return None;
             }
-            let &(value, from_pe) = c.buffer.front()?;
+            let (value, from_pe) = self.values.front(c.buffer)?;
             let from_pe = u32::try_from(from_pe).expect("PE indices fit in u32");
             ChanUndo { chan, recv: true, value, from_pe, fresh: false, raised: false }
         };
@@ -380,9 +544,9 @@ impl ChannelTable {
         #[allow(clippy::cast_sign_loss)]
         let c = &mut self.dense[u.chan as usize];
         if u.recv {
-            c.buffer.push_front((u.value, u.from_pe as usize));
+            self.values.push_front(&mut c.buffer, (u.value, u.from_pe as usize));
         } else {
-            c.buffer.pop_back();
+            self.values.pop_back(&mut c.buffer);
             c.high_water -= u64::from(u.raised);
             c.touched &= !u.fresh;
             self.transfers -= 1;
@@ -452,7 +616,7 @@ impl ChannelTable {
         }
         let capacity = self.capacity;
         let c = Self::slot(&mut self.dense, &mut self.spill, chan);
-        if let Some((receiver, _rpe)) = c.waiting_receivers.pop_front() {
+        if let Some((receiver, _rpe)) = self.receivers.pop_front(&mut c.waiting_receivers) {
             c.ready_count += 1;
             c.note_occupancy();
             let slot = Self::ctx_slot(&mut self.ready, receiver);
@@ -463,15 +627,15 @@ impl ChannelTable {
             return SendResult::Done { woke: Some(receiver) };
         }
         if c.buffer.len() < capacity {
-            c.buffer.push_back((value, pe));
+            self.values.push_back(&mut c.buffer, (value, pe));
             c.note_occupancy();
             self.transfers += 1;
             let buffered = c.buffer.len();
             self.trace.push(|| TraceEvent::CacheHit { ctx, chan, value, buffered });
             return SendResult::Done { woke: None };
         }
-        if !c.waiting_senders.iter().any(|&(s, _, _)| s == ctx) {
-            c.waiting_senders.push_back((ctx, pe, value));
+        if !self.senders.iter(c.waiting_senders).any(|(s, _, _)| s == ctx) {
+            self.senders.push_back(&mut c.waiting_senders, (ctx, pe, value));
             let senders = c.waiting_senders.len();
             self.trace.push(|| TraceEvent::CacheSpill { ctx, chan, value, senders });
         }
@@ -500,10 +664,12 @@ impl ChannelTable {
             }
         }
         let c = Self::slot(&mut self.dense, &mut self.spill, chan);
-        if let Some((value, from_pe)) = c.buffer.pop_front() {
+        if let Some((value, from_pe)) = self.values.pop_front(&mut c.buffer) {
             // A freed slot admits the next parked sender, if any.
-            let woke = if let Some((sender, spe, v)) = c.waiting_senders.pop_front() {
-                c.buffer.push_back((v, spe));
+            let woke = if let Some((sender, spe, v)) =
+                self.senders.pop_front(&mut c.waiting_senders)
+            {
+                self.values.push_back(&mut c.buffer, (v, spe));
                 let slot = Self::ctx_slot(&mut self.acks, sender);
                 debug_assert!(slot.is_none(), "a context holds at most one pending ack");
                 *slot = Some(chan);
@@ -516,7 +682,7 @@ impl ChannelTable {
             };
             return RecvResult::Done { value, woke, from_pe: Some(from_pe) };
         }
-        if let Some((sender, spe, value)) = c.waiting_senders.pop_front() {
+        if let Some((sender, spe, value)) = self.senders.pop_front(&mut c.waiting_senders) {
             let slot = Self::ctx_slot(&mut self.acks, sender);
             debug_assert!(slot.is_none(), "a context holds at most one pending ack");
             *slot = Some(chan);
@@ -524,8 +690,8 @@ impl ChannelTable {
             self.trace.push(|| TraceEvent::Rendezvous { chan, sender, receiver: ctx, value });
             return RecvResult::Done { value, woke: Some(sender), from_pe: Some(spe) };
         }
-        if !c.waiting_receivers.iter().any(|&(r, _)| r == ctx) {
-            c.waiting_receivers.push_back((ctx, pe));
+        if !self.receivers.iter(c.waiting_receivers).any(|(r, _)| r == ctx) {
+            self.receivers.push_back(&mut c.waiting_receivers, (ctx, pe));
         }
         RecvResult::Block
     }
@@ -560,22 +726,18 @@ impl ChannelTable {
     #[cold]
     pub fn blocked_infos(&self) -> Vec<BlockedInfo> {
         self.diag_scans.fetch_add(1, Ordering::Relaxed);
-        let mut out: Vec<BlockedInfo> =
-            self.iter_touched()
-                .flat_map(|(chan, c)| {
-                    let senders = c.waiting_senders.iter().map(move |&(ctx, pe, value)| {
-                        BlockedInfo { ctx, pe, chan, dir: ChanDir::Send, value: Some(value) }
-                    });
-                    let receivers = c.waiting_receivers.iter().map(move |&(ctx, pe)| BlockedInfo {
-                        ctx,
-                        pe,
-                        chan,
-                        dir: ChanDir::Recv,
-                        value: None,
-                    });
-                    senders.chain(receivers)
-                })
-                .collect();
+        let mut out: Vec<BlockedInfo> = self
+            .iter_touched()
+            .flat_map(|(chan, c)| {
+                let senders = self.senders.iter(c.waiting_senders).map(move |(ctx, pe, value)| {
+                    BlockedInfo { ctx, pe, chan, dir: ChanDir::Send, value: Some(value) }
+                });
+                let receivers = self.receivers.iter(c.waiting_receivers).map(move |(ctx, pe)| {
+                    BlockedInfo { ctx, pe, chan, dir: ChanDir::Recv, value: None }
+                });
+                senders.chain(receivers)
+            })
+            .collect();
         out.sort_unstable_by_key(|b| (b.ctx, b.chan));
         out
     }
@@ -638,9 +800,9 @@ impl ChannelTable {
             .iter_touched()
             .map(|(chan, c)| ChannelSnap {
                 chan,
-                buffer: c.buffer.iter().copied().collect(),
-                senders: c.waiting_senders.iter().copied().collect(),
-                receivers: c.waiting_receivers.iter().copied().collect(),
+                buffer: self.values.iter(c.buffer).collect(),
+                senders: self.senders.iter(c.waiting_senders).collect(),
+                receivers: self.receivers.iter(c.waiting_receivers).collect(),
                 acked: acked_by.remove(&chan).unwrap_or_default(),
                 ready: ready_by.remove(&chan).unwrap_or_default(),
                 high_water: c.high_water,
@@ -662,6 +824,9 @@ impl ChannelTable {
         self.spill.clear();
         self.acks.clear();
         self.ready.clear();
+        self.values.clear();
+        self.senders.clear();
+        self.receivers.clear();
         for s in snaps {
             for &ctx in &s.acked {
                 *Self::ctx_slot(&mut self.acks, ctx) = Some(s.chan);
@@ -670,9 +835,15 @@ impl ChannelTable {
                 *Self::ctx_slot(&mut self.ready, ctx) = Some((s.chan, v, pe));
             }
             let c = Self::slot(&mut self.dense, &mut self.spill, s.chan);
-            c.buffer = s.buffer.into_iter().collect();
-            c.waiting_senders = s.senders.into_iter().collect();
-            c.waiting_receivers = s.receivers.into_iter().collect();
+            for v in s.buffer {
+                self.values.push_back(&mut c.buffer, v);
+            }
+            for v in s.senders {
+                self.senders.push_back(&mut c.waiting_senders, v);
+            }
+            for v in s.receivers {
+                self.receivers.push_back(&mut c.waiting_receivers, v);
+            }
             c.ready_count = s.ready.len();
             c.high_water = s.high_water;
         }
@@ -687,10 +858,10 @@ impl ChannelTable {
         let mut out: Vec<CtxId> = self
             .iter_touched()
             .flat_map(|(_, c)| {
-                c.waiting_senders
-                    .iter()
-                    .map(|&(s, _, _)| s)
-                    .chain(c.waiting_receivers.iter().map(|&(r, _)| r))
+                self.senders
+                    .iter(c.waiting_senders)
+                    .map(|(s, _, _)| s)
+                    .chain(self.receivers.iter(c.waiting_receivers).map(|(r, _)| r))
             })
             .collect();
         out.sort_unstable();
@@ -974,5 +1145,110 @@ mod tests {
         assert_eq!(t.send(2, 0, ch, 200), SendResult::Block);
         assert!(matches!(t.recv(3, 0, ch), RecvResult::Done { value: 100, woke: Some(1), .. }));
         assert!(matches!(t.recv(3, 0, ch), RecvResult::Done { value: 200, woke: Some(2), .. }));
+    }
+
+    /// Random queue operations on handles sharing one pool agree with a
+    /// `VecDeque` per handle after every step, and the pool holds no
+    /// more cells than were ever live at once (freed cells are reused).
+    fn pool_matches_vecdeque_model(g: &mut qm_core::rng::Gen) {
+        let handles = g.range(1..=4usize);
+        let mut pool = CellPool::<u32>::default();
+        let mut queues = vec![Queue::default(); handles];
+        let mut model = vec![VecDeque::new(); handles];
+        let (mut live, mut peak) = (0usize, 0usize);
+        for step in 0..g.range(0..200u32) {
+            let h = g.range(0..handles);
+            let (q, m) = (&mut queues[h], &mut model[h]);
+            match g.weighted(&[3, 2, 3, 2, 1]) {
+                0 => {
+                    pool.push_back(q, step);
+                    m.push_back(step);
+                }
+                1 => {
+                    pool.push_front(q, step);
+                    m.push_front(step);
+                }
+                2 => assert_eq!(pool.pop_front(q), m.pop_front(), "pop_front"),
+                3 => assert_eq!(pool.pop_back(q), m.pop_back(), "pop_back"),
+                _ => assert_eq!(pool.front(*q), m.front().copied(), "front"),
+            }
+            live = model.iter().map(VecDeque::len).sum();
+            peak = peak.max(live);
+            for (q, m) in queues.iter().zip(&model) {
+                assert_eq!(q.len(), m.len(), "len");
+                assert_eq!(q.is_empty(), m.is_empty(), "is_empty");
+                assert!(pool.iter(*q).eq(m.iter().copied()), "iteration order");
+            }
+            assert!(pool.cells.len() <= peak, "{} cells for a peak of {peak}", pool.cells.len());
+        }
+        assert!(live <= peak);
+    }
+
+    #[test]
+    fn cell_pool_matches_a_vecdeque_per_queue() {
+        qm_core::rng::check(256, pool_matches_vecdeque_model);
+    }
+
+    /// Random legal traffic (a context whose offer blocked re-offers the
+    /// same transfer until it completes), then quiet transfers and their
+    /// undo records applied newest first: the table exports and reports
+    /// exactly what it did before the quiet steps.
+    fn quiet_then_undo_restores_the_table(g: &mut qm_core::rng::Gen) {
+        let capacity = *g.pick(&[0usize, 1, 8]);
+        let mut t = ChannelTable::new(capacity);
+        // Channels 1..=4, the last one never touched by the traffic.
+        let chans: Vec<Word> = (0..4).map(|_| t.allocate()).collect();
+        let ctxs = 6;
+        let mut pending: Vec<Option<(Word, bool, Word)>> = vec![None; ctxs];
+        let offer = |t: &mut ChannelTable, ctx: CtxId, (chan, send, value): (Word, bool, Word)| {
+            if send {
+                t.send(ctx, ctx % 2, chan, value) == SendResult::Block
+            } else {
+                t.recv(ctx, ctx % 2, chan) == RecvResult::Block
+            }
+        };
+        let op = |g: &mut qm_core::rng::Gen, ctx: CtxId, pending: &[Option<(Word, bool, Word)>]| {
+            pending[ctx]
+                .unwrap_or_else(|| (*g.pick(&chans[..3]), g.below(2) == 0, g.range(-100..100)))
+        };
+        for _ in 0..g.range(0..80u32) {
+            let ctx = g.range(0..ctxs);
+            let o = op(g, ctx, &pending);
+            pending[ctx] = offer(&mut t, ctx, o).then_some(o);
+        }
+
+        let states = |t: &ChannelTable| chans.iter().map(|&c| t.state(c)).collect::<Vec<_>>();
+        let before = (t.export_channels(), states(&t), t.transfers, t.blocked_contexts());
+        let mark = ChanMark { pe: 0, save: 1 };
+        let mut log = Vec::new();
+        for _ in 0..g.range(1..6u32) {
+            let ctx = g.range(0..ctxs);
+            let (mut chan, send, value) = op(g, ctx, &pending);
+            if pending[ctx].is_none() && g.below(4) == 0 {
+                chan = chans[3];
+            }
+            let Some(u) = t.quiet(ctx, chan, send, mark, |_| false) else { continue };
+            assert!(!offer(&mut t, ctx, (chan, send, value)), "a quiet transfer completes");
+            if pending[ctx].is_some_and(|(c, s, _)| (c, s) == (chan, send)) {
+                pending[ctx] = None;
+            }
+            log.push(u);
+        }
+        for u in log.iter().rev() {
+            t.undo(u);
+        }
+        let after = (t.export_channels(), states(&t), t.transfers, t.blocked_contexts());
+        assert_eq!(after, before, "capacity {capacity}, {} quiet transfers undone", log.len());
+    }
+
+    #[test]
+    fn undoing_quiet_transfers_restores_exports_and_states() {
+        qm_core::rng::check(256, quiet_then_undo_restores_the_table);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_channel_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Channel>(), 64);
     }
 }

@@ -1173,6 +1173,13 @@ impl System {
                 }
             }
         }
+        // Capture writes channels in ascending id order, once each.
+        if let Some(w) = snap.channels.windows(2).find(|w| w[0].chan >= w[1].chan) {
+            return bad(format!("chan {} listed after chan {}", w[1].chan, w[0].chan));
+        }
+        // A context waits on at most one channel, holding at most one of
+        // a parked send, a parked receive, an ack or a ready value.
+        let mut held = vec![false; ctxs];
         for c in &snap.channels {
             let refs = c
                 .senders
@@ -1184,6 +1191,18 @@ impl System {
             for ctx in refs {
                 if ctx >= ctxs {
                     return bad(format!("chan {} names nonexistent context {ctx}", c.chan));
+                }
+                if std::mem::replace(&mut held[ctx], true) {
+                    return bad(format!("chan {} names context {ctx} held elsewhere", c.chan));
+                }
+            }
+            let parked = c.senders.iter().map(|&(ctx, _, _)| ctx);
+            for ctx in parked.chain(c.receivers.iter().map(|&(ctx, _)| ctx)) {
+                if snap.contexts[ctx].state != CtxState::Blocked {
+                    return bad(format!(
+                        "chan {} parks context {ctx}, which is not blocked",
+                        c.chan
+                    ));
                 }
             }
             let pe_refs = c
@@ -1366,6 +1385,64 @@ child:  recv r17,#0 :r0
         advanced.run().unwrap();
         let c = Snapshot::capture(&advanced);
         assert_ne!(a.state_digest(), c.state_digest(), "running changes the digest");
+    }
+
+    #[test]
+    fn restore_rejects_a_context_held_twice() {
+        let mut base = Snapshot::capture(&mid_run_system());
+        assert!(base.contexts.len() >= 2, "the crafted records name contexts 0 and 1");
+        base.contexts[0].state = CtxState::Blocked;
+        base.contexts[1].state = CtxState::Blocked;
+        let chan = |chan| ChannelSnap {
+            chan,
+            buffer: vec![],
+            senders: vec![],
+            receivers: vec![],
+            acked: vec![],
+            ready: vec![],
+            high_water: 0,
+        };
+        let restore = |base: &Snapshot, channels: Vec<ChannelSnap>| {
+            let mut snap = base.clone();
+            snap.channels = channels;
+            System::restore(&snap).map(|_| ())
+        };
+        // Context 0 parked as a sender on channel 1, context 1 as a
+        // receiver on channel 2, both blocked: consistent.
+        let mut one = chan(1);
+        one.senders.push((0, 0, 7));
+        let mut two = chan(2);
+        two.receivers.push((1, 1));
+        assert_eq!(restore(&base, vec![one.clone(), two.clone()]), Ok(()));
+
+        let mut acked = one.clone();
+        acked.acked.push(0);
+        let mut ready = two.clone();
+        ready.ready.push((1, 5, 0));
+        let mut parked_twice = two.clone();
+        parked_twice.senders.push((0, 0, 9));
+        let mut queued_twice = one.clone();
+        queued_twice.senders.push((0, 0, 8));
+        let cases = [
+            ("a sender that is also acked", vec![acked, two.clone()]),
+            ("a parked receiver holding a ready value", vec![one.clone(), ready]),
+            ("a context parked on two channels", vec![one.clone(), parked_twice]),
+            ("a context twice in one queue", vec![queued_twice, two.clone()]),
+            ("a channel listed twice", vec![one.clone(), chan(1), two.clone()]),
+            ("channels out of order", vec![two.clone(), one.clone()]),
+        ];
+        for (what, channels) in cases {
+            assert!(
+                matches!(restore(&base, channels), Err(SnapshotError::Malformed(_))),
+                "restore accepted {what}"
+            );
+        }
+        let mut ready_but_parked = base.clone();
+        ready_but_parked.contexts[1].state = CtxState::Ready;
+        assert!(
+            matches!(restore(&ready_but_parked, vec![one, two]), Err(SnapshotError::Malformed(_))),
+            "restore accepted a parked context that is not blocked"
+        );
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! the same assembly and that the translated engine and the `Pe::step`
 //! oracle (`System::use_step_oracle`) agree on cycles, instructions and
 //! `state_digest` — on the splicing channels `par` compiles to, too.
+//! Every object it compiles must also pass the Strict static verifier
+//! and the deep pass, and no channel's runtime high-water mark may
+//! exceed the deep pass's `MaxQueueDepth` bound for it.
 //!
 //! Its inputs are random programs from one generator ([`random_program`]),
 //! the shrunk failures that generator once found (the `seed_` tests,
@@ -27,6 +30,8 @@ use queue_machine::occam::{codegen, parse, sema, Options};
 use queue_machine::sim::config::SystemConfig;
 use queue_machine::sim::snapshot::Snapshot;
 use queue_machine::sim::system::System;
+use queue_machine::sim::Word;
+use queue_machine::verify::{deep_verify, verify_object, DeepReport, FactKind, VerifyOptions};
 
 const ARRAY_LEN: i32 = 8;
 
@@ -46,6 +51,15 @@ fn run_differential(program: &Process) {
         let again = codegen::generate(&resolved, &opts).expect("compiles");
         assert_eq!(asm, again, "codegen is deterministic");
         let object = queue_machine::isa::asm::assemble(&asm).expect("assembles");
+        let vopts = VerifyOptions::default();
+        let report = verify_object(&object, &vopts);
+        assert!(
+            report.is_clean(),
+            "Strict verify rejects (pes={pes}):\n{}\n{asm}",
+            report.render()
+        );
+        let deep = deep_verify(&object, &vopts);
+        assert!(deep.deep_clean(), "deep verify rejects (pes={pes}):\n{}", deep.report.render());
         let build = || {
             let mut sys = System::new(SystemConfig::with_pes(pes));
             sys.load_object(&object);
@@ -67,6 +81,7 @@ fn run_differential(program: &Process) {
             "engine and Pe::step oracle digests diverged (pes={pes})\n{asm}"
         );
         assert_eq!(out.output, oracle.output, "screen output diverged (pes={pes})\n{asm}");
+        check_occupancy(&deep, &out.channel_high_water, &format!("pes={pes}\n{asm}"));
         for (name, kind) in &resolved.syms {
             if let SymKind::Array { addr, len } = kind {
                 let expected = &oracle.arrays[name];
@@ -79,6 +94,38 @@ fn run_differential(program: &Process) {
                 }
             }
         }
+    }
+}
+
+/// Every runtime high-water mark is at most the deep pass's
+/// `MaxQueueDepth` bound for its channel. A literal channel (`channel
+/// 5`) keeps its number at run time and compares directly; fork-allocated
+/// channels are numbered dynamically, so they compare the largest mark
+/// against the largest bound (the id mapping of
+/// `crates/qm-bench/tests/deep_cross_validation.rs`). The host channel
+/// bypasses the table and has no mark.
+fn check_occupancy(deep: &DeepReport, marks: &[(Word, u64)], what: &str) {
+    let facts: Vec<(Option<Word>, u64)> = deep
+        .facts
+        .iter()
+        .filter_map(|f| match &f.kind {
+            FactKind::MaxQueueDepth { chan, depth } if chan != "the host channel" => {
+                Some((chan.strip_prefix("channel ").and_then(|v| v.parse().ok()), *depth))
+            }
+            _ => None,
+        })
+        .collect();
+    let literal: Vec<Word> = facts.iter().filter_map(|&(id, _)| id).collect();
+    for &(id, bound) in &facts {
+        if let Some(id) = id {
+            let mark = marks.iter().find(|&&(c, _)| c == id).map_or(0, |&(_, m)| m);
+            assert!(mark <= bound, "channel {id} high-water {mark} > bound {bound} ({what})");
+        }
+    }
+    if let Some(bound) = facts.iter().filter(|(id, _)| id.is_none()).map(|&(_, d)| d).max() {
+        let mark =
+            marks.iter().filter(|(c, _)| !literal.contains(c)).map(|&(_, m)| m).max().unwrap_or(0);
+        assert!(mark <= bound, "dynamic-channel high-water {mark} > bound {bound} ({what})");
     }
 }
 
