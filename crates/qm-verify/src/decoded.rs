@@ -6,10 +6,7 @@
 //! its size, and whether the word is a valid control-flow target. The
 //! table also holds the address-sorted symbol table the passes label
 //! contexts with. One verification call builds it once and hands it to
-//! every pass. The two worklist passes also share [`Points`], their
-//! per-context program-point table, indexed by word.
-
-use std::collections::VecDeque;
+//! every pass.
 
 use qm_isa::asm::Object;
 use qm_isa::isa::Instruction;
@@ -137,95 +134,5 @@ impl Succs {
 
     pub(crate) fn as_slice(&self) -> &[UWord] {
         &self.addrs[..usize::from(self.len)]
-    }
-}
-
-/// [`Points`] index entry for a word that is not a program point.
-const NO_POINT: u32 = u32::MAX;
-
-/// The program points of one context's worklist analysis: per-point
-/// data `P` in discovery order, a dense per-word index from address to
-/// point, and the worklist of point ids. One table serves every context
-/// of a pass; [`start`](Self::start) resets only the index entries the
-/// previous context set, so a context allocates only when it outgrows
-/// every earlier one.
-pub(crate) struct Points<'a, P> {
-    code: &'a DecodedCode<'a>,
-    /// Per object word: the id of its point, or [`NO_POINT`].
-    index: Vec<u32>,
-    addrs: Vec<UWord>,
-    data: Vec<P>,
-    work: VecDeque<u32>,
-}
-
-impl<'a, P> Points<'a, P> {
-    pub(crate) fn new(code: &'a DecodedCode<'a>) -> Self {
-        Points {
-            code,
-            index: vec![NO_POINT; code.len()],
-            addrs: Vec::new(),
-            data: Vec::new(),
-            work: VecDeque::new(),
-        }
-    }
-
-    /// Forget the previous context; `entry` becomes the first point,
-    /// queued.
-    pub(crate) fn start(&mut self, entry: UWord, p: P) {
-        for &addr in &self.addrs {
-            if let Some(w) = self.code.index(addr) {
-                self.index[w] = NO_POINT;
-            }
-        }
-        self.addrs.clear();
-        self.data.clear();
-        self.work.clear();
-        self.add(entry, p);
-    }
-
-    /// Make `addr` a new point and queue it.
-    pub(crate) fn add(&mut self, addr: UWord, p: P) {
-        let id = u32::try_from(self.data.len()).expect("fewer points than object words");
-        if let Some(w) = self.code.index(addr) {
-            self.index[w] = id;
-        }
-        self.addrs.push(addr);
-        self.data.push(p);
-        self.work.push_back(id);
-    }
-
-    /// The id of the point at `addr`, when `addr` is one.
-    pub(crate) fn find(&self, addr: UWord) -> Option<u32> {
-        let id = self.index[self.code.index(addr)?];
-        (id != NO_POINT).then_some(id)
-    }
-
-    /// Queue point `id` again.
-    pub(crate) fn push(&mut self, id: u32) {
-        self.work.push_back(id);
-    }
-
-    /// The next queued point.
-    pub(crate) fn pop(&mut self) -> Option<u32> {
-        self.work.pop_front()
-    }
-
-    pub(crate) fn addr(&self, id: u32) -> UWord {
-        self.addrs[id as usize]
-    }
-
-    pub(crate) fn get(&self, id: u32) -> &P {
-        &self.data[id as usize]
-    }
-
-    pub(crate) fn get_mut(&mut self, id: u32) -> &mut P {
-        &mut self.data[id as usize]
-    }
-
-    /// Every point as `(addr, id)`, ascending by address.
-    pub(crate) fn by_addr(&self) -> Vec<(UWord, u32)> {
-        let mut order: Vec<(UWord, u32)> = self.addrs.iter().copied().zip(0..).collect();
-        order.sort_unstable();
-        order
     }
 }

@@ -56,12 +56,13 @@ use qm_isa::asm::Object;
 use qm_isa::isa::{Instruction, Opcode, SrcMode, REG_DUMMY};
 use qm_isa::{UWord, Word};
 
-use crate::decoded::{DecodedCode, Points, Succs};
+use crate::decoded::{DecodedCode, Succs};
 use crate::diag::{Code, Diagnostic, Report};
 use crate::domain::{fold, AbsV, Consts};
 use crate::wiring::{
     depth_bounds, replay_buffered, replay_rendezvous, ChanId, EventKind, WiringPass,
 };
+use crate::worklist::{Dataflow, Worklist};
 use crate::{names, VerifyOptions};
 
 /// Serialization version of [`DeepReport`] (the `version` field of the
@@ -332,16 +333,31 @@ impl DeepReport {
 
 /// Abstract state at one program point: the 16 window slots, the plain
 /// globals `r17..r28` (at index `n - 16`), and the last produced result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DState {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DState {
+    /// A ring: window slot `n` is `slots[(head + n) % 16]`.
     slots: [AbsV; 16],
+    head: u8,
     globals: [AbsV; 13],
     result: AbsV,
 }
 
 impl DState {
     const ENTRY: DState =
-        DState { slots: [AbsV::Top; 16], globals: [AbsV::Top; 13], result: AbsV::Top };
+        DState { slots: [AbsV::Top; 16], head: 0, globals: [AbsV::Top; 13], result: AbsV::Top };
+
+    fn slot_index(&self, n: u8) -> usize {
+        usize::from(self.head.wrapping_add(n) % 16)
+    }
+
+    /// Window slot `n` (relative to the front).
+    fn slot(&self, n: u8) -> &AbsV {
+        &self.slots[self.slot_index(n)]
+    }
+
+    fn set_slot(&mut self, n: u8, v: AbsV) {
+        self.slots[self.slot_index(n)] = v;
+    }
 
     /// Join (or, with `widen`, widen) `other` into this state; true when
     /// this state changed.
@@ -354,8 +370,9 @@ impl DState {
                 changed = true;
             }
         };
-        for (a, b) in self.slots.iter_mut().zip(&other.slots) {
-            merge(a, b);
+        for n in 0..16 {
+            let i = self.slot_index(n);
+            merge(&mut self.slots[i], other.slot(n));
         }
         for (a, b) in self.globals.iter_mut().zip(&other.globals) {
             merge(a, b);
@@ -410,7 +427,7 @@ impl std::fmt::Display for Escape {
 
 /// Everything one transfer step says besides the out-state.
 #[derive(Debug, Clone, Copy, Default)]
-struct DStep {
+pub(crate) struct DStep {
     succs: Succs,
     /// Constant fork targets, all code entry points.
     forks: Option<Consts>,
@@ -431,29 +448,16 @@ struct CtxOut {
     forks: BTreeSet<UWord>,
 }
 
-/// One program point of the context under analysis.
-struct DPoint {
-    /// The in-state: the join over every path seen so far.
-    state: DState,
-    /// Joins into `state` so far; past [`WIDEN_AFTER`] they widen.
-    joins: usize,
-    /// The latest step from `state`.
-    last: Option<DStep>,
-}
-
 struct DeepPass<'a> {
     code: &'a DecodedCode<'a>,
-    points: Points<'a, DPoint>,
+    /// Transfer steps one context may take.
+    budget: usize,
 }
 
 impl<'a> DeepPass<'a> {
-    fn new(code: &'a DecodedCode<'a>) -> Self {
-        DeepPass { code, points: Points::new(code) }
-    }
-
     fn read_src(mode: SrcMode, state: &DState) -> AbsV {
         match mode {
-            SrcMode::Window(n) => state.slots[usize::from(n)],
+            SrcMode::Window(n) => *state.slot(n),
             SrcMode::Global(n) if (17..=28).contains(&n) => state.globals[usize::from(n - 16)],
             SrcMode::Global(_) => AbsV::Top,
             SrcMode::Imm(v) => AbsV::OneOf(Consts::one(Word::from(v))),
@@ -462,9 +466,11 @@ impl<'a> DeepPass<'a> {
     }
 
     fn advance(state: &mut DState, qp_inc: u8) {
-        let k = usize::from(qp_inc);
-        state.slots.copy_within(k.., 0);
-        state.slots[16 - k..].fill(AbsV::Top);
+        // The consumed front slots come back empty at the ring's end.
+        for n in 0..qp_inc {
+            state.set_slot(n, AbsV::Top);
+        }
+        state.head = state.head.wrapping_add(qp_inc) % 16;
     }
 
     /// Write a destination (post-advance). `Err` is the confinement
@@ -472,7 +478,7 @@ impl<'a> DeepPass<'a> {
     fn write_dst(state: &mut DState, dst: u8, v: AbsV) -> Result<(), Escape> {
         match dst {
             d if d < 16 => {
-                state.slots[usize::from(d)] = v;
+                state.set_slot(d, v);
                 Ok(())
             }
             REG_DUMMY => Ok(()),
@@ -493,13 +499,14 @@ impl<'a> DeepPass<'a> {
         }
     }
 
+    /// The transfer function at `addr`: turns the in-state `state` into
+    /// the out-state and returns what else the step found.
     #[allow(clippy::too_many_lines)]
-    fn step(&self, addr: UWord, in_state: &DState) -> (DState, DStep) {
-        let mut state = *in_state;
+    fn step(&self, addr: UWord, state: &mut DState) -> DStep {
         let mut out = DStep::default();
         let Some((instr, size)) = self.code.instr_at(addr) else {
             out.escape = Some(Escape::Undecodable);
-            return (state, out);
+            return out;
         };
         match *instr {
             Instruction::Dup { two, off1, off2, .. } => {
@@ -509,17 +516,17 @@ impl<'a> DeepPass<'a> {
                 let offs = [off1, off2];
                 for &off in &offs[..if two { 2 } else { 1 }] {
                     if off < 16 {
-                        state.slots[usize::from(off)] = in_state.result;
+                        state.set_slot(off, state.result);
                     }
                 }
                 self.fall_through(addr, size, &mut out);
             }
             Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, .. } => {
-                let a = Self::read_src(src1, in_state);
-                let b = Self::read_src(src2, in_state);
+                let a = Self::read_src(src1, state);
+                let b = Self::read_src(src2, state);
                 match op {
                     Opcode::Bne | Opcode::Beq => {
-                        Self::advance(&mut state, qp_inc);
+                        Self::advance(state, qp_inc);
                         let taken = a.singleton().map(|v| (v != 0) == (op == Opcode::Bne));
                         let next = addr + size;
                         if taken != Some(true) {
@@ -545,18 +552,18 @@ impl<'a> DeepPass<'a> {
                         }
                     }
                     Opcode::Trap | Opcode::Ftrap => {
-                        Self::advance(&mut state, qp_inc);
-                        self.step_trap(addr, size, &a, &b, dst1, dst2, &mut state, &mut out);
+                        Self::advance(state, qp_inc);
+                        self.step_trap(addr, size, &a, &b, dst1, dst2, state, &mut out);
                     }
                     Opcode::Fret | Opcode::Rett => out.escape = Some(Escape::KernelReturn(op)),
                     Opcode::Send => {
-                        Self::advance(&mut state, qp_inc);
+                        Self::advance(state, qp_inc);
                         self.fall_through(addr, size, &mut out);
                     }
                     Opcode::Recv => {
-                        Self::advance(&mut state, qp_inc);
-                        if let Err(e) = Self::write_dst(&mut state, dst1, AbsV::Top)
-                            .and_then(|()| Self::write_dst(&mut state, dst2, AbsV::Top))
+                        Self::advance(state, qp_inc);
+                        if let Err(e) = Self::write_dst(state, dst1, AbsV::Top)
+                            .and_then(|()| Self::write_dst(state, dst2, AbsV::Top))
                         {
                             out.escape = Some(e);
                         } else {
@@ -565,13 +572,13 @@ impl<'a> DeepPass<'a> {
                         }
                     }
                     Opcode::Fetch | Opcode::Fchb | Opcode::Store | Opcode::Storb => {
-                        Self::advance(&mut state, qp_inc);
+                        Self::advance(state, qp_inc);
                         let is_store = matches!(op, Opcode::Store | Opcode::Storb);
                         out.mem = Some((is_store, a));
                         if is_store {
                             self.fall_through(addr, size, &mut out);
-                        } else if let Err(e) = Self::write_dst(&mut state, dst1, AbsV::Top)
-                            .and_then(|()| Self::write_dst(&mut state, dst2, AbsV::Top))
+                        } else if let Err(e) = Self::write_dst(state, dst1, AbsV::Top)
+                            .and_then(|()| Self::write_dst(state, dst2, AbsV::Top))
                         {
                             out.escape = Some(e);
                         } else {
@@ -581,10 +588,10 @@ impl<'a> DeepPass<'a> {
                     }
                     _ => {
                         // ALU / compare.
-                        Self::advance(&mut state, qp_inc);
+                        Self::advance(state, qp_inc);
                         let v = fold(op, &a, &b);
-                        if let Err(e) = Self::write_dst(&mut state, dst1, v)
-                            .and_then(|()| Self::write_dst(&mut state, dst2, v))
+                        if let Err(e) = Self::write_dst(state, dst1, v)
+                            .and_then(|()| Self::write_dst(state, dst2, v))
                         {
                             out.escape = Some(e);
                         } else {
@@ -598,7 +605,7 @@ impl<'a> DeepPass<'a> {
         if out.escape.is_some() {
             out.succs.clear();
         }
-        (state, out)
+        out
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -662,37 +669,14 @@ impl<'a> DeepPass<'a> {
     /// last step, its mem site, forks and escape. The worklist pops a
     /// point after every change to its state, so that last step saw the
     /// fixpoint; only a budget stop steps every point again.
-    fn analyze_context(&mut self, entry: UWord) -> CtxOut {
-        self.points.start(entry, DPoint { state: DState::ENTRY, joins: 0, last: None });
-        let mut rounds = 0usize;
-        let mut budget_escape = None;
-        while let Some(i) = self.points.pop() {
-            rounds += 1;
-            let addr = self.points.addr(i);
-            if rounds > self.code.round_budget() {
-                // Widening makes this unreachable; treat a hit as an
-                // escape rather than silently under-approximating.
-                budget_escape = Some((addr, Escape::Budget.to_string()));
-                break;
-            }
-            let in_state = self.points.get(i).state;
-            let (out, step) = self.step(addr, &in_state);
-            self.points.get_mut(i).last = Some(step);
-            for &succ in step.succs.as_slice() {
-                match self.points.find(succ) {
-                    None => self.points.add(succ, DPoint { state: out, joins: 0, last: None }),
-                    Some(j) => {
-                        let p = self.points.get_mut(j);
-                        p.joins += 1;
-                        if p.state.merge_from(&out, p.joins > WIDEN_AFTER) {
-                            self.points.push(j);
-                        }
-                    }
-                }
-            }
-        }
+    fn analyze_context(&mut self, work: &mut Worklist<'a, Self>, entry: UWord) -> CtxOut {
+        // Widening makes a budget stop unreachable; treat a hit as an
+        // escape rather than silently under-approximating.
+        let budget_escape = work
+            .solve(self, entry, DState::ENTRY, self.budget)
+            .map(|addr| (addr, Escape::Budget.to_string()));
 
-        let order = self.points.by_addr();
+        let order = work.by_addr();
         let mut outcome = CtxOut {
             label: names::pc_span(&self.code.symbols, entry),
             visited: order.iter().map(|&(addr, _)| addr).collect(),
@@ -703,10 +687,9 @@ impl<'a> DeepPass<'a> {
         let stopped = budget_escape.is_some();
         outcome.escapes.extend(budget_escape);
         for (addr, i) in order {
-            let p = self.points.get(i);
-            let step = match p.last {
+            let step = match work.last(i) {
                 Some(step) if !stopped => step,
-                _ => self.step(addr, &p.state).1,
+                _ => self.step(addr, &mut work.state(i).clone()),
             };
             if let Some(reason) = step.escape {
                 outcome.escapes.push((addr, reason.to_string()));
@@ -718,6 +701,24 @@ impl<'a> DeepPass<'a> {
             outcome.forks.extend(step.forks.iter().flat_map(|f| f.as_slice()).map(|&t| t as UWord));
         }
         outcome
+    }
+}
+
+impl Dataflow for DeepPass<'_> {
+    type State = DState;
+    type Step = DStep;
+
+    fn step(&mut self, addr: UWord, state: &mut DState) -> DStep {
+        DeepPass::step(self, addr, state)
+    }
+
+    fn succs(step: &DStep) -> Succs {
+        step.succs
+    }
+
+    /// Joins past the [`WIDEN_AFTER`]-th widen.
+    fn merge(&mut self, into: &mut DState, from: &DState, joins: usize) -> bool {
+        into.merge_from(from, joins > WIDEN_AFTER)
     }
 }
 
@@ -741,16 +742,30 @@ pub fn deep_verify(obj: &Object, opts: &VerifyOptions) -> DeepReport {
 }
 
 /// Deep-verify an object with an explicit entry point.
-#[allow(clippy::too_many_lines)]
 pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepReport {
-    // One decoded table and one wiring model serve both tiers.
+    // One decoded table serves both tiers.
     let code = DecodedCode::new(obj);
-    let model = WiringPass::new(&code).build_model(entry);
+    deep_report(&code, entry, opts, code.round_budget())
+}
+
+/// Both tiers over decoded code, each worklist context limited to
+/// `budget` transfer steps.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn deep_report(
+    code: &DecodedCode,
+    entry: UWord,
+    opts: &VerifyOptions,
+    budget: usize,
+) -> DeepReport {
+    let obj = code.obj;
+    // One wiring model serves both tiers.
+    let model = WiringPass::new(code).build_model(entry);
     // The deep tier is a superset: its report embeds every shallow
     // finding, so callers gate (Strict/Warn) on one report no matter
     // which tier ran.
-    let mut report = crate::shallow_report(&code, &model, entry, opts);
-    let mut pass = DeepPass::new(&code);
+    let mut report = crate::shallow_report(code, &model, entry, opts, budget);
+    let mut pass = DeepPass { code, budget };
+    let mut work = Worklist::new(code);
 
     // Whole-program value/locality interpretation: every context
     // reachable through constant fork targets.
@@ -766,7 +781,7 @@ pub fn deep_verify_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> DeepR
             overflow_escape = Some((e, format!("fork tree beyond {MAX_CONTEXTS} entries")));
             break;
         }
-        let out = pass.analyze_context(e);
+        let out = pass.analyze_context(&mut work, e);
         pending.extend(out.forks.iter().copied());
         ctxs.push((e, out));
     }

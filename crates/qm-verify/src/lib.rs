@@ -53,6 +53,7 @@ mod queue;
 pub mod sequence;
 pub mod traps;
 mod wiring;
+mod worklist;
 
 pub use deep::{deep_verify, deep_verify_at, DeepFacts, DeepReport, Fact, FactKind, Verdict};
 pub use diag::{Code, Diagnostic, FastPathCertificate, Report, Severity};
@@ -98,20 +99,22 @@ pub fn verify_object(obj: &Object, opts: &VerifyOptions) -> Report {
 pub fn verify_object_at(obj: &Object, entry: UWord, opts: &VerifyOptions) -> Report {
     let code = decoded::DecodedCode::new(obj);
     let wiring = wiring::WiringPass::new(&code);
-    shallow_report(&code, &wiring.build_model(entry), entry, opts)
+    shallow_report(&code, &wiring.build_model(entry), entry, opts, code.round_budget())
 }
 
 /// The shallow tier's report — queue pass, then wiring lints — over an
 /// object already decoded and a wiring model already built from
-/// `entry`. The deep tier calls it with the pieces it reuses.
+/// `entry`, with `budget` transfer steps per context. The deep tier
+/// calls it with the pieces it reuses.
 fn shallow_report(
     code: &decoded::DecodedCode,
     model: &wiring::WiringModel,
     entry: UWord,
     opts: &VerifyOptions,
+    budget: usize,
 ) -> Report {
     let mut report = Report::with_symbols(code.symbols.clone());
-    queue::QueuePass::new(code, opts, code.round_budget()).run(entry, &mut report);
+    queue::QueuePass::new(code, opts, budget).run(entry, &mut report);
     wiring::WiringPass::new(code).lint(model, &mut report);
     report.sort();
     report

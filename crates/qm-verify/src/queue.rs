@@ -17,22 +17,26 @@
 //! paths.
 //!
 //! A transfer step allocates nothing beyond interning a value the pass
-//! has not seen before. States are `Copy`: constants are interned, so a
-//! state's slots are a `[u16; 256]` array of ids and a queue-pointer
-//! advance is one `copy_within`. Per-context states live in a table
-//! indexed by object word. Each step records its findings as compact
-//! [`Finding`]s in a log, and the diagnostics pass renders the last step
-//! at each point instead of stepping again: the worklist pops a point
-//! after every change to its state, so that last step saw the fixpoint.
+//! has not seen before, and it interns each produced value once. States
+//! are `Copy`: constants are interned, so a state's slots are a ring of
+//! 256 `u16` ids indexed from the front, and a queue-pointer advance
+//! clears the consumed slots and moves the ring's head. The shared
+//! [`Worklist`] steps straight-line runs in place on one working state
+//! and stores an in-state only where the fixpoint reads it again. Each
+//! step records its findings as compact [`Finding`]s in a log, and the
+//! diagnostics pass renders the last step at each point instead of
+//! stepping again: the worklist pops a point after every change to its
+//! state, so that last step saw the fixpoint.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use qm_isa::isa::{Instruction, Opcode, SrcMode, REG_DUMMY, REG_PC, REG_POM, REG_QP};
 use qm_isa::{UWord, Word};
 
-use crate::decoded::{DecodedCode, Points, Succs};
+use crate::decoded::{DecodedCode, Succs};
 use crate::diag::{Code, Diagnostic, Report};
 use crate::domain::{concat, Consts, SET_CAP};
+use crate::worklist::{Dataflow, Worklist};
 use crate::{names, traps, VerifyOptions};
 
 /// 256 definedness bits, one per queue slot relative to the front.
@@ -196,12 +200,15 @@ impl Values {
 }
 
 /// Abstract state at one program point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct State {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct State {
     /// Defined queue slots relative to the current front.
     defined: Mask,
-    /// Per slot (relative to the front): the id of its known value.
+    /// Per slot: the id of its known value. A ring: slot `n` relative
+    /// to the front is `consts[head + n]`, wrapping at 256.
     consts: [u16; 256],
+    /// Where the front is in `consts`.
+    head: u8,
     /// A value-producing instruction has executed (so `dup` has a
     /// result to duplicate) on every path to this point.
     have_result: bool,
@@ -213,18 +220,29 @@ impl State {
     const ENTRY: State = State {
         defined: Mask::EMPTY,
         consts: [UNKNOWN; 256],
+        head: 0,
         have_result: false,
         result_val: UNKNOWN,
     };
+
+    /// The value id of slot `n` relative to the front.
+    fn slot(&self, n: u8) -> u16 {
+        self.consts[usize::from(self.head.wrapping_add(n))]
+    }
+
+    fn set_slot(&mut self, n: u8, id: u16) {
+        self.consts[usize::from(self.head.wrapping_add(n))] = id;
+    }
 
     /// Join `other` into this state; true when this state changed.
     fn join_from(&mut self, other: &State) -> bool {
         let defined = self.defined.intersect(&other.defined);
         let mut changed = defined != self.defined;
         self.defined = defined;
-        for (a, &b) in self.consts.iter_mut().zip(&other.consts) {
-            if *a != b && *a != UNKNOWN {
-                *a = UNKNOWN;
+        for n in 0..=u8::MAX {
+            let a = self.slot(n);
+            if a != other.slot(n) && a != UNKNOWN {
+                self.set_slot(n, UNKNOWN);
                 changed = true;
             }
         }
@@ -284,20 +302,12 @@ enum Finding {
 /// What one transfer step leaves at its program point for the
 /// diagnostics pass.
 #[derive(Debug, Clone, Copy)]
-struct Transfer {
+pub(crate) struct Transfer {
     /// Defined slots after the step (the join-consistency lint's input).
     out_defined: Mask,
     succs: Succs,
     /// The step's findings: `log[findings.0..findings.1]`.
     findings: (usize, usize),
-}
-
-/// One program point of the context under analysis.
-struct Point {
-    /// The in-state: the join over every path seen so far.
-    state: State,
-    /// The latest step from `state`.
-    last: Option<Transfer>,
 }
 
 pub(crate) struct QueuePass<'a> {
@@ -309,7 +319,6 @@ pub(crate) struct QueuePass<'a> {
     values: Values,
     /// Findings of every step of the current context.
     log: Vec<Finding>,
-    points: Points<'a, Point>,
     /// `(to, from, defined)` per control-flow edge, for the join lint.
     edges: Vec<(UWord, UWord, Mask)>,
 }
@@ -322,7 +331,6 @@ impl<'a> QueuePass<'a> {
             budget,
             values: Values::default(),
             log: Vec::new(),
-            points: Points::new(code),
             edges: Vec::new(),
         }
     }
@@ -451,7 +459,7 @@ impl<'a> QueuePass<'a> {
                 if !state.defined.get(u32::from(n)) {
                     self.log.push(Finding::UndefinedRead(n));
                 }
-                self.values.get(state.consts[usize::from(n)])
+                self.values.get(state.slot(n))
             }
             SrcMode::Global(_) => None,
             SrcMode::Imm(v) => Some(AbsVal::constant(Word::from(v))),
@@ -466,20 +474,22 @@ impl<'a> QueuePass<'a> {
         if undefined != 0 {
             self.log.push(Finding::Underflow { qp_inc, undefined });
         }
-        let k = usize::from(qp_inc);
         state.defined.shift_down(u32::from(qp_inc));
-        state.consts.copy_within(k.., 0);
-        state.consts[256 - k..].fill(UNKNOWN);
+        // The consumed front slots become the ring's last slots.
+        for n in 0..qp_inc {
+            state.set_slot(n, UNKNOWN);
+        }
+        state.head = state.head.wrapping_add(qp_inc);
     }
 
-    /// Write a destination register (post-advance); `val` is the written
-    /// value when statically known. Returns `false` when the write makes
-    /// the rest of the path unanalyzable (pc/qp/pom).
-    fn write_dst(&mut self, state: &mut State, dst: u8, val: Option<AbsVal>) -> bool {
+    /// Write a destination register (post-advance); `val` is the id of
+    /// the written value. Returns `false` when the write makes the rest
+    /// of the path unanalyzable (pc/qp/pom).
+    fn write_dst(&mut self, state: &mut State, dst: u8, val: u16) -> bool {
         match dst {
             d if d < 16 => {
                 state.defined.set(u32::from(d));
-                state.consts[usize::from(d)] = self.values.id(val);
+                state.set_slot(d, val);
                 true
             }
             REG_PC | REG_QP | REG_POM => {
@@ -503,36 +513,40 @@ impl<'a> QueuePass<'a> {
         }
     }
 
-    /// The transfer function at `addr`: the out-state, with the step's
-    /// successors and findings.
-    fn step(&mut self, addr: UWord, in_state: &State) -> (State, Transfer) {
-        let mut out = *in_state;
+    /// The transfer function at `addr`: turns the in-state `state` into
+    /// the out-state and returns the step's successors and findings.
+    fn step(&mut self, addr: UWord, state: &mut State) -> Transfer {
         let mut succs = Succs::default();
         let first = self.log.len();
         match self.code.instr_at(addr) {
             None => self.log.push(Finding::Undecodable),
             Some((&Instruction::Dup { two, off1, off2, .. }, size)) => {
-                if !in_state.have_result {
+                if !state.have_result {
                     self.log.push(Finding::DupWithoutResult);
                 }
                 let offs = [off1, off2];
-                for &off in &offs[..if two { 2 } else { 1 }] {
+                let offs = &offs[..if two { 2 } else { 1 }];
+                // Both offsets are checked against the in-state before
+                // either is written.
+                for &off in offs {
                     if u32::from(off) >= self.opts.page_words {
                         self.log.push(Finding::DupOutsideWindow(off));
-                    } else if in_state.defined.get(u32::from(off)) {
+                    } else if state.defined.get(u32::from(off)) {
                         self.log.push(Finding::SlotOverwrite(off));
                     }
-                    out.defined.set(u32::from(off));
-                    out.consts[usize::from(off)] = in_state.result_val;
+                }
+                for &off in offs {
+                    state.defined.set(u32::from(off));
+                    state.set_slot(off, state.result_val);
                 }
                 self.fall_through(addr, size, &mut succs);
             }
             Some((&Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, .. }, size)) => {
-                let a = self.read_src(src1, in_state);
-                let b = self.read_src(src2, in_state);
+                let a = self.read_src(src1, state);
+                let b = self.read_src(src2, state);
                 match op {
                     Opcode::Bne | Opcode::Beq => {
-                        self.advance(&mut out, qp_inc);
+                        self.advance(state, qp_inc);
                         // Constant conditions fold: `beq #0,@l` is the
                         // unconditional-jump idiom, `bne #0,…` never fires.
                         let taken = AbsVal::singleton(a).map(|v| (v != 0) == (op == Opcode::Bne));
@@ -560,22 +574,22 @@ impl<'a> QueuePass<'a> {
                         }
                     }
                     Opcode::Trap | Opcode::Ftrap => {
-                        self.advance(&mut out, qp_inc);
-                        self.step_trap(addr, size, a, b, dst1, dst2, &mut out, &mut succs);
+                        self.advance(state, qp_inc);
+                        self.step_trap(addr, size, a, b, dst1, dst2, state, &mut succs);
                     }
                     Opcode::Fret | Opcode::Rett => self.log.push(Finding::KernelReturn(op)),
                     _ => {
                         // ALU / compare / memory / channel: value-producing
                         // unless store/send.
-                        self.advance(&mut out, qp_inc);
+                        self.advance(state, qp_inc);
                         let produces = !matches!(op, Opcode::Store | Opcode::Storb | Opcode::Send);
                         let mut analyzable = true;
                         if produces {
-                            let val = fold(op, a, b);
-                            analyzable &= self.write_dst(&mut out, dst1, val);
-                            analyzable &= self.write_dst(&mut out, dst2, val);
-                            out.have_result = true;
-                            out.result_val = self.values.id(val);
+                            let val = self.values.id(fold(op, a, b));
+                            analyzable &= self.write_dst(state, dst1, val);
+                            analyzable &= self.write_dst(state, dst2, val);
+                            state.have_result = true;
+                            state.result_val = val;
                         }
                         if analyzable {
                             self.fall_through(addr, size, &mut succs);
@@ -584,9 +598,7 @@ impl<'a> QueuePass<'a> {
                 }
             }
         }
-        let transfer =
-            Transfer { out_defined: out.defined, succs, findings: (first, self.log.len()) };
-        (out, transfer)
+        Transfer { out_defined: state.defined, succs, findings: (first, self.log.len()) }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -607,8 +619,8 @@ impl<'a> QueuePass<'a> {
                 Some((entry, _)) => Finding::UnknownTrapEntry(entry),
                 None => Finding::RuntimeTrapEntry,
             });
-            self.write_dst(out, dst1, None);
-            self.write_dst(out, dst2, None);
+            self.write_dst(out, dst1, UNKNOWN);
+            self.write_dst(out, dst2, UNKNOWN);
             out.have_result = true;
             out.result_val = UNKNOWN;
             self.fall_through(addr, size, succs);
@@ -623,12 +635,12 @@ impl<'a> QueuePass<'a> {
             self.log.push(Finding::NoResult { entry, dst: dst1 });
         }
         if results >= 1 {
-            self.write_dst(out, dst1, None);
+            self.write_dst(out, dst1, UNKNOWN);
             out.have_result = true;
             out.result_val = UNKNOWN;
         }
         if results >= 2 {
-            self.write_dst(out, dst2, None);
+            self.write_dst(out, dst2, UNKNOWN);
         }
         if traps::is_fork(entry) {
             match arg {
@@ -655,36 +667,14 @@ impl<'a> QueuePass<'a> {
     /// targets found (candidate further contexts).
     fn analyze_context(
         &mut self,
+        work: &mut Worklist<'a, Self>,
         entry: UWord,
         ctx: &str,
         report: &mut Report,
         seen: &mut HashSet<(Code, UWord, String)>,
     ) -> BTreeSet<UWord> {
         self.log.clear();
-        self.points.start(entry, Point { state: State::ENTRY, last: None });
-        let mut rounds = 0usize;
-        let mut stopped_at = None;
-        while let Some(i) = self.points.pop() {
-            rounds += 1;
-            let addr = self.points.addr(i);
-            if rounds > self.budget {
-                stopped_at = Some(addr);
-                break;
-            }
-            let in_state = self.points.get(i).state;
-            let (out, transfer) = self.step(addr, &in_state);
-            self.points.get_mut(i).last = Some(transfer);
-            for &succ in transfer.succs.as_slice() {
-                match self.points.find(succ) {
-                    None => self.points.add(succ, Point { state: out, last: None }),
-                    Some(j) => {
-                        if self.points.get_mut(j).state.join_from(&out) {
-                            self.points.push(j);
-                        }
-                    }
-                }
-            }
-        }
+        let stopped_at = work.solve(self, entry, State::ENTRY, self.budget);
 
         // Diagnostics over the fixpoint, once per program point, in
         // address order: each point's last step saw its fixpoint
@@ -707,13 +697,10 @@ impl<'a> QueuePass<'a> {
         }
         let mut forks = BTreeSet::new();
         self.edges.clear();
-        for (addr, i) in self.points.by_addr() {
-            let transfer = match self.points.get(i).last {
+        for (addr, i) in work.by_addr() {
+            let transfer = match work.last(i) {
                 Some(t) if stopped_at.is_none() => t,
-                _ => {
-                    let in_state = self.points.get(i).state;
-                    self.step(addr, &in_state).1
-                }
+                _ => self.step(addr, &mut work.state(i).clone()),
             };
             for &f in &self.log[transfer.findings.0..transfer.findings.1] {
                 if let Finding::Fork(target) = f {
@@ -762,14 +749,32 @@ impl<'a> QueuePass<'a> {
         let mut seen: HashSet<(Code, UWord, String)> = HashSet::new();
         let mut done: BTreeSet<UWord> = BTreeSet::new();
         let mut pending: VecDeque<UWord> = VecDeque::from([entry]);
+        let mut work = Worklist::new(self.code);
         while let Some(e) = pending.pop_front() {
             if !done.insert(e) {
                 continue;
             }
             let label = names::pc_span(&self.code.symbols, e);
-            let forks = self.analyze_context(e, &label, report, &mut seen);
+            let forks = self.analyze_context(&mut work, e, &label, report, &mut seen);
             pending.extend(forks);
         }
+    }
+}
+
+impl Dataflow for QueuePass<'_> {
+    type State = State;
+    type Step = Transfer;
+
+    fn step(&mut self, addr: UWord, state: &mut State) -> Transfer {
+        QueuePass::step(self, addr, state)
+    }
+
+    fn succs(step: &Transfer) -> Succs {
+        step.succs
+    }
+
+    fn merge(&mut self, into: &mut State, from: &State, _joins: usize) -> bool {
+        into.join_from(from)
     }
 }
 

@@ -79,6 +79,34 @@ enum Sym {
     Chan(ChanId),
 }
 
+/// The queue window of one instance: what each slot relative to the
+/// front holds. A ring of 256 slots (every offset a `dup` can name):
+/// slot `n` is `slots[head + n]`, wrapping, so a queue-pointer advance
+/// clears the consumed slots and moves `head`.
+struct Window {
+    slots: [Sym; 256],
+    head: u8,
+}
+
+impl Window {
+    fn get(&self, n: u8) -> Sym {
+        self.slots[usize::from(self.head.wrapping_add(n))]
+    }
+
+    fn set(&mut self, n: u8, v: Sym) {
+        self.slots[usize::from(self.head.wrapping_add(n))] = v;
+    }
+
+    /// The queue pointer advanced by `k`: slot `k + n` becomes slot `n`,
+    /// and the consumed slots come back empty at the far end.
+    fn advance(&mut self, k: u8) {
+        for n in 0..k {
+            self.set(n, Sym::Top);
+        }
+        self.head = self.head.wrapping_add(k);
+    }
+}
+
 impl Sym {
     /// Interpret the value as a channel operand.
     fn as_chan(self) -> Option<ChanId> {
@@ -163,11 +191,11 @@ impl<'a> WiringPass<'a> {
         let mut globals = [Sym::Top; 16];
         globals[(REG_IN_CHAN - 16) as usize] = instances[id].r17;
         globals[(REG_OUT_CHAN - 16) as usize] = instances[id].r18;
-        let mut slots: BTreeMap<u32, Sym> = BTreeMap::new();
+        let mut slots = Window { slots: [Sym::Top; 256], head: 0 };
         let mut last_result = Sym::Top;
 
-        let read = |mode: SrcMode, slots: &BTreeMap<u32, Sym>, globals: &[Sym; 16]| match mode {
-            SrcMode::Window(n) => slots.get(&u32::from(n)).copied().unwrap_or(Sym::Top),
+        let read = |mode: SrcMode, slots: &Window, globals: &[Sym; 16]| match mode {
+            SrcMode::Window(n) => slots.get(n),
             SrcMode::Global(n) if n > 16 => globals[(n - 16) as usize],
             SrcMode::Global(_) => Sym::Top,
             SrcMode::Imm(v) => Sym::Const(Word::from(v)),
@@ -180,43 +208,31 @@ impl<'a> WiringPass<'a> {
             };
             match *instr {
                 Instruction::Dup { two, off1, off2, .. } => {
-                    slots.insert(u32::from(off1), last_result);
+                    slots.set(off1, last_result);
                     if two {
-                        slots.insert(u32::from(off2), last_result);
+                        slots.set(off2, last_result);
                     }
                     pc += size;
                 }
                 Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, .. } => {
                     let a = read(src1, &slots, &globals);
                     let b = read(src2, &slots, &globals);
-                    let advance = |slots: &mut BTreeMap<u32, Sym>| {
-                        if qp_inc > 0 {
-                            let shifted: BTreeMap<u32, Sym> = slots
-                                .iter()
-                                .filter(|(&k, _)| k >= u32::from(qp_inc))
-                                .map(|(&k, &v)| (k - u32::from(qp_inc), v))
-                                .collect();
-                            *slots = shifted;
-                        }
-                    };
-                    let write = |dst: u8,
-                                 v: Sym,
-                                 slots: &mut BTreeMap<u32, Sym>,
-                                 globals: &mut [Sym; 16]|
-                     -> bool {
-                        match dst {
-                            d if d < 16 => {
-                                slots.insert(u32::from(d), v);
-                                true
+                    let advance = |slots: &mut Window| slots.advance(qp_inc);
+                    let write =
+                        |dst: u8, v: Sym, slots: &mut Window, globals: &mut [Sym; 16]| -> bool {
+                            match dst {
+                                d if d < 16 => {
+                                    slots.set(d, v);
+                                    true
+                                }
+                                REG_DUMMY => true,
+                                d if d < 29 => {
+                                    globals[(d - 16) as usize] = v;
+                                    true
+                                }
+                                _ => false, // pom/qp/pc written: undecidable
                             }
-                            REG_DUMMY => true,
-                            d if d < 29 => {
-                                globals[(d - 16) as usize] = v;
-                                true
-                            }
-                            _ => false, // pom/qp/pc written: undecidable
-                        }
-                    };
+                        };
                     let reg_write_bail = |pc| Bail {
                         pc,
                         reason: "destination writes the queue or program pointer".into(),

@@ -1,12 +1,18 @@
-//! Bound on the verifier's heap traffic: both tiers make at most
-//! [`MAX_ALLOCS_PER_WORD`] allocations per object word.
+//! Bound on the verifier's heap traffic: the shallow tier makes at most
+//! [`MAX_SHALLOW_ALLOCS_PER_WORD`] allocations per object word and the
+//! deep tier at most [`MAX_DEEP_ALLOCS_PER_WORD`].
 //!
 //! The queue and deep passes step every program point under abstract
 //! states that are plain `Copy` values, so a transfer step allocates
-//! nothing; what remains is per-program setup (the decoded-code table,
-//! the dense state tables, the symbol table) and the report itself. A
-//! regression that puts a map, a `Vec` or a `String` back into the
-//! per-step path costs tens of allocations per word and fails here.
+//! nothing, and the wiring model keeps each instance's queue window in a
+//! fixed ring; what remains is per-program setup (the decoded-code
+//! table, the dense state tables, the symbol table) and the report
+//! itself, whose deep facts carry a context label each. The bounds sit
+//! at about twice the measured figures (shallow 0.18–0.27, deep
+//! 1.62–1.81 on the two programs below). A regression that puts a map,
+//! a `Vec` or a `String` back into a per-step or per-advance path fails
+//! here: rebuilding the wiring window as a `BTreeMap` on every queue
+//! advance cost the shallow tier 1.06–1.47 allocations per word.
 //!
 //! The test installs a counting `#[global_allocator]`; this file is its
 //! own test binary and holds exactly one `#[test]`, so no sibling test
@@ -21,8 +27,11 @@ use queue_machine::occam::{compile, Options};
 use queue_machine::verify::{deep_verify, verify_object, VerifyOptions};
 use queue_machine::workloads::{cholesky, matmul};
 
-/// Allocations per object word each tier may make.
-const MAX_ALLOCS_PER_WORD: f64 = 8.0;
+/// Allocations per object word the shallow tier may make.
+const MAX_SHALLOW_ALLOCS_PER_WORD: f64 = 0.5;
+/// Allocations per object word the deep tier (which embeds the shallow
+/// report) may make.
+const MAX_DEEP_ALLOCS_PER_WORD: f64 = 3.5;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -72,13 +81,14 @@ fn verifier_allocations_per_word_are_bounded() {
         let deep = allocs_per_word(&obj, |o| deep_verify(o, &opts));
         println!("{}: shallow {shallow:.2}, deep {deep:.2} allocations per word", w.name);
         assert!(
-            shallow <= MAX_ALLOCS_PER_WORD,
-            "{}: verify_object makes {shallow:.2} allocations per word (bound {MAX_ALLOCS_PER_WORD})",
+            shallow <= MAX_SHALLOW_ALLOCS_PER_WORD,
+            "{}: verify_object makes {shallow:.2} allocations per word \
+             (bound {MAX_SHALLOW_ALLOCS_PER_WORD})",
             w.name
         );
         assert!(
-            deep <= MAX_ALLOCS_PER_WORD,
-            "{}: deep_verify makes {deep:.2} allocations per word (bound {MAX_ALLOCS_PER_WORD})",
+            deep <= MAX_DEEP_ALLOCS_PER_WORD,
+            "{}: deep_verify makes {deep:.2} allocations per word (bound {MAX_DEEP_ALLOCS_PER_WORD})",
             w.name
         );
     }
