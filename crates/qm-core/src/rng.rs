@@ -38,16 +38,93 @@ pub fn draw(seed: u64, stream: u64, seq: u64) -> u64 {
 /// 8-byte chunks, with the length folded in so truncations and
 /// extensions always change the sum. Not cryptographic — it guards
 /// against corruption and mis-framing, not adversaries.
+///
+/// The same sum as feeding `bytes` to a fresh [`Checksum`] in any
+/// number of pieces.
 #[inline]
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0x51CC_5EED_0000_0001;
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h ^ u64::from_le_bytes(word));
+    let mut c = Checksum::new();
+    c.update(bytes);
+    c.finish()
+}
+
+/// The streaming form of [`checksum`]: bytes fed in pieces fold into the
+/// same sum as the whole string at once, so a serializer can hash its
+/// output as it writes it instead of buffering it first.
+#[derive(Debug, Clone, Copy)]
+pub struct Checksum {
+    h: u64,
+    /// The bytes of the unfinished chunk, packed little-endian.
+    tail: u64,
+    tail_len: usize,
+    len: u64,
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Checksum::new()
     }
-    mix(h ^ bytes.len() as u64)
+}
+
+impl Checksum {
+    /// The sum of no bytes yet.
+    #[must_use]
+    pub const fn new() -> Self {
+        Checksum { h: 0x51CC_5EED_0000_0001, tail: 0, tail_len: 0, len: 0 }
+    }
+
+    /// Fold `bytes` in after everything fed so far.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        if bytes.len() <= 8 {
+            self.word(bytes);
+        } else {
+            self.bulk(bytes);
+        }
+    }
+
+    /// [`Checksum::update`] for at most 8 bytes, all in registers: a
+    /// serializer's primitives hash as they are written.
+    #[inline]
+    fn word(&mut self, bytes: &[u8]) {
+        let n = bytes.len();
+        let mut word = [0u8; 8];
+        word[..n].copy_from_slice(bytes);
+        let v = u64::from_le_bytes(word);
+        self.len += n as u64;
+        let fill = self.tail_len;
+        self.tail |= v << (8 * fill);
+        if fill + n >= 8 {
+            self.h = mix(self.h ^ self.tail);
+            // The bytes of `v` that did not fit; `v` is zero past `n`.
+            self.tail = if fill == 0 { 0 } else { v >> (64 - 8 * fill) };
+            self.tail_len = fill + n - 8;
+        } else {
+            self.tail_len = fill + n;
+        }
+    }
+
+    fn bulk(&mut self, bytes: &[u8]) {
+        let (head, body) = bytes.split_at((8 - self.tail_len) % 8);
+        self.word(head);
+        let mut chunks = body.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.h = mix(self.h ^ u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        self.len += (body.len() - rest.len()) as u64;
+        self.word(rest);
+    }
+
+    /// The sum of every byte fed so far; a short last chunk is
+    /// zero-padded.
+    #[inline]
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        let h = if self.tail_len > 0 { mix(self.h ^ self.tail) } else { self.h };
+        mix(h ^ self.len)
+    }
 }
 
 /// The size [`check`] draws every case at first. Shrinking halves it:
@@ -233,6 +310,33 @@ mod tests {
         extended.push(0);
         assert_ne!(base, checksum(&extended), "zero-extension changes the sum");
         assert_ne!(checksum(b""), checksum(&[0u8]), "length is folded in");
+    }
+
+    #[test]
+    fn checksum_is_independent_of_how_the_bytes_are_split() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(83).collect();
+        // The fold before streaming existed, kept as the reference.
+        let reference = |bytes: &[u8]| {
+            let mut h: u64 = 0x51CC_5EED_0000_0001;
+            for chunk in bytes.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                h = mix(h ^ u64::from_le_bytes(word));
+            }
+            mix(h ^ bytes.len() as u64)
+        };
+        for n in 0..data.len() {
+            assert_eq!(checksum(&data[..n]), reference(&data[..n]), "length {n}");
+        }
+        let whole = checksum(&data);
+        for piece in 1..=11 {
+            let mut c = Checksum::new();
+            for p in data.chunks(piece) {
+                c.update(p);
+                c.update(&[]);
+            }
+            assert_eq!(c.finish(), whole, "pieces of {piece}");
+        }
     }
 
     #[test]

@@ -2,15 +2,20 @@
 //! and the time-sliced executor that runs one preemption slice per
 //! claim.
 //!
-//! Preemption rides the snapshot subsystem's determinism contract
-//! (`docs/DETERMINISM.md`): a paused job is captured with
-//! [`Snapshot::capture`], encoded to bytes, and requeued at the FIFO
-//! tail; the next worker (any worker — snapshots are plain data)
-//! decodes, [`System::restore`]s and continues. Because restore-then-run
-//! is bit-identical to an uninterrupted run, a job's result — cycle
-//! count, outputs, architectural [`Snapshot::state_digest`] — is
+//! Preemption parks the paused [`System`] itself: a slice stops with
+//! [`System::run_until`] at a step boundary, the boxed machine rides the
+//! job's [`Continuation`] to the FIFO tail, and the next worker (any
+//! worker — a paused `System` is `Send`) calls `run_until` on the same
+//! machine. Nothing is captured, encoded or retranslated between slices.
+//! Pausing and continuing changes no architectural state, so a job's
+//! result — cycle count, outputs, [`Snapshot::state_digest`] — is
 //! independent of how often it was preempted or which threads ran its
 //! slices. The serve smoke test asserts exactly that.
+//!
+//! Parked machines are bounded by admission: paused jobs wait in the
+//! FIFO, which [`JobQueue::submit`] caps at `queue_cap`, and at most one
+//! more per worker is requeued past that cap, so no more than
+//! `queue_cap` + workers jobs are parked at once.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -51,7 +56,7 @@ pub enum Status {
     Queued,
     /// A worker is executing a slice right now.
     Running,
-    /// Preempted mid-run; snapshot held, waiting at the FIFO tail.
+    /// Preempted mid-run; its machine is parked, waiting at the FIFO tail.
     Paused,
     /// Finished; `result` is populated.
     Done,
@@ -88,10 +93,11 @@ pub struct JobResult {
     pub verify_json: Option<String>,
 }
 
-/// Saved state of a preempted job.
+/// A preempted job: its paused machine, parked until a worker claims
+/// the job again.
 #[derive(Debug)]
 pub struct Continuation {
-    snapshot: Vec<u8>,
+    sys: Box<System>,
     /// Cycle the next slice resumes at (the pause point).
     resume_at: u64,
     /// Workload jobs carry their workload and compile-cache entry so the
@@ -413,15 +419,16 @@ fn compile_occam(
     })
 }
 
-/// Execute one preemption slice of `unit`: build or restore the system,
-/// run until the slice limit, and report done / paused / failed.
+/// Execute one preemption slice of `unit`: build the system or resume
+/// the parked one, run until the slice limit, and report done / paused /
+/// failed.
 #[must_use]
 pub fn execute_slice(unit: WorkUnit, cache: &CompileCache, defaults: &ExecConfig) -> StepReport {
     let spec = &unit.spec;
     let slice = spec.slice_cycles.unwrap_or(defaults.slice_cycles);
     let budget = spec.max_cycles.unwrap_or(defaults.max_cycles);
 
-    // Build (first slice) or restore (resumed slice) the system.
+    // Build the system (first slice) or take back the parked one.
     let (mut sys, resume_at, workload, verify_json, cache_hit) = match unit.cont {
         None => {
             let (entry, hit, workload) = match build_entry(spec, cache) {
@@ -478,7 +485,7 @@ pub fn execute_slice(unit: WorkUnit, cache: &CompileCache, defaults: &ExecConfig
                     .map_err(|e| e.to_string())
             };
             match built {
-                Ok(sys) => (sys, 0, workload.map(|w| (w, entry)), verify_json, Some(hit)),
+                Ok(sys) => (Box::new(sys), 0, workload.map(|w| (w, entry)), verify_json, Some(hit)),
                 Err(msg) => {
                     return StepReport {
                         step: Step::Failed("sim_error", msg),
@@ -487,20 +494,7 @@ pub fn execute_slice(unit: WorkUnit, cache: &CompileCache, defaults: &ExecConfig
                 }
             }
         }
-        Some(cont) => {
-            let restored = Snapshot::decode(&cont.snapshot)
-                .map_err(|e| e.to_string())
-                .and_then(|snap| System::restore(&snap).map_err(|e| e.to_string()));
-            match restored {
-                Ok(sys) => (sys, cont.resume_at, cont.workload, cont.verify_json, None),
-                Err(msg) => {
-                    return StepReport {
-                        step: Step::Failed("snapshot_error", msg),
-                        cache_hit: None,
-                    };
-                }
-            }
-        }
+        Some(cont) => (cont.sys, cont.resume_at, cont.workload, cont.verify_json, None),
     };
 
     let limit = if slice == 0 { budget } else { budget.min(resume_at.saturating_add(slice)) };
@@ -510,12 +504,9 @@ pub fn execute_slice(unit: WorkUnit, cache: &CompileCache, defaults: &ExecConfig
             "budget_exhausted",
             format!("still running at cycle {cycle} with a budget of {budget}"),
         ),
-        Ok(RunStatus::Paused { cycle }) => Step::Paused(Continuation {
-            snapshot: Snapshot::capture(&sys).encode(),
-            resume_at: cycle,
-            workload,
-            verify_json,
-        }),
+        Ok(RunStatus::Paused { cycle }) => {
+            Step::Paused(Continuation { sys, resume_at: cycle, workload, verify_json })
+        }
         Ok(RunStatus::Done(outcome)) => {
             let state_digest = Snapshot::capture(&sys).state_digest();
             let (correct, mismatches) = match &workload {
@@ -592,40 +583,59 @@ mod tests {
         assert_eq!(q.stats().done, 1);
     }
 
+    /// Resuming in place keeps host-side state a fresh machine would
+    /// not have — the translation, the channel contention hints, the
+    /// run-loop counters — so slicing is checked where that state is
+    /// busiest: many PEs with quiet channel transfers running ahead, and
+    /// 1-cycle slices that pause inside contact windows.
     #[test]
     fn sliced_run_matches_unsliced_bit_for_bit() {
+        let cases: [(&str, usize, usize, u64); 5] = [
+            ("matmul", 4, 1, 500),
+            ("matmul", 4, 1, 1),
+            ("fft", 8, 8, 40),
+            ("fft", 8, 8, 1),
+            ("congruence", 4, 16, 1),
+        ];
         let cache = CompileCache::new();
-        let q = JobQueue::new(8, 8);
-        let w = qm_workloads::matmul(4);
-        let whole = spec(Program::Workload { name: "matmul".into(), param: 4 });
-        let mut sliced = whole.clone();
-        sliced.slice_cycles = Some(500);
-        let id_whole = q.submit(whole).unwrap();
-        let id_sliced = q.submit(sliced).unwrap();
         let defaults = ExecConfig::default();
-        // Drain until both jobs settle (sliced one requeues itself).
-        while q.stats().done + q.stats().failed < 2 {
-            drain_one(&q, &cache, &defaults);
+        for (name, param, pes, slice) in cases {
+            let q = JobQueue::new(8, 8);
+            let mut whole = spec(Program::Workload { name: name.into(), param });
+            whole.pes = pes;
+            let mut sliced = whole.clone();
+            sliced.slice_cycles = Some(slice);
+            let id_whole = q.submit(whole).unwrap();
+            let id_sliced = q.submit(sliced).unwrap();
+            // Drain until both jobs settle (the sliced one requeues itself).
+            while q.stats().done + q.stats().failed < 2 {
+                drain_one(&q, &cache, &defaults);
+            }
+            let result = |id| {
+                q.with_job(id, |j| {
+                    let r = j.result.as_ref().unwrap_or_else(|| panic!("{:?}", j.error));
+                    assert_eq!(r.correct, Some(true), "{name}({param}) on {pes} PEs");
+                    (j.slices, r.state_digest, r.outcome.clone())
+                })
+                .unwrap()
+            };
+            let (whole_slices, d1, o1) = result(id_whole);
+            let (slices, d2, o2) = result(id_sliced);
+            let case = format!("{name}({param}) on {pes} PEs in {slice}-cycle slices");
+            assert_eq!(whole_slices, 1);
+            assert!(slices > 2, "{case}: must be preempted more than once, ran {slices} slices");
+            assert_eq!((d1, &o1), (d2, &o2), "{case}: preemption must not change the result");
+            let (mut oracle, _) = WorkloadRun::with_pes(pes)
+                .prepare(&bundled_workload(name, param).unwrap())
+                .unwrap();
+            oracle.use_step_oracle();
+            let want = oracle.run().unwrap();
+            assert_eq!(
+                (Snapshot::capture(&oracle).state_digest(), &want),
+                (d2, &o2),
+                "{case}: the sliced engine run must equal the Pe::step oracle"
+            );
         }
-        let (d1, c1) = q
-            .with_job(id_whole, |j| {
-                let r = j.result.as_ref().expect("whole result");
-                assert_eq!(j.slices, 1);
-                (r.state_digest, r.outcome.elapsed_cycles)
-            })
-            .unwrap();
-        let (d2, c2, slices, correct) = q
-            .with_job(id_sliced, |j| {
-                let r = j.result.as_ref().expect("sliced result");
-                (r.state_digest, r.outcome.elapsed_cycles, j.slices, r.correct)
-            })
-            .unwrap();
-        assert!(slices > 1, "a 500-cycle slice must preempt matmul(4) at least once");
-        assert_eq!((d1, c1), (d2, c2), "preemption must not change the result");
-        assert_eq!(correct, Some(true));
-        // And both match a direct WorkloadRun.
-        let direct = WorkloadRun::new().run(&w).unwrap();
-        assert_eq!(c1, direct.outcome.elapsed_cycles);
     }
 
     #[test]
@@ -633,7 +643,7 @@ mod tests {
         let cache = CompileCache::new();
         let q = JobQueue::new(8, 8);
         // The legacy backend field parses at any verify level and changes
-        // nothing; slicing runs the preempt → restore path too.
+        // nothing; slicing runs the preempt → resume path too.
         let body = br#"{"workload":"matmul","param":4,"verify":"warn","backend":"interp","slice_cycles":500}"#;
         let id = q.submit(crate::api::parse_job(body).unwrap()).unwrap();
         let defaults = ExecConfig::default();

@@ -25,10 +25,11 @@
 //!   execution (determinism makes the cached artifacts exact);
 //! - a **bounded FIFO queue with per-tenant in-flight caps** ([`jobs`]):
 //!   admission control at submit time, fair drain order after;
-//! - **snapshot-based preemption** ([`jobs`]): long jobs run in cycle
-//!   slices, captured and requeued between slices, so short jobs are
-//!   never starved — and by the determinism contract
-//!   (`docs/DETERMINISM.md`) slicing provably cannot change results.
+//! - **in-memory preemption** ([`jobs`]): long jobs run in cycle
+//!   slices, their paused machines parked and requeued between slices,
+//!   so short jobs are never starved — and pausing at a step boundary
+//!   changes no architectural state (`docs/DETERMINISM.md`), so slicing
+//!   cannot change results.
 
 pub mod api;
 pub mod cache;

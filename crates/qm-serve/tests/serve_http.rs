@@ -92,7 +92,7 @@ fn error_envelopes_cover_the_failure_paths() {
 
 #[test]
 fn a_store_into_code_fails_the_job_with_the_fault() {
-    // Whole and in one-cycle slices (each slice a snapshot and resume),
+    // Whole and in one-cycle slices (each slice a pause and an in-place resume),
     // the fault settles the job as failed: no panic, no 5xx.
     let (server, addr) = start();
     let program = r#""assembly":"main: plus #1,#2 :r17\n plus r17,#3 :r17\n store #main,r17\n trap #3,#0","verify":"off""#;

@@ -144,11 +144,34 @@ impl std::error::Error for SnapshotError {}
 /// structured errors).
 pub mod wire {
     use super::SnapshotError;
+    use qm_core::rng::Checksum;
 
-    /// Append-only little-endian byte writer.
+    /// Where a [`Writer`] puts its bytes: a buffer, or a running
+    /// [`Checksum`] that folds them in as they come.
+    pub trait Sink {
+        /// Append `bytes`.
+        fn put(&mut self, bytes: &[u8]);
+    }
+
+    impl Sink for Vec<u8> {
+        #[inline]
+        fn put(&mut self, bytes: &[u8]) {
+            self.extend_from_slice(bytes);
+        }
+    }
+
+    impl Sink for Checksum {
+        #[inline]
+        fn put(&mut self, bytes: &[u8]) {
+            self.update(bytes);
+        }
+    }
+
+    /// Append-only little-endian writer into a [`Sink`]: a byte buffer
+    /// by default.
     #[derive(Debug, Default)]
-    pub struct Writer {
-        buf: Vec<u8>,
+    pub struct Writer<S = Vec<u8>> {
+        buf: S,
     }
 
     impl Writer {
@@ -169,25 +192,43 @@ pub mod wire {
         pub fn into_bytes(self) -> Vec<u8> {
             self.buf
         }
+    }
 
+    impl Writer<Checksum> {
+        /// A writer that hashes instead of storing: what it is given
+        /// folds into the same [`Checksum`] as the buffered bytes would.
+        #[must_use]
+        pub fn hashing() -> Self {
+            Writer { buf: Checksum::new() }
+        }
+
+        /// The checksum of everything written so far: `rng::checksum`
+        /// of the bytes a buffering writer would hold.
+        #[must_use]
+        pub fn sum(&self) -> u64 {
+            self.buf.finish()
+        }
+    }
+
+    impl<S: Sink> Writer<S> {
         /// Append one byte.
         pub fn u8(&mut self, v: u8) {
-            self.buf.push(v);
+            self.buf.put(&[v]);
         }
 
         /// Append a little-endian `u32`.
         pub fn u32(&mut self, v: u32) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+            self.buf.put(&v.to_le_bytes());
         }
 
         /// Append a little-endian `u64`.
         pub fn u64(&mut self, v: u64) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+            self.buf.put(&v.to_le_bytes());
         }
 
         /// Append a little-endian `i32` (machine word).
         pub fn i32(&mut self, v: i32) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+            self.buf.put(&v.to_le_bytes());
         }
 
         /// Append a `usize` as `u64`.
@@ -203,7 +244,7 @@ pub mod wire {
         /// Append a length-prefixed UTF-8 string.
         pub fn str(&mut self, s: &str) {
             self.usize(s.len());
-            self.buf.extend_from_slice(s.as_bytes());
+            self.buf.put(s.as_bytes());
         }
     }
 
@@ -293,7 +334,7 @@ pub mod wire {
     }
 }
 
-use wire::{Reader, Writer};
+use wire::{Reader, Sink, Writer};
 
 /// One PE's complete captured state (registers, clock, statistics,
 /// residency bookkeeping).
@@ -456,9 +497,13 @@ impl Snapshot {
     /// variants have diverged observably exactly when their digests
     /// differ; the `qm-bench` replay bin binary-searches this predicate
     /// for the first divergent cycle.
+    ///
+    /// The section encoders write straight into the checksum, so no byte
+    /// buffer is built: the digest is [`rng::checksum`] of the bytes
+    /// those encoders would have written.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
-        let mut w = Writer::new();
+        let mut w = Writer::hashing();
         self.sec_memory(&mut w);
         self.sec_channels(&mut w);
         self.sec_pes(&mut w);
@@ -471,7 +516,7 @@ impl Snapshot {
         w.u64(self.created);
         w.u64(self.peak_live);
         w.u64(self.instr_count);
-        rng::checksum(w.as_bytes())
+        w.sum()
     }
 
     /// Serialize to the `qm-snap/v3` byte format. Deterministic: equal
@@ -712,7 +757,7 @@ impl Snapshot {
 
     // ---- section encoders (canonical order; reused by state_digest) ----
 
-    fn sec_config(&self, w: &mut Writer) {
+    fn sec_config(&self, w: &mut Writer<impl Sink>) {
         let c = &self.cfg;
         w.usize(c.pes);
         w.usize(c.partitions);
@@ -741,7 +786,7 @@ impl Snapshot {
         w.u64(c.max_instructions);
     }
 
-    fn sec_memory(&self, w: &mut Writer) {
+    fn sec_memory(&self, w: &mut Writer<impl Sink>) {
         enc_mem_plane(w, &self.global_mem);
         w.usize(self.local_mem.len());
         for plane in &self.local_mem {
@@ -752,7 +797,7 @@ impl Snapshot {
         w.u64(self.mem_stats.bus_cycles);
     }
 
-    fn sec_channels(&self, w: &mut Writer) {
+    fn sec_channels(&self, w: &mut Writer<impl Sink>) {
         w.usize(self.channels.len());
         for c in &self.channels {
             w.i32(c.chan);
@@ -790,7 +835,7 @@ impl Snapshot {
         w.u64(self.transfers);
     }
 
-    fn sec_pes(&self, w: &mut Writer) {
+    fn sec_pes(&self, w: &mut Writer<impl Sink>) {
         w.usize(self.pes.len());
         for p in &self.pes {
             for &v in &p.window {
@@ -818,7 +863,7 @@ impl Snapshot {
         }
     }
 
-    fn sec_contexts(&self, w: &mut Writer) {
+    fn sec_contexts(&self, w: &mut Writer<impl Sink>) {
         w.usize(self.contexts.len());
         for c in &self.contexts {
             for &v in &c.globals {
@@ -836,7 +881,7 @@ impl Snapshot {
         }
     }
 
-    fn sec_sched(&self, w: &mut Writer) {
+    fn sec_sched(&self, w: &mut Writer<impl Sink>) {
         w.usize(self.ready.len());
         for entries in &self.ready {
             w.usize(entries.len());
@@ -849,7 +894,7 @@ impl Snapshot {
         w.u64(self.sched_seq);
     }
 
-    fn sec_pages(&self, w: &mut Writer) {
+    fn sec_pages(&self, w: &mut Writer<impl Sink>) {
         w.usize(self.pages.len());
         for (next, free) in &self.pages {
             w.u32(*next);
@@ -857,7 +902,7 @@ impl Snapshot {
         }
     }
 
-    fn sec_system(&self, w: &mut Writer) {
+    fn sec_system(&self, w: &mut Writer<impl Sink>) {
         w.u64(self.rr);
         w.bool(self.halted);
         w.u64(self.live);
@@ -875,7 +920,7 @@ impl Snapshot {
         w.u64(self.next_snap_at);
     }
 
-    fn sec_symbols(&self, w: &mut Writer) {
+    fn sec_symbols(&self, w: &mut Writer<impl Sink>) {
         match &self.symbols {
             Some(o) => {
                 w.bool(true);
@@ -892,7 +937,7 @@ impl Snapshot {
     }
 }
 
-fn enc_model(w: &mut Writer, m: &CycleModel) {
+fn enc_model(w: &mut Writer<impl Sink>, m: &CycleModel) {
     for v in [
         m.base,
         m.imm_word,
@@ -922,7 +967,7 @@ fn dec_model(r: &mut Reader) -> Result<CycleModel, SnapshotError> {
     })
 }
 
-fn enc_stats(w: &mut Writer, s: &PeStats) {
+fn enc_stats(w: &mut Writer<impl Sink>, s: &PeStats) {
     for v in [
         s.instructions,
         s.window_hits,
@@ -954,7 +999,7 @@ fn dec_stats(r: &mut Reader) -> Result<PeStats, SnapshotError> {
     })
 }
 
-fn enc_mem_plane(w: &mut Writer, plane: &[(UWord, Word)]) {
+fn enc_mem_plane(w: &mut Writer<impl Sink>, plane: &[(UWord, Word)]) {
     w.usize(plane.len());
     for &(a, v) in plane {
         w.u32(a);
@@ -967,7 +1012,7 @@ fn dec_mem_plane(r: &mut Reader) -> Result<Vec<(UWord, Word)>, SnapshotError> {
     (0..n).map(|_| Ok((r.u32()?, r.i32()?))).collect()
 }
 
-fn enc_words(w: &mut Writer, words: &[Word]) {
+fn enc_words(w: &mut Writer<impl Sink>, words: &[Word]) {
     w.usize(words.len());
     for &v in words {
         w.i32(v);
@@ -979,7 +1024,7 @@ fn dec_words(r: &mut Reader) -> Result<Vec<Word>, SnapshotError> {
     (0..n).map(|_| r.i32()).collect()
 }
 
-fn enc_u32s(w: &mut Writer, vals: &[u32]) {
+fn enc_u32s(w: &mut Writer<impl Sink>, vals: &[u32]) {
     w.usize(vals.len());
     for &v in vals {
         w.u32(v);

@@ -1,8 +1,8 @@
 //! Thread-mobility audit for the serving layer.
 //!
-//! `qm-serve` moves work between threads: job specs and snapshots cross
-//! worker boundaries, and a preempted job's `System` is dropped on one
-//! worker and rebuilt (from its snapshot) on another. That only stays
+//! `qm-serve` moves work between threads: job specs cross worker
+//! boundaries, and a preempted job's paused `System` is parked by one
+//! worker and resumed in place by another. That only stays
 //! sound if these types keep their auto traits, so this test pins them —
 //! losing `Send` on `System` (e.g. by storing an `Rc` or a non-`Send`
 //! trait object) becomes a compile failure here, not a runtime surprise

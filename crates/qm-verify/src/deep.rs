@@ -50,6 +50,7 @@
 //! code* never breaks confinement; it does not re-verify the kernel.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use qm_core::json::{Envelope, JsonBuf};
 use qm_isa::asm::Object;
@@ -111,8 +112,9 @@ impl Verdict {
 /// One proof-carrying fact, keyed by `(ctx, pc)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fact {
-    /// Context label (`main`, `kid`, …).
-    pub ctx: String,
+    /// Context label (`main`, `kid`, …), shared by every fact about
+    /// the context.
+    pub ctx: Arc<str>,
     /// Program point the fact is about.
     pub pc: UWord,
     /// What is proven there.
@@ -439,7 +441,7 @@ pub(crate) struct DStep {
 
 /// What one context's fixpoint produced.
 struct CtxOut {
-    label: String,
+    label: Arc<str>,
     /// Program points, ascending.
     visited: Vec<UWord>,
     /// Per mem-op site, ascending: (pc, is_store, address value).
@@ -678,7 +680,7 @@ impl<'a> DeepPass<'a> {
 
         let order = work.by_addr();
         let mut outcome = CtxOut {
-            label: names::pc_span(&self.code.symbols, entry),
+            label: names::pc_span(&self.code.symbols, entry).into(),
             visited: order.iter().map(|&(addr, _)| addr).collect(),
             mem: Vec::new(),
             escapes: Vec::new(),
@@ -789,7 +791,7 @@ pub(crate) fn deep_report(
     let mut escapes: Vec<(String, UWord, String)> = Vec::new();
     for (_, c) in &ctxs {
         for (pc, why) in &c.escapes {
-            escapes.push((c.label.clone(), *pc, why.clone()));
+            escapes.push((c.label.to_string(), *pc, why.clone()));
         }
     }
     if let Some((e, why)) = overflow_escape {
@@ -834,14 +836,15 @@ pub(crate) fn deep_report(
                     if let Some(w) = code.index(pc) {
                         flags[w] |= f;
                     }
-                    facts.push(Fact { ctx: c.label.clone(), pc, kind: FactKind::ProvenLocal });
-                    facts.push(Fact { ctx: c.label.clone(), pc, kind: FactKind::CommutesWithNext });
+                    let ctx = &c.label;
+                    facts.push(Fact { ctx: Arc::clone(ctx), pc, kind: FactKind::ProvenLocal });
+                    facts.push(Fact { ctx: Arc::clone(ctx), pc, kind: FactKind::CommutesWithNext });
                 }
             }
             for &(pc, _, v) in &c.mem {
                 if let Some((lo, hi, stride)) = v.bounds() {
                     facts.push(Fact {
-                        ctx: c.label.clone(),
+                        ctx: Arc::clone(&c.label),
                         pc,
                         kind: FactKind::AddrRange { lo, hi, stride },
                     });
@@ -910,7 +913,7 @@ pub(crate) fn deep_report(
             });
             if let Some((i, pc)) = site {
                 facts.push(Fact {
-                    ctx: inst_label(i),
+                    ctx: inst_label(i).into(),
                     pc,
                     kind: FactKind::MaxQueueDepth { chan: c.describe(), depth: depth as u64 },
                 });
@@ -1016,7 +1019,7 @@ mod tests {
         assert!(r
             .facts
             .iter()
-            .any(|f| f.pc == 4 && f.kind == FactKind::ProvenLocal && f.ctx == "main"));
+            .any(|f| f.pc == 4 && f.kind == FactKind::ProvenLocal && &*f.ctx == "main"));
         assert!(r.facts.iter().any(|f| f.pc == 4 && f.kind == FactKind::CommutesWithNext));
         // Host-only traffic: rendezvous trivially completes.
         assert_eq!(r.verdict, Verdict::DeadlockFree, "{}", r.verdict_why);
@@ -1197,7 +1200,7 @@ mod tests {
         );
         assert!(r.qp_confined);
         assert!(
-            r.facts.iter().any(|f| f.ctx == "kid" && f.kind == FactKind::ProvenLocal),
+            r.facts.iter().any(|f| &*f.ctx == "kid" && f.kind == FactKind::ProvenLocal),
             "{:?}",
             r.facts
         );

@@ -199,7 +199,7 @@ fn fact_key(f: &Fact) -> (String, u32, u8) {
         FactKind::AddrRange { .. } => 2,
         FactKind::MaxQueueDepth { .. } => 3,
     };
-    (f.ctx.clone(), f.pc, order)
+    (f.ctx.to_string(), f.pc, order)
 }
 
 /// The deep-pass invariants that hold for *every* analyzed object,

@@ -6,7 +6,9 @@
 //! every optimization off, and also checks that compiling twice yields
 //! the same assembly and that the translated engine and the `Pe::step`
 //! oracle (`System::use_step_oracle`) agree on cycles, instructions and
-//! `state_digest` — on the splicing channels `par` compiles to, too.
+//! `state_digest` — on the splicing channels `par` compiles to, too —
+//! and that a run paused mid-way, taken through the snapshot format and
+//! restored, finishes exactly as the uninterrupted run did.
 //! Every object it compiles must also pass the Strict static verifier
 //! and the deep pass, and no channel's runtime high-water mark may
 //! exceed the deep pass's `MaxQueueDepth` bound for it.
@@ -22,14 +24,14 @@
 //! reads/writes, no host output inside `par`) so the sequential oracle is
 //! a valid model of the concurrent execution.
 
-use queue_machine::core::rng::{check, Gen};
+use queue_machine::core::rng::{check, checksum, Gen};
 use queue_machine::occam::ast::{BinOp, Decl, Expr, Lvalue, Process, Replicator};
 use queue_machine::occam::interp::Interp;
 use queue_machine::occam::sema::SymKind;
 use queue_machine::occam::{codegen, parse, sema, Options};
 use queue_machine::sim::config::SystemConfig;
 use queue_machine::sim::snapshot::Snapshot;
-use queue_machine::sim::system::System;
+use queue_machine::sim::system::{RunOutcome, RunStatus, System};
 use queue_machine::sim::Word;
 use queue_machine::verify::{deep_verify, verify_object, DeepReport, FactKind, VerifyOptions};
 
@@ -83,6 +85,7 @@ fn run_differential(program: &Process) -> usize {
             "engine and Pe::step oracle digests diverged (pes={pes})\n{asm}"
         );
         assert_eq!(out.output, oracle.output, "screen output diverged (pes={pes})\n{asm}");
+        check_snapshot_resume(&build, &sys, &out, &format!("pes={pes}\n{asm}"));
         if check_occupancy(&deep, &out.channel_high_water, &format!("pes={pes}\n{asm}")) {
             compared += 1;
         }
@@ -100,6 +103,36 @@ fn run_differential(program: &Process) -> usize {
         }
     }
     compared
+}
+
+/// The snapshot oracle: pause a fresh run at a cycle drawn from the
+/// program's own cycle range (fixed by a checksum of the run's
+/// description, so a failure replays), take it through `capture` →
+/// `encode` → `decode` → `restore`, and finish. Cycles, instructions,
+/// output and `state_digest` must equal the uninterrupted run's.
+fn check_snapshot_resume(build: &dyn Fn() -> System, whole: &System, out: &RunOutcome, what: &str) {
+    let pause = checksum(what.as_bytes()) % out.elapsed_cycles.max(1);
+    let mut first = build();
+    let (resumed, done) = match first.run_until(pause).expect("the first leg runs") {
+        RunStatus::Paused { .. } => {
+            let bytes = Snapshot::capture(&first).encode();
+            let snap = Snapshot::decode(&bytes).expect("own encoding decodes");
+            let mut resumed = System::restore(&snap).expect("own snapshot restores");
+            let done = resumed.run().expect("the resumed leg runs");
+            (resumed, done)
+        }
+        RunStatus::Done(done) => (first, done),
+    };
+    assert_eq!(
+        (done.elapsed_cycles, done.instructions, &done.output),
+        (out.elapsed_cycles, out.instructions, &out.output),
+        "resuming from a snapshot taken at cycle {pause} changed the run ({what})"
+    );
+    assert_eq!(
+        Snapshot::capture(&resumed).state_digest(),
+        Snapshot::capture(whole).state_digest(),
+        "resuming from a snapshot taken at cycle {pause} changed the digest ({what})"
+    );
 }
 
 /// Every runtime high-water mark is at most the deep pass's
