@@ -1,17 +1,17 @@
-//! Shared helpers for the table/figure regeneration harness.
+//! Shared helpers for the thesis-evaluation harness.
 //!
-//! Each `bin/` target regenerates one table or figure of the thesis
-//! evaluation (see `DESIGN.md` for the index); this crate provides the
-//! common text-table formatting, the standard benchmark set and the
-//! [`sweep`] runner the bins are built on.
+//! The `repro` binary regenerates every table and figure of the thesis
+//! evaluation, one subcommand each (see `DESIGN.md` for the index);
+//! `sweep`, `perf_gate`, `replay`, `trace_export` and `verify_workloads`
+//! are the other binaries. This crate provides the common text-table
+//! formatting, the standard benchmark set, the [`sweep`] runner, the
+//! [`perf`] gate and the [`replay`] driver they are built on.
 
-pub mod checkpoint;
 pub mod perf;
 pub mod replay;
 pub mod sweep;
 
-use qm_occam::Options;
-use qm_workloads::{Workload, WorkloadRun};
+use qm_workloads::Workload;
 
 /// Render rows as a fixed-width text table with a header rule.
 #[must_use]
@@ -58,63 +58,6 @@ pub fn thesis_workloads() -> Vec<Workload> {
 
 /// PE counts simulated throughout Chapter 6.
 pub const PE_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Default compiler options (all optimizations on).
-#[must_use]
-pub fn default_options() -> Options {
-    Options::default()
-}
-
-/// Run one workload over [`PE_COUNTS`] and print its statistics table
-/// (Tables 6.2–6.5 format) followed by the throughput-ratio curve
-/// (Figs 6.8/6.10–6.12 format).
-///
-/// # Panics
-///
-/// Panics if any run fails or verifies incorrect.
-pub fn report_workload(w: &Workload, table_name: &str, fig_name: &str) {
-    println!("{table_name} — statistics for the {} program\n", w.name);
-    let mut stat_rows = Vec::new();
-    let mut curve_rows = Vec::new();
-    let mut base: Option<u64> = None;
-    for &pes in &PE_COUNTS {
-        let r = WorkloadRun::with_pes(pes).run(w).expect("benchmark run");
-        assert!(r.correct, "{} on {pes} PEs: {:?}", w.name, r.mismatches);
-        let o = &r.outcome;
-        stat_rows.push(vec![
-            pes.to_string(),
-            o.elapsed_cycles.to_string(),
-            o.instructions.to_string(),
-            o.contexts_created.to_string(),
-            o.peak_live_contexts.to_string(),
-            o.channel_transfers.to_string(),
-            o.pes.iter().map(|p| p.stats.context_switches).sum::<u64>().to_string(),
-            o.mem.remote_accesses.to_string(),
-        ]);
-        let b = *base.get_or_insert(o.elapsed_cycles);
-        #[allow(clippy::cast_precision_loss)]
-        let ratio = b as f64 / o.elapsed_cycles as f64;
-        curve_rows.push(vec![pes.to_string(), o.elapsed_cycles.to_string(), format!("{ratio:.2}")]);
-    }
-    println!(
-        "{}",
-        text_table(
-            &[
-                "PEs",
-                "cycles",
-                "instrs",
-                "contexts",
-                "peak live",
-                "transfers",
-                "switches",
-                "remote mem"
-            ],
-            &stat_rows
-        )
-    );
-    println!("{fig_name} — system throughput ratio vs number of processors\n");
-    println!("{}", text_table(&["PEs", "cycles", "throughput ratio"], &curve_rows));
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,15 @@
 //! Determinism harness for the parallel sweep runner: parallel cycle
 //! counts must be bit-identical to serial runs, and both must match the
 //! pre-optimisation seed's golden values (locking the scheduler rewrite
-//! to the old linear-scan semantics).
+//! to the old linear-scan semantics). Snapshot round trips on worker
+//! threads must be invisible too, and the `sweep` binary's flags parse
+//! strictly.
 
-use qm_bench::sweep::{channel_ablation_grid, run_parallel, run_serial, same_metrics, SweepPoint};
-use qm_sim::config::SystemConfig;
+use qm_bench::sweep::{
+    channel_ablation_grid, run_parallel, run_serial, same_metrics, SweepFlags, SweepPoint,
+};
+use qm_sim::config::{Placement, SystemConfig};
+use qm_workloads::WorkloadRun;
 
 /// Fig. 6.8 golden values from the seed simulator: matmul 8×8 cycles at
 /// 1/2/4/8 PEs (see `EXPERIMENTS.md`).
@@ -73,4 +78,51 @@ fn channel_ablation_grid_matches_seed_and_is_deterministic() {
     }
     let parallel = run_parallel(&grid, 4);
     assert!(same_metrics(&serial, &parallel), "ablation grid not deterministic under threads");
+}
+
+fn least_loaded() -> SystemConfig {
+    SystemConfig { placement: Placement::LeastLoaded, ..SystemConfig::with_pes(2) }
+}
+
+#[test]
+fn checkpointed_runs_are_bit_identical_on_worker_threads() {
+    // The snapshot replay guarantee, exercised the way the sweep runner
+    // would: capture-at-k + restore + run-to-completion on worker
+    // threads, compared against plain single-threaded runs — under
+    // round-robin and under least-loaded placement.
+    let w = qm_workloads::matmul(4);
+    let plain_rr = WorkloadRun::with_pes(2).run(&w).unwrap();
+    let ll = || WorkloadRun::new().config(least_loaded());
+    let plain_ll = ll().run(&w).unwrap();
+
+    std::thread::scope(|scope| {
+        for worker in 0..3u64 {
+            let (w, rr, ll_run) = (&w, &plain_rr, &plain_ll);
+            scope.spawn(move || {
+                let pause = rr.outcome.elapsed_cycles * (worker + 1) / 4;
+                let ck = WorkloadRun::with_pes(2).run_with_checkpoint(w, pause).unwrap();
+                assert_eq!(ck.outcome, rr.outcome, "round-robin, pause {pause}");
+                let pause = ll_run.outcome.elapsed_cycles * (worker + 1) / 4;
+                let ck = ll().run_with_checkpoint(w, pause).unwrap();
+                assert_eq!(ck.outcome, ll_run.outcome, "least-loaded, pause {pause}");
+            });
+        }
+    });
+}
+
+#[test]
+fn sweep_flags_parse_and_reject_like_the_bins() {
+    let ok = SweepFlags::parse(["--deterministic"].into_iter().map(String::from)).unwrap();
+    assert!(ok.deterministic);
+
+    // The checkpoint flags are retired: they fail like any unknown flag.
+    let retired = |flag: &str, value: &str| vec![format!("--{flag}"), value.to_string()];
+    for bad in [
+        vec!["--smoke".to_string()], // no reduced grid exists
+        retired("resume", "x"),
+        retired("interrupt-after", "2"),
+        vec!["--frobnicate".to_string()],
+    ] {
+        assert!(SweepFlags::parse(bad.clone().into_iter()).is_err(), "{bad:?} must be rejected");
+    }
 }

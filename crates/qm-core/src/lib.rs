@@ -29,6 +29,8 @@
 //!   JSON writer/parser and the versioned `qm-api/v1` report envelope
 //!   (it lives here, at the bottom of the crate graph, so every crate's
 //!   renderer uses the same escaping and float formatting).
+//! * [`alloc_count`] — test infrastructure: the counting global allocator
+//!   behind the workspace's allocation-bound tests.
 //! * [`rng`] — infrastructure too: the SplitMix64 mixer behind fault
 //!   draws and snapshot checksums, and the seeded property harness
 //!   ([`rng::check`]) every randomized test in the workspace runs on.
@@ -52,6 +54,7 @@
 //! assert_eq!(queue_result, stack_result);
 //! ```
 
+pub mod alloc_count;
 pub mod dfg;
 pub mod enumerate;
 pub mod expr;

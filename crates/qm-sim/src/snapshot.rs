@@ -139,10 +139,10 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Little-endian wire primitives shared by the snapshot sections and the
-/// `qm-bench` sweep checkpoints (same framing discipline, same
-/// structured errors).
-pub mod wire {
+/// Little-endian wire primitives of the snapshot sections, and of the
+/// streaming `Snapshot::state_digest`, which writes the same bytes
+/// into a running checksum.
+pub(crate) mod wire {
     use super::SnapshotError;
     use qm_core::rng::Checksum;
 
@@ -179,12 +179,6 @@ pub mod wire {
         #[must_use]
         pub fn new() -> Self {
             Writer::default()
-        }
-
-        /// The bytes written so far.
-        #[must_use]
-        pub fn as_bytes(&self) -> &[u8] {
-            &self.buf
         }
 
         /// Consume the writer, yielding its buffer.

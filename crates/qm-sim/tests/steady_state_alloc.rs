@@ -29,39 +29,12 @@
 //! fork workload's bound (under one allocation per 100 channels) leaves
 //! room for such noise in every window.
 
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use qm_core::alloc_count::CountingAlloc;
 use qm_sim::config::SystemConfig;
 use qm_sim::system::{RunStatus, System};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: defers to the system allocator; the counter is side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 /// Main forks one echo child, then ping-pongs a value through a channel
 /// pair tens of thousands of times. Channel ids and the loop counter
@@ -110,12 +83,12 @@ fn assert_zero_steady_state(pes: usize, capacity: usize) {
     let mut deltas = [0u64; 3];
     for (i, d) in deltas.iter_mut().enumerate() {
         let limit = warmup + window * (i as u64 + 1);
-        let before = alloc_count();
+        let before = GLOBAL.count();
         match sys.run_until(limit).expect("measurement window runs") {
             RunStatus::Paused { .. } => {}
             RunStatus::Done(_) => panic!("workload must outlive window {i}"),
         }
-        *d = alloc_count() - before;
+        *d = GLOBAL.count() - before;
     }
     let min = *deltas.iter().min().expect("three windows");
     assert_eq!(
@@ -189,12 +162,12 @@ fn assert_fresh_channels_allocation_free(pes: usize, capacity: usize) {
     }
     for i in 0..3u64 {
         let left = remaining(&sys);
-        let before = alloc_count();
+        let before = GLOBAL.count();
         match sys.run_until(warmup + window * (i + 1)).expect("measurement window runs") {
             RunStatus::Paused { .. } => {}
             RunStatus::Done(_) => panic!("workload must outlive window {i}"),
         }
-        let allocs = alloc_count() - before;
+        let allocs = GLOBAL.count() - before;
         let channels = 2 * (left - remaining(&sys));
         assert!(channels >= 2_000, "window {i} created only {channels} channels");
         assert!(

@@ -14,9 +14,7 @@
 //! allocates during a measurement. Each figure is the minimum over three
 //! calls, which filters out stray harness bookkeeping.
 
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use queue_machine::core::alloc_count::CountingAlloc;
 use queue_machine::isa::asm::assemble;
 use queue_machine::occam::{codegen, parse, sema, Options};
 use queue_machine::workloads::{cholesky, congruence, fft, matmul};
@@ -26,37 +24,16 @@ const MAX_ALLOCS_PER_NODE: f64 = 6.0;
 /// Allocations `assemble` may make per source line.
 const MAX_ALLOCS_PER_LINE: f64 = 1.5;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: defers to the system allocator; the counter is side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 /// Allocations made by `f()`: the minimum over three calls.
 fn allocs<R>(f: impl Fn() -> R) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..3 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = GLOBAL.count();
         let r = f();
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = GLOBAL.count();
         drop(r);
         best = best.min(after - before);
     }

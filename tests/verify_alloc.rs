@@ -20,9 +20,7 @@
 //! allocates during a measurement. Each figure is the minimum over three
 //! calls, which filters out stray harness bookkeeping.
 
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use queue_machine::core::alloc_count::CountingAlloc;
 use queue_machine::isa::asm::Object;
 use queue_machine::occam::{compile, Options};
 use queue_machine::verify::{deep_verify, verify_object, VerifyOptions};
@@ -34,37 +32,16 @@ const MAX_SHALLOW_ALLOCS_PER_WORD: f64 = 0.5;
 /// report) may make.
 const MAX_DEEP_ALLOCS_PER_WORD: f64 = 1.0;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: defers to the system allocator; the counter is side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 /// Allocations per object word of `f(obj)`: the minimum over three calls.
 fn allocs_per_word<R>(obj: &Object, f: impl Fn(&Object) -> R) -> f64 {
     let mut best = u64::MAX;
     for _ in 0..3 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = GLOBAL.count();
         let r = f(obj);
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = GLOBAL.count();
         drop(r);
         best = best.min(after - before);
     }
