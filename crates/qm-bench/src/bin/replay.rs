@@ -9,42 +9,23 @@
 //!
 //! `replay --json` prints the same report as a `qm-api/v1`
 //! `divergence_report` envelope (`docs/API.md`) instead of prose.
-//!
-//! `replay --smoke` instead runs the snapshot subsystem's CI check — a
-//! full capture → encode → decode → restore → resume round trip must be
-//! bit-identical to the uninterrupted run and the placement variant pair
-//! must bisect to a divergence — exiting non-zero on the first broken
-//! invariant (the `snapshot-smoke` CI job calls this).
 
-use qm_bench::replay::{bisect, capture_workload, smoke, Variant};
+use qm_bench::replay::{bisect, capture_workload, Variant};
 use qm_sim::config::Placement;
 use qm_workloads::WorkloadRun;
 
 fn usage(got: &str) -> ! {
-    eprintln!("usage: replay [--smoke|--json]  (got {got:?})");
+    eprintln!("usage: replay [--json]  (got {got:?})");
     std::process::exit(2);
 }
 
 fn main() {
     let mut json = false;
-    let mut run_smoke = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
-            "--smoke" => run_smoke = true,
             other => usage(other),
         }
-    }
-
-    if run_smoke {
-        match smoke() {
-            Ok(()) => println!("snapshot smoke OK"),
-            Err(msg) => {
-                eprintln!("snapshot smoke FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
     }
     demo(json);
 }

@@ -74,7 +74,7 @@ fn main() {
                 compiled.context_count,
                 dr.verdict.as_str(),
                 if dr.qp_confined { "yes" } else { "NO" },
-                dr.compiled.proven_count(),
+                dr.proven_local_count(),
                 dr.facts.len(),
                 if reject { "REJECTED" } else { "ok" }
             );

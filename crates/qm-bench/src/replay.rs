@@ -14,8 +14,8 @@
 //! the deadlock reports.
 //!
 //! `bin/replay.rs` drives this as a demo (round-robin vs local placement
-//! of matmul from a shared checkpoint) and, with `--smoke`, as the CI
-//! round-trip check ([`smoke`]).
+//! of matmul from a shared checkpoint). [`smoke`] is the round-trip
+//! check that the `smoke_passes` unit test runs.
 
 use std::fmt;
 
@@ -274,8 +274,8 @@ pub fn capture_workload(
     }
 }
 
-/// The CI smoke check behind `replay --smoke`: a full capture → encode →
-/// decode → restore → resume round trip must be bit-identical to the
+/// The snapshot smoke check: a full capture → encode → decode →
+/// restore → resume round trip must be bit-identical to the
 /// uninterrupted run, and a round-robin/local placement pair from a
 /// snapshot captured before the forks are placed must bisect to a
 /// divergence.

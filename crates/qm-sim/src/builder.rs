@@ -26,7 +26,6 @@
 //! The pre-existing piecewise methods remain as thin delegates (and for
 //! post-build mutation such as workload memory initialisation).
 
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use qm_isa::asm::{assemble, Object};
@@ -34,7 +33,6 @@ use qm_isa::UWord;
 use qm_verify::{verify_object_at, Report, VerifyLevel, VerifyOptions};
 
 use crate::config::SystemConfig;
-use crate::snapshot::Snapshot;
 use crate::system::{SimError, System};
 use crate::trace::TraceSink;
 use crate::Word;
@@ -76,8 +74,7 @@ fn verify_memoized(obj: &Object, entry: UWord, page_words: u32) -> Report {
 /// inputs. When a program is given (via
 /// [`object`](Self::object) or [`assembly`](Self::assembly)) the root
 /// context is spawned at the `main` label — or the object's base when no
-/// such label exists — unless [`no_spawn`](Self::no_spawn) or an
-/// explicit [`entry`](Self::entry) overrides that.
+/// such label exists — unless [`no_spawn`](Self::no_spawn) defers it.
 #[must_use = "call .build() to obtain the System"]
 pub struct SimBuilder {
     cfg: SystemConfig,
@@ -85,12 +82,8 @@ pub struct SimBuilder {
     object: Option<Object>,
     assembly: Option<String>,
     inputs: Vec<Word>,
-    entry: Option<String>,
     spawn: bool,
     verify: VerifyLevel,
-    snap_every: Option<u64>,
-    snap_dir: Option<String>,
-    resume_from: Option<PathBuf>,
 }
 
 impl System {
@@ -102,12 +95,8 @@ impl System {
             object: None,
             assembly: None,
             inputs: Vec::new(),
-            entry: None,
             spawn: true,
             verify: VerifyLevel::default(),
-            snap_every: None,
-            snap_dir: None,
-            resume_from: None,
         }
     }
 }
@@ -162,13 +151,6 @@ impl SimBuilder {
         self
     }
 
-    /// Spawn the root context at `label` instead of `main`. Unlike the
-    /// `main` default, a missing explicit label is a build error.
-    pub fn entry(mut self, label: &str) -> Self {
-        self.entry = Some(label.to_string());
-        self
-    }
-
     /// Load the program but spawn nothing (the caller will
     /// [`System::spawn_main`] later, e.g. after initialising memory).
     pub fn no_spawn(mut self) -> Self {
@@ -178,7 +160,7 @@ impl SimBuilder {
 
     /// How strictly to statically verify the program before anything
     /// runs (default [`VerifyLevel::Warn`]). The `qm-verify` passes run
-    /// over the object code at the resolved entry point, before the
+    /// over the object code at the entry point, before the
     /// root context is spawned, with the page size taken from the
     /// system configuration:
     ///
@@ -188,48 +170,8 @@ impl SimBuilder {
     /// * [`VerifyLevel::Strict`] — fail the build with
     ///   [`SimError::Verify`] when the verifier finds anything at all,
     ///   warnings included.
-    ///
-    /// A [`resume_from`](Self::resume_from) build skips verification:
-    /// the snapshot's program was verified when it was first built and
-    /// is already mid-run.
     pub fn verify(mut self, level: VerifyLevel) -> Self {
         self.verify = level;
-        self
-    }
-
-    /// Write an automatic snapshot every `n` cycles while running (see
-    /// [`System::set_snapshot_cadence`]). Files named
-    /// `qm-snap-<cycle>.snap` land in the directory given by
-    /// [`snapshot_dir`](Self::snapshot_dir) (default: the current
-    /// directory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn snapshot_every(mut self, n: u64) -> Self {
-        assert!(n > 0, "snapshot cadence must be positive");
-        self.snap_every = Some(n);
-        self
-    }
-
-    /// Directory automatic snapshots are written into (used with
-    /// [`snapshot_every`](Self::snapshot_every)).
-    pub fn snapshot_dir(mut self, dir: impl Into<String>) -> Self {
-        self.snap_dir = Some(dir.into());
-        self
-    }
-
-    /// Resume from a snapshot file instead of building a fresh system.
-    /// The restored run continues bit-identically to the captured one.
-    /// Mutually exclusive with [`object`](Self::object),
-    /// [`assembly`](Self::assembly), [`inputs`](Self::inputs) and
-    /// [`entry`](Self::entry) — the snapshot already carries the program
-    /// and its pending inputs, so overriding any of them would break the
-    /// replay guarantee. A trace sink and a snapshot
-    /// cadence may still be installed (host-side observers, not machine
-    /// state).
-    pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume_from = Some(path.into());
         self
     }
 
@@ -239,38 +181,11 @@ impl SimBuilder {
     ///
     /// # Errors
     ///
-    /// [`SimError::Asm`] when the source does not assemble, when both a
-    /// source and an object were given, or when an explicit
-    /// [`entry`](Self::entry) label is absent from the program.
+    /// [`SimError::Asm`] when the source does not assemble, or when both
+    /// a source and an object were given.
     /// [`SimError::Verify`] when [`verify`](Self::verify) is
     /// [`VerifyLevel::Strict`] and the static verifier found anything.
-    /// [`SimError::Snapshot`] when [`resume_from`](Self::resume_from)
-    /// was combined with program or input options, or the snapshot
-    /// cannot be read.
     pub fn build(self) -> Result<System, SimError> {
-        if let Some(path) = &self.resume_from {
-            if self.object.is_some()
-                || self.assembly.is_some()
-                || !self.inputs.is_empty()
-                || self.entry.is_some()
-                || !self.spawn
-            {
-                return Err(SimError::Snapshot(
-                    "resume_from() carries the complete machine state; it cannot be \
-                     combined with object/assembly/inputs/entry/no_spawn"
-                        .to_string(),
-                ));
-            }
-            let snap = Snapshot::read_from(path).map_err(|e| SimError::Snapshot(e.to_string()))?;
-            let mut sys = System::restore(&snap).map_err(|e| SimError::Snapshot(e.to_string()))?;
-            if let Some(sink) = self.sink {
-                sys.set_trace_sink(sink);
-            }
-            if let Some(every) = self.snap_every {
-                sys.set_snapshot_cadence(every, self.snap_dir.unwrap_or_else(|| ".".to_string()));
-            }
-            return Ok(sys);
-        }
         let obj = match (self.object, self.assembly) {
             (Some(_), Some(_)) => {
                 return Err(SimError::Asm(
@@ -291,12 +206,7 @@ impl SimBuilder {
         }
         if let Some(obj) = obj {
             sys.load_object(&obj);
-            let entry = match &self.entry {
-                Some(label) => obj
-                    .symbol(label)
-                    .ok_or_else(|| SimError::Asm(format!("entry label {label:?} not found")))?,
-                None => obj.symbol("main").unwrap_or_else(|| obj.base()),
-            };
+            let entry = obj.symbol("main").unwrap_or_else(|| obj.base());
             if self.verify != VerifyLevel::Off {
                 let report = verify_memoized(&obj, entry, page_words);
                 if !report.is_clean() {
@@ -309,11 +219,6 @@ impl SimBuilder {
             if self.spawn {
                 sys.spawn_main(entry);
             }
-        } else if self.entry.is_some() {
-            return Err(SimError::Asm("entry label given but no program loaded".to_string()));
-        }
-        if let Some(every) = self.snap_every {
-            sys.set_snapshot_cadence(every, self.snap_dir.unwrap_or_else(|| ".".to_string()));
         }
         Ok(sys)
     }
@@ -327,12 +232,8 @@ impl std::fmt::Debug for SimBuilder {
             .field("object", &self.object.is_some())
             .field("assembly", &self.assembly.is_some())
             .field("inputs", &self.inputs)
-            .field("entry", &self.entry)
             .field("spawn", &self.spawn)
             .field("verify", &self.verify)
-            .field("snap_every", &self.snap_every)
-            .field("snap_dir", &self.snap_dir)
-            .field("resume_from", &self.resume_from)
             .finish()
     }
 }
@@ -380,26 +281,6 @@ main:   recv #0,#0 :r0
     }
 
     #[test]
-    fn builder_rejects_missing_entry_label() {
-        let err = Simulation::builder().assembly(ECHO).entry("nowhere").build().unwrap_err();
-        assert!(matches!(err, SimError::Asm(ref m) if m.contains("nowhere")), "got {err:?}");
-        let err = Simulation::builder().entry("main").build().unwrap_err();
-        assert!(matches!(err, SimError::Asm(_)), "entry without a program: {err:?}");
-    }
-
-    #[test]
-    fn explicit_entry_spawns_elsewhere() {
-        let src = "
-main:   send+1 #0,#1
-        trap #2,#0
-alt:    send+1 #0,#2
-        trap #2,#0
-";
-        let mut sys = Simulation::builder().assembly(src).entry("alt").build().unwrap();
-        assert_eq!(sys.run().unwrap().output, vec![2]);
-    }
-
-    #[test]
     fn no_spawn_defers_the_root_context() {
         let mut sys = Simulation::builder().assembly(ECHO).no_spawn().input(14).build().unwrap();
         let main = sys.symbol("main").unwrap();
@@ -414,47 +295,6 @@ alt:    send+1 #0,#2
             Simulation::builder().assembly(ECHO).input(1).trace(rec.sink()).build().unwrap();
         sys.run().unwrap();
         assert!(!rec.records().is_empty(), "events flowed to the builder-installed sink");
-    }
-
-    #[test]
-    fn resume_from_rejects_program_options() {
-        let err = Simulation::builder()
-            .resume_from("/nonexistent.snap")
-            .assembly(ECHO)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(err, SimError::Snapshot(ref m) if m.contains("cannot be combined")),
-            "got {err:?}"
-        );
-        let err = Simulation::builder()
-            .resume_from("/nonexistent.snap")
-            .entry("main")
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn resume_from_reports_unreadable_files() {
-        let err = Simulation::builder().resume_from("/nonexistent/qm.snap").build().unwrap_err();
-        assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn resume_from_round_trips_through_a_file() {
-        let mut sys = Simulation::builder().pes(2).assembly(ECHO).input(14).build().unwrap();
-        let status = sys.run_until(4).unwrap();
-        assert!(matches!(status, crate::system::RunStatus::Paused { .. }));
-        let dir = std::env::temp_dir().join(format!("qm-builder-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mid.snap");
-        crate::snapshot::Snapshot::capture(&sys).write_to(&path).unwrap();
-        let mut resumed = Simulation::builder().resume_from(&path).build().unwrap();
-        let direct = sys.run().unwrap();
-        assert_eq!(resumed.run().unwrap(), direct, "resumed run matches the uninterrupted one");
-        assert_eq!(direct.output, vec![42]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // Reads two queue slots nothing ever produced: the verifier proves
@@ -539,17 +379,13 @@ main:   plus+2 r0,r1 :r0
 
     #[test]
     fn snapshots_hand_off_between_engine_and_oracle() {
-        let dir = std::env::temp_dir().join(format!("qm-builder-xlate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         for oracle_first in [true, false] {
             let mut sys = Simulation::builder().pes(2).assembly(ECHO).input(14).build().unwrap();
             if oracle_first {
                 sys.use_step_oracle();
             }
             sys.run_until(4).unwrap();
-            let path = dir.join("cross.snap");
-            crate::snapshot::Snapshot::capture(&sys).write_to(&path).unwrap();
-            let mut resumed = Simulation::builder().resume_from(&path).build().unwrap();
+            let mut resumed = System::restore(&crate::snapshot::Snapshot::capture(&sys)).unwrap();
             if !oracle_first {
                 resumed.use_step_oracle();
             }
@@ -560,6 +396,5 @@ main:   plus+2 r0,r1 :r0
                 crate::snapshot::Snapshot::capture(&resumed).state_digest()
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,7 +19,7 @@
 //! * [`xlate`] — translated execution, the run loop's engine.
 //! * [`builder`] — fluent construction: [`Simulation::builder()`].
 //! * [`snapshot`] — versioned capture/restore of complete machine state
-//!   (`qm-snap/v3`) with deterministic-replay guarantees.
+//!   (`qm-snap/v4`) with deterministic-replay guarantees.
 //! * [`report`] — the stable `qm-api/v1` JSON wire format for
 //!   [`RunOutcome`] and architectural state digests (the contract `qm-serve` serves over HTTP).
 //! * [`trace`] — structured event tracing: typed simulator events, the

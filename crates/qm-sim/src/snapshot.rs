@@ -1,4 +1,4 @@
-//! Versioned snapshot/restore of the complete machine state (`qm-snap/v3`).
+//! Versioned snapshot/restore of the complete machine state (`qm-snap/v4`).
 //!
 //! A [`Snapshot`] is the simulator's *instantaneous description*: every
 //! PE (window registers, presence bits, globals, clock, statistics),
@@ -19,13 +19,18 @@
 //!   multiset (see [`crate::sched`]). Only the ready queues and the
 //!   arrival counter are captured.
 //!
-//! # Wire format (`qm-snap/v3`)
+//! A snapshot is an in-memory value: [`Snapshot::capture`] and
+//! [`Snapshot::decode`] make one, [`Snapshot::encode`] and
+//! [`System::restore`] read one. Where the bytes are kept is the
+//! caller's business.
+//!
+//! # Wire format (`qm-snap/v4`)
 //!
 //! Little-endian throughout:
 //!
 //! ```text
 //! magic   8 bytes  "qm-snap\0"
-//! version u32      3
+//! version u32      4
 //! count   u32      number of sections
 //! table   count × { tag u32, offset u64, length u64, checksum u64 }
 //! payload concatenated section bodies (offsets relative to here)
@@ -44,7 +49,6 @@
 //! [`SnapshotError::UnknownVersion`] so callers can fail cleanly.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 use qm_isa::asm::Object;
 use qm_isa::pe::{CycleModel, PeStats};
@@ -59,16 +63,16 @@ use crate::system::System;
 use crate::{CtxId, UWord, Word};
 use qm_core::rng;
 
-/// Snapshot format version (`qm-snap/v3`: v2 without the fault-injection
-/// section, the per-context send-retry counter and the watchdog's idle
-/// counter).
-pub const VERSION: u32 = 3;
+/// Snapshot format version (`qm-snap/v4`: v3 without the automatic
+/// snapshot cadence in the SYSTEM section, which now holds only the six
+/// run-loop scalars).
+pub const VERSION: u32 = 4;
 
 const MAGIC: [u8; 8] = *b"qm-snap\0";
 const HEADER_LEN: usize = 16;
 const TABLE_ENTRY_LEN: usize = 28;
 
-/// Section tags of the `qm-snap/v3` layout.
+/// Section tags of the `qm-snap/v4` layout.
 mod tag {
     pub const CONFIG: u32 = 1;
     pub const MEMORY: u32 = 2;
@@ -116,8 +120,6 @@ pub enum SnapshotError {
     /// The input parsed but describes an impossible machine (bad
     /// cross-references, out-of-range enum values, duplicate sections…).
     Malformed(String),
-    /// Reading or writing the snapshot file failed.
-    Io(String),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -132,7 +134,6 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "checksum mismatch in section '{}'", tag::name(*section))
             }
             SnapshotError::Malformed(msg) => write!(f, "malformed snapshot: {msg}"),
-            SnapshotError::Io(msg) => write!(f, "snapshot i/o failed: {msg}"),
         }
     }
 }
@@ -358,8 +359,8 @@ struct CtxSnap {
 
 /// The loaded object's symbol information (words, sorted symbol table,
 /// base address). Immutable once loaded, so [`System`] caches one behind
-/// an `Arc` at load time and every cadence capture clones the pointer —
-/// snapshot cost no longer scales with program size.
+/// an `Arc` at load time and every capture clones the pointer —
+/// snapshot cost does not scale with program size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ObjSnap {
     pub(crate) base: UWord,
@@ -380,7 +381,7 @@ impl ObjSnap {
 
 /// A complete, self-contained capture of a [`System`] at a step
 /// boundary. Obtain one with [`Snapshot::capture`] or
-/// [`Snapshot::decode`]/[`Snapshot::read_from`]; turn it back into a
+/// [`Snapshot::decode`]; turn it back into a
 /// running system with [`System::restore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
@@ -404,9 +405,6 @@ pub struct Snapshot {
     created: u64,
     peak_live: u64,
     instr_count: u64,
-    snap_every: Option<u64>,
-    snap_dir: String,
-    next_snap_at: u64,
     symbols: Option<std::sync::Arc<ObjSnap>>,
 }
 
@@ -471,9 +469,6 @@ impl Snapshot {
             created: sys.created,
             peak_live: sys.peak_live,
             instr_count: sys.instr_count,
-            snap_every: sys.snap_every,
-            snap_dir: sys.snap_dir.clone(),
-            next_snap_at: sys.next_snap_at,
             symbols,
         }
     }
@@ -504,16 +499,11 @@ impl Snapshot {
         self.sec_contexts(&mut w);
         self.sec_sched(&mut w);
         self.sec_pages(&mut w);
-        w.u64(self.rr);
-        w.bool(self.halted);
-        w.u64(self.live);
-        w.u64(self.created);
-        w.u64(self.peak_live);
-        w.u64(self.instr_count);
+        self.sec_system(&mut w);
         w.sum()
     }
 
-    /// Serialize to the `qm-snap/v3` byte format. Deterministic: equal
+    /// Serialize to the `qm-snap/v4` byte format. Deterministic: equal
     /// snapshots encode to equal bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -554,7 +544,7 @@ impl Snapshot {
         out
     }
 
-    /// Parse `qm-snap/v3` bytes back into a snapshot.
+    /// Parse `qm-snap/v4` bytes back into a snapshot.
     ///
     /// # Errors
     ///
@@ -643,9 +633,6 @@ impl Snapshot {
             created: 0,
             peak_live: 0,
             instr_count: 0,
-            snap_every: None,
-            snap_dir: String::new(),
-            next_snap_at: 0,
             symbols: None,
         };
         let mut r = open(&sections, tag::CONFIG)?;
@@ -710,9 +697,6 @@ impl Snapshot {
         snap.created = r.u64()?;
         snap.peak_live = r.u64()?;
         snap.instr_count = r.u64()?;
-        snap.snap_every = if r.bool()? { Some(r.u64()?) } else { None };
-        snap.snap_dir = r.str()?;
-        snap.next_snap_at = r.u64()?;
         close(&r, tag::SYSTEM)?;
 
         let mut r = open(&sections, tag::SYMBOLS)?;
@@ -727,26 +711,6 @@ impl Snapshot {
         }
         close(&r, tag::SYMBOLS)?;
         Ok(snap)
-    }
-
-    /// Write the encoded snapshot to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] on filesystem failure.
-    pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.encode()).map_err(|e| SnapshotError::Io(e.to_string()))
-    }
-
-    /// Read and decode a snapshot from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] on filesystem failure, otherwise as
-    /// [`Snapshot::decode`].
-    pub fn read_from(path: &Path) -> Result<Snapshot, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Snapshot::decode(&bytes)
     }
 
     // ---- section encoders (canonical order; reused by state_digest) ----
@@ -903,15 +867,6 @@ impl Snapshot {
         w.u64(self.created);
         w.u64(self.peak_live);
         w.u64(self.instr_count);
-        match self.snap_every {
-            Some(e) => {
-                w.bool(true);
-                w.u64(e);
-            }
-            None => w.bool(false),
-        }
-        w.str(&self.snap_dir);
-        w.u64(self.next_snap_at);
     }
 
     fn sec_symbols(&self, w: &mut Writer<impl Sink>) {
@@ -1309,9 +1264,6 @@ impl System {
         sys.created = snap.created;
         sys.peak_live = snap.peak_live;
         sys.instr_count = snap.instr_count;
-        sys.snap_every = snap.snap_every;
-        sys.snap_dir = snap.snap_dir.clone();
-        sys.next_snap_at = snap.next_snap_at;
         Ok(sys)
     }
 }

@@ -88,10 +88,6 @@ pub enum SimError {
         /// rustc-style diagnostics).
         report: qm_verify::Report,
     },
-    /// Writing or reading a snapshot failed (automatic cadence snapshots
-    /// or a builder `resume_from`); the message carries the underlying
-    /// [`SnapshotError`](crate::snapshot::SnapshotError) or I/O error.
-    Snapshot(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -115,7 +111,6 @@ impl std::fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::Snapshot(msg) => write!(f, "snapshot failed: {msg}"),
         }
     }
 }
@@ -236,9 +231,10 @@ pub struct System {
     pub(crate) pages: Vec<PageAllocator>,
     pub(crate) symbols: Option<Object>,
     /// Snapshot-ready view of the loaded object (code words + sorted
-    /// symbols), built once at load. Cadence captures clone the `Arc`
-    /// instead of re-copying names and words, so `snapshot_every` cost
-    /// stops scaling with program size.
+    /// symbols), built once at load. Repeated captures (qm-serve's
+    /// per-job digest, the replay bisection's probes) clone the `Arc`
+    /// instead of re-copying names and words, so a capture's cost does
+    /// not scale with program size.
     pub(crate) symbol_snap: Option<std::sync::Arc<crate::snapshot::ObjSnap>>,
     /// Symbol table sorted by `(address, name)` — the shape the
     /// `qm_verify::names` span helpers take — cached at load so wait-for
@@ -254,14 +250,6 @@ pub struct System {
     /// snapshotted) so the `max_instructions` budget spans pause/resume
     /// exactly like an uninterrupted run.
     pub(crate) instr_count: u64,
-    /// Automatic snapshot cadence: write a snapshot every this many
-    /// cycles (`None` = off). See [`System::set_snapshot_cadence`].
-    pub(crate) snap_every: Option<u64>,
-    /// Directory automatic snapshots are written into.
-    pub(crate) snap_dir: String,
-    /// Next cycle boundary an automatic snapshot fires at (snapshotted,
-    /// so a resumed run hits the identical boundaries).
-    pub(crate) next_snap_at: u64,
     /// Translation of the code image (`None` until the first
     /// `run_until`). Host-side, not machine state: it is *not*
     /// snapshotted.
@@ -393,9 +381,6 @@ impl System {
             peak_live: 0,
             tracer: Tracer::off(),
             instr_count: 0,
-            snap_every: None,
-            snap_dir: String::from("."),
-            next_snap_at: 0,
             xlate: None,
             ahead,
             chan_saves: 0,
@@ -757,9 +742,7 @@ impl System {
     ///
     /// # Errors
     ///
-    /// As [`System::run`]; additionally [`SimError::Snapshot`] when an
-    /// automatic cadence snapshot (see
-    /// [`System::set_snapshot_cadence`]) cannot be written.
+    /// As [`System::run`].
     pub fn run_until(&mut self, limit: u64) -> Result<RunStatus, SimError> {
         self.translate_if_changed();
         self.rebuild_actors();
@@ -788,9 +771,6 @@ impl System {
                 // The next run_until re-plants every hint via
                 // rebuild_actors.
                 return Ok(Some(t));
-            }
-            if self.snap_every.is_some() {
-                self.write_due_snapshots(t)?;
             }
             if !self.is_running(i) {
                 self.dispatch(i);
@@ -972,9 +952,9 @@ impl System {
     /// PE is provably next) and the equivalence argument behind each.
     ///
     /// Each iteration re-checks everything that depends on the acting
-    /// PE itself: the hard bound (pause limit, snapshot boundary) and
-    /// whether it is provably next — anything else exits to the outer
-    /// loop, which re-proves the schedule from scratch. Every step
+    /// PE itself: the pause limit and whether it is provably next —
+    /// anything else exits to the outer loop, which re-proves the
+    /// schedule from scratch. Every step
     /// retires through [`Self::retire`], so the budget error fires at
     /// exactly the retired count the outer loop would raise it; a step
     /// that blocks, traps or faults ends the batch.
@@ -991,7 +971,6 @@ impl System {
         // `&mut self` steps; nothing below reads `self.xlate`.
         let xp = self.xlate.take().expect("translated on entry");
         let mut ctx_id = self.pes[i].current.expect("batched context is running");
-        let hard = if self.snap_every.is_some() { limit.min(self.next_snap_at) } else { limit };
         // `LeastLoaded` forks tie-break on other PEs' *clocks*, so a PE
         // whose clock ran ahead through local-only steps would be
         // observed. Then every step keeps the cycle-order bound, which
@@ -1008,7 +987,7 @@ impl System {
         loop {
             let unit = &self.pes[i];
             let before = unit.pe.cycles;
-            if before >= hard {
+            if before >= limit {
                 break;
             }
             let slot = xp.slot(unit.pe.regs.pc());
@@ -1038,7 +1017,7 @@ impl System {
                     // and that hint is its clock, the hint is exact and
                     // `(t, j)` is the serial scheduler's next pick: hand
                     // the batch to `j` instead of leaving it.
-                    if t >= hard {
+                    if t >= limit {
                         break;
                     }
                     if self.pes[j].pe.cycles != t || !self.is_running(j) {
@@ -1125,41 +1104,6 @@ impl System {
     #[must_use]
     pub fn run_loop_stats(&self) -> RunLoopStats {
         self.loop_stats
-    }
-
-    /// Arm automatic snapshots: every `every` cycles (of simulated time)
-    /// the run loop writes a full snapshot into `dir` as
-    /// `qm-snap-<cycle>.snap`. The cadence state is itself snapshotted,
-    /// so a run resumed from any of the files keeps writing at the same
-    /// boundaries. `every` must be non-zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn set_snapshot_cadence(&mut self, every: u64, dir: impl Into<String>) {
-        assert!(every > 0, "snapshot cadence must be non-zero");
-        self.snap_every = Some(every);
-        self.snap_dir = dir.into();
-        if self.next_snap_at == 0 {
-            self.next_snap_at = every;
-        }
-    }
-
-    /// Write every cadence snapshot due at or before step time `t`
-    /// (normally one; a long stall can skip several boundaries at once).
-    fn write_due_snapshots(&mut self, t: u64) -> Result<(), SimError> {
-        while let Some(every) = self.snap_every {
-            if t < self.next_snap_at {
-                break;
-            }
-            let path = std::path::Path::new(&self.snap_dir)
-                .join(format!("qm-snap-{:012}.snap", self.next_snap_at));
-            crate::snapshot::Snapshot::capture(self)
-                .write_to(&path)
-                .map_err(|e| SimError::Snapshot(format!("{}: {e}", path.display())))?;
-            self.next_snap_at += every;
-        }
-        Ok(())
     }
 
     /// Wall-clock cycles elapsed so far: the maximum over all PE clocks.

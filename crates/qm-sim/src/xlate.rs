@@ -38,9 +38,8 @@
 //! that PE's context in a tight loop — channel operations included,
 //! against the real kernel services — without re-proving the schedule
 //! per step. Two rules
-//! decide how far it may run, both inside the hard bound of the pause
-//! limit and the next snapshot boundary, and a third decides where it
-//! continues when the first rule stops it:
+//! decide how far it may run, both below the pause limit, and a third
+//! decides where it continues when the first rule stops it:
 //!
 //! * **Any step may run while this PE is provably next.** While the
 //!   PE's `(clock, pe)` key compares below a conservative lower bound
@@ -126,10 +125,10 @@
 //!   `j`, and reads the bound for `j`. `j`'s first step passes that
 //!   bound, because every other key, `i`'s included, is above `(t, j)`.
 //!   So every hand-off retires at least one step, and the batch cannot
-//!   loop. A hand-off needs `t` below the hard bound; otherwise the
-//!   outer loop's pause or snapshot comes first. When `j` is not
-//!   running, its next action is a dispatch, which only the outer loop
-//!   performs, so the batch exits as before. Steps that `i` ran ahead
+//!   loop. A hand-off needs `t` below the pause limit; otherwise the
+//!   outer loop's pause comes first. When `j` is not running, its next
+//!   action is a dispatch, which only the outer loop performs, so the
+//!   batch exits as before. Steps that `i` ran ahead
 //!   of the cycle order are unaffected: the outer loop would have made
 //!   the same choice from the same state after the batch exited, so the
 //!   rules above still cover every step on either side of the

@@ -4,8 +4,7 @@
 //! [`resume_matches`], checks it for any pause point; its inputs are
 //! random PE counts × placements × pause cycles, fixed pause points
 //! under round-robin and least-loaded placement, and every pause
-//! boundary of a short run. The automatic snapshot cadence and the builder's `resume_from`
-//! path are pinned after it.
+//! boundary of a short run.
 
 use qm_core::rng::check;
 use qm_sim::config::Placement;
@@ -139,42 +138,6 @@ fn every_pause_boundary_resumes_identically() {
     for pause_at in 0..=horizon {
         resume_matches(2, RR, pause_at).expect("runs");
     }
-}
-
-#[test]
-fn automatic_cadence_writes_resumable_snapshots() {
-    let dir = std::env::temp_dir().join(format!("qm-snap-cadence-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = build(2, LL, None).run().expect("baseline runs");
-
-    let mut sys = Simulation::builder()
-        .config(SystemConfig { placement: LL, ..SystemConfig::with_pes(2) })
-        .assembly(PIPELINE)
-        .snapshot_every(64)
-        .snapshot_dir(dir.to_str().unwrap())
-        .build()
-        .expect("builds");
-    let cadenced = sys.run().expect("cadenced run");
-    assert_eq!(cadenced, baseline, "writing snapshots never perturbs the run");
-
-    let mut snaps: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "snap"))
-        .collect();
-    snaps.sort();
-    assert!(!snaps.is_empty(), "cadence produced snapshot files");
-
-    for path in &snaps {
-        let resumed = Simulation::builder()
-            .resume_from(path)
-            .build()
-            .expect("resumes")
-            .run()
-            .expect("resumed run");
-        assert_eq!(resumed, baseline, "resume from {}", path.display());
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Hardening and canonical-bytes tests for the `qm-snap/v3` format via
+//! Hardening and canonical-bytes tests for the `qm-snap/v4` format via
 //! the public API: corrupt inputs yield structured errors (never
 //! panics), and capture → encode → decode → restore → capture is
 //! byte-identical — including for mid-run states with blocked contexts
@@ -87,8 +87,12 @@ fn wrong_magic_is_rejected() {
 #[test]
 fn unknown_versions_are_rejected_with_the_version() {
     let mut bytes = Snapshot::capture(&paused_system()).encode();
-    bytes[8] = 0x2A;
-    assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::UnknownVersion(0x2A)));
+    // 3 is the previous layout, which carried the automatic snapshot
+    // cadence; it is refused rather than migrated.
+    for version in [3, 0x2A] {
+        bytes[8] = version;
+        assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::UnknownVersion(version.into())));
+    }
 }
 
 #[test]
@@ -121,16 +125,4 @@ fn every_single_byte_flip_is_detected() {
             panic!("flip at byte {i} went undetected");
         }
     }
-}
-
-#[test]
-fn io_errors_are_structured() {
-    let err = Snapshot::read_from(std::path::Path::new("/nonexistent/dir/x.snap"))
-        .expect_err("missing file");
-    assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
-    let sys = paused_system();
-    let err = Snapshot::capture(&sys)
-        .write_to(std::path::Path::new("/nonexistent/dir/x.snap"))
-        .expect_err("unwritable path");
-    assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
 }

@@ -134,7 +134,7 @@ fn main() {
                     d.verdict.as_str(),
                     d.verdict_why,
                     if d.qp_confined { "confined" } else { "escapes" },
-                    d.compiled.proven_count(),
+                    d.proven_local_count(),
                     d.facts.len(),
                 );
             }

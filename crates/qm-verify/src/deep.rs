@@ -38,11 +38,8 @@
 //!   [`FactKind::MaxQueueDepth`] bounds come from the allowance
 //!   replay in the crate-private `wiring` module.
 //!
-//! The result is a versioned [`DeepReport`] (serializable as a
-//! `qm-api/v1` `deep_report` envelope) plus a compiled [`DeepFacts`]
-//! table: one flag byte per code word, O(1) to consult by program
-//! counter. The simulator does not read the table; it is the analysis
-//! result in indexed form, used by the CLI and the test suites.
+//! The result is a versioned [`DeepReport`], serializable as a
+//! `qm-api/v1` `deep_report` envelope. The simulator does not read it.
 //!
 //! **Trust base**: the kernel (trap handlers) always leaves `qp`
 //! pointing into the context's local queue page — the same invariant
@@ -183,60 +180,8 @@ pub struct ChannelEdge {
     pub chan: String,
 }
 
-/// Per-code-word flag: the instruction starting here is proven to touch
-/// only the accessing PE's private state (registers + local plane).
-pub const FACT_LOCAL: u8 = 1;
-/// Per-code-word flag: the (proven-local) instruction writes memory
-/// (`dup` spills, `store`).
-pub const FACT_WRITES_MEM: u8 = 2;
-
-/// The compiled fact table: one flag byte per code word, O(1) lookup by
-/// program counter. Empty (all zeroes) when confinement failed. The
-/// table describes the code image that was analyzed, which a run cannot
-/// change: the code segment is read-only.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeepFacts {
-    base: UWord,
-    flags: Vec<u8>,
-}
-
-impl DeepFacts {
-    /// The flag byte for the instruction starting at `pc` (0 when out
-    /// of range or unproven).
-    #[inline]
-    #[must_use]
-    pub fn flags_at(&self, pc: UWord) -> u8 {
-        if pc < self.base || (pc - self.base) & 3 != 0 {
-            return 0;
-        }
-        let idx = ((pc - self.base) / 4) as usize;
-        self.flags.get(idx).copied().unwrap_or(0)
-    }
-
-    /// The instruction at `pc` is proven to touch only the accessing
-    /// PE's private state.
-    #[inline]
-    #[must_use]
-    pub fn proven_local(&self, pc: UWord) -> bool {
-        self.flags_at(pc) & FACT_LOCAL != 0
-    }
-
-    /// The (proven-local) instruction at `pc` writes memory.
-    #[inline]
-    #[must_use]
-    pub fn writes_mem(&self, pc: UWord) -> bool {
-        self.flags_at(pc) & FACT_WRITES_MEM != 0
-    }
-
-    /// How many instruction words carry a proven-local flag.
-    #[must_use]
-    pub fn proven_count(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & FACT_LOCAL != 0).count()
-    }
-}
-
-/// The result of one deep verification: verdict, facts, and the
-/// compiled per-word table.
+/// The result of one deep verification: verdict, facts and the channel
+/// graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeepReport {
     /// Serialization version ([`DEEP_REPORT_VERSION`]).
@@ -260,8 +205,6 @@ pub struct DeepReport {
     /// Deep-pass diagnostics: the verdict as a note (or error, for a
     /// proven deadlock).
     pub report: Report,
-    /// The compiled per-word fact table (O(1) lookup by pc).
-    pub compiled: DeepFacts,
 }
 
 impl DeepReport {
@@ -270,6 +213,15 @@ impl DeepReport {
     #[must_use]
     pub fn deep_clean(&self) -> bool {
         !self.report.has_errors()
+    }
+
+    /// How many distinct code words carry a [`FactKind::ProvenLocal`]
+    /// fact (the envelope's `proven_local` field).
+    #[must_use]
+    pub fn proven_local_count(&self) -> usize {
+        let pcs: BTreeSet<UWord> =
+            self.facts.iter().filter(|f| f.kind == FactKind::ProvenLocal).map(|f| f.pc).collect();
+        pcs.len()
     }
 
     /// Serialize as a `qm-api/v1` `deep_report` envelope.
@@ -293,7 +245,7 @@ impl DeepReport {
         j.str_field("code", self.verdict.code().as_str());
         j.str_field("why", &self.verdict_why);
         j.end_obj();
-        j.u64_field("proven_local", self.compiled.proven_count() as u64);
+        j.u64_field("proven_local", self.proven_local_count() as u64);
         j.key("facts");
         j.begin_arr();
         for f in &self.facts {
@@ -435,8 +387,8 @@ pub(crate) struct DStep {
     forks: Option<Consts>,
     /// Confinement loss at this instruction; ends the path.
     escape: Option<Escape>,
-    /// A `fetch`/`store` here: (`is_store`, address operand value).
-    mem: Option<(bool, AbsV)>,
+    /// A `fetch`/`store` here: its address operand value.
+    mem: Option<AbsV>,
 }
 
 /// What one context's fixpoint produced.
@@ -444,8 +396,8 @@ struct CtxOut {
     label: Arc<str>,
     /// Program points, ascending.
     visited: Vec<UWord>,
-    /// Per mem-op site, ascending: (pc, is_store, address value).
-    mem: Vec<(UWord, bool, AbsV)>,
+    /// Per mem-op site, ascending: (pc, address value).
+    mem: Vec<(UWord, AbsV)>,
     escapes: Vec<(UWord, String)>,
     forks: BTreeSet<UWord>,
 }
@@ -576,7 +528,7 @@ impl<'a> DeepPass<'a> {
                     Opcode::Fetch | Opcode::Fchb | Opcode::Store | Opcode::Storb => {
                         Self::advance(state, qp_inc);
                         let is_store = matches!(op, Opcode::Store | Opcode::Storb);
-                        out.mem = Some((is_store, a));
+                        out.mem = Some(a);
                         if is_store {
                             self.fall_through(addr, size, &mut out);
                         } else if let Err(e) = Self::write_dst(state, dst1, AbsV::Top)
@@ -696,8 +648,8 @@ impl<'a> DeepPass<'a> {
             if let Some(reason) = step.escape {
                 outcome.escapes.push((addr, reason.to_string()));
             }
-            if let Some((is_store, v)) = step.mem {
-                outcome.mem.push((addr, is_store, v));
+            if let Some(v) = step.mem {
+                outcome.mem.push((addr, v));
             }
             #[allow(clippy::cast_sign_loss)]
             outcome.forks.extend(step.forks.iter().flat_map(|f| f.as_slice()).map(|&t| t as UWord));
@@ -726,14 +678,12 @@ impl Dataflow for DeepPass<'_> {
 
 /// True for the instruction classes whose memory traffic is confined to
 /// window spills/fills once `qp` confinement holds.
-fn confinement_class(instr: &Instruction) -> Option<u8> {
+fn confined_class(instr: &Instruction) -> bool {
     match instr {
-        Instruction::Dup { .. } => Some(FACT_LOCAL | FACT_WRITES_MEM),
-        Instruction::Basic { op, .. } => match op {
-            Opcode::Bne | Opcode::Beq => Some(FACT_LOCAL),
-            op if op.alu(0, 1).is_some() => Some(FACT_LOCAL),
-            _ => None,
-        },
+        Instruction::Dup { .. } => true,
+        Instruction::Basic { op, .. } => {
+            matches!(op, Opcode::Bne | Opcode::Beq) || op.alu(0, 1).is_some()
+        }
     }
 }
 
@@ -806,42 +756,26 @@ pub(crate) fn deep_report(
     // incomplete, so per-point joins (and the class argument) say
     // nothing about the paths the analysis never saw.
     let mut facts: Vec<Fact> = Vec::new();
-    // The compiled per-word table.
-    let mut flags = vec![0u8; obj.words().len()];
     if qp_confined {
         // Global per-pc address joins (a pc shared by several contexts
         // must be local under every one of them).
-        let mut global_mem: BTreeMap<UWord, (bool, AbsV)> = BTreeMap::new();
+        let mut global_mem: BTreeMap<UWord, AbsV> = BTreeMap::new();
         for (_, c) in &ctxs {
-            for &(pc, is_store, v) in &c.mem {
-                global_mem
-                    .entry(pc)
-                    .and_modify(|(_, old)| *old = old.join(&v))
-                    .or_insert((is_store, v));
+            for &(pc, v) in &c.mem {
+                global_mem.entry(pc).and_modify(|old| *old = old.join(&v)).or_insert(v);
             }
         }
         for (_, c) in &ctxs {
             for &pc in &c.visited {
                 let Some((instr, _)) = code.instr_at(pc) else { continue };
-                let f = match confinement_class(instr) {
-                    Some(f) => Some(f),
-                    None => match global_mem.get(&pc) {
-                        Some((is_store, v)) if v.proven_local_addr() => {
-                            Some(if *is_store { FACT_LOCAL | FACT_WRITES_MEM } else { FACT_LOCAL })
-                        }
-                        _ => None,
-                    },
-                };
-                if let Some(f) = f {
-                    if let Some(w) = code.index(pc) {
-                        flags[w] |= f;
-                    }
+                if confined_class(instr) || global_mem.get(&pc).is_some_and(AbsV::proven_local_addr)
+                {
                     let ctx = &c.label;
                     facts.push(Fact { ctx: Arc::clone(ctx), pc, kind: FactKind::ProvenLocal });
                     facts.push(Fact { ctx: Arc::clone(ctx), pc, kind: FactKind::CommutesWithNext });
                 }
             }
-            for &(pc, _, v) in &c.mem {
+            for &(pc, v) in &c.mem {
                 if let Some((lo, hi, stride)) = v.bounds() {
                     facts.push(Fact {
                         ctx: Arc::clone(&c.label),
@@ -978,8 +912,6 @@ pub(crate) fn deep_report(
     facts.sort_by(|a, b| (&a.ctx, a.pc, a.kind.order()).cmp(&(&b.ctx, b.pc, b.kind.order())));
     facts.dedup();
 
-    let compiled = DeepFacts { base: obj.base(), flags };
-
     DeepReport {
         version: DEEP_REPORT_VERSION,
         entry,
@@ -990,7 +922,6 @@ pub(crate) fn deep_report(
         facts,
         graph,
         report,
-        compiled,
     }
 }
 
@@ -1003,6 +934,10 @@ mod tests {
         deep_verify(&assemble(src).unwrap(), &VerifyOptions::default())
     }
 
+    fn proven_local(r: &DeepReport, pc: UWord) -> bool {
+        r.facts.iter().any(|f| f.pc == pc && f.kind == FactKind::ProvenLocal)
+    }
+
     #[test]
     fn straight_line_kernel_is_fully_proven() {
         let r = deep(
@@ -1012,10 +947,9 @@ mod tests {
                    trap #2,#0\n",
         );
         assert!(r.qp_confined, "{:?}", r.confinement_loss);
-        assert!(r.compiled.proven_local(4), "the mul is proven local");
-        assert!(!r.compiled.proven_local(0), "recv is never proven");
-        assert!(!r.compiled.writes_mem(4));
-        assert_eq!(r.compiled.proven_count(), 1);
+        assert!(proven_local(&r, 4), "the mul is proven local");
+        assert!(!proven_local(&r, 0), "recv is never proven");
+        assert_eq!(r.proven_local_count(), 1);
         assert!(r
             .facts
             .iter()
@@ -1038,7 +972,7 @@ mod tests {
             r.confinement_loss
         );
         assert!(r.facts.iter().all(|f| matches!(f.kind, FactKind::MaxQueueDepth { .. })));
-        assert_eq!(r.compiled.proven_count(), 0);
+        assert_eq!(r.proven_local_count(), 0);
     }
 
     #[test]
@@ -1054,7 +988,7 @@ mod tests {
                    trap #2,#0\n",
         );
         assert!(r.qp_confined, "{:?}", r.confinement_loss);
-        assert!(r.compiled.proven_count() >= 4, "ALU and branch pcs all proven");
+        assert!(r.proven_local_count() >= 4, "ALU and branch pcs all proven");
         assert_eq!(r.verdict, Verdict::Unknown, "{}", r.verdict_why);
         assert!(r.verdict_why.contains("wiring"), "{}", r.verdict_why);
         assert!(r.deep_clean());
@@ -1074,8 +1008,7 @@ mod tests {
         );
         assert!(r.qp_confined);
         let store_pc = 8; // plus with an ImmWord operand is 2 words
-        assert!(r.compiled.proven_local(store_pc), "{:?}", r.facts);
-        assert!(r.compiled.writes_mem(store_pc));
+        assert!(proven_local(&r, store_pc), "{:?}", r.facts);
         assert!(r.facts.iter().any(|f| f.pc == store_pc
             && matches!(f.kind, FactKind::AddrRange { lo, hi, .. }
                 if lo == -2_147_483_584 && hi == -2_147_483_584)));
@@ -1093,7 +1026,7 @@ mod tests {
         // Both mem ops target code-plane addresses: AddrRange facts
         // exist, but nothing is proven local.
         assert!(r.facts.iter().any(|f| matches!(f.kind, FactKind::AddrRange { .. })));
-        assert_eq!(r.compiled.proven_count(), 0);
+        assert_eq!(r.proven_local_count(), 0);
     }
 
     #[test]

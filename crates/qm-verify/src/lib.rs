@@ -20,8 +20,7 @@
 //!   abstract interpretation (interval/stride value domain in
 //!   [`domain`]) proving queue-pointer confinement, per-site address
 //!   ranges, static channel-occupancy bounds and a definite channel
-//!   verdict; emits the proven facts both as a report and as an
-//!   indexed per-word table ([`DeepFacts`]).
+//!   verdict; emits the proven facts as a report.
 //! * [`sequence`] — valid-sequence checking of an
 //!   [`qm_core::IndexedProgram`] against its source DFG.
 //! * [`lower`] — reference lowering from the indexed model to PE
@@ -55,7 +54,7 @@ pub mod traps;
 mod wiring;
 mod worklist;
 
-pub use deep::{deep_verify, deep_verify_at, DeepFacts, DeepReport, Fact, FactKind, Verdict};
+pub use deep::{deep_verify, deep_verify_at, DeepReport, Fact, FactKind, Verdict};
 pub use diag::{Code, Diagnostic, FastPathCertificate, Report, Severity};
 
 use qm_isa::asm::Object;

@@ -208,9 +208,7 @@ fn fact_key(f: &Fact) -> (String, u32, u8) {
 /// * the deep report embeds every shallow finding (superset tier);
 /// * exactly one verdict diagnostic, agreeing with `verdict`;
 /// * the fact list is sorted by `(ctx, pc, kind)` and duplicate-free;
-/// * the compiled per-word table and the `ProvenLocal` facts describe
-///   the same pc set, all word-aligned, with no flags on misaligned
-///   lookups.
+/// * every `ProvenLocal` fact names a word-aligned pc.
 fn check_shape(obj: &qm_isa::asm::Object, dr: &DeepReport) {
     let opts = VerifyOptions::default();
 
@@ -239,23 +237,8 @@ fn check_shape(obj: &qm_isa::asm::Object, dr: &DeepReport) {
     sorted.dedup();
     assert_eq!(keys.len(), sorted.len(), "no duplicate facts");
 
-    let proven_facts: std::collections::BTreeSet<u32> =
-        dr.facts.iter().filter(|f| f.kind == FactKind::ProvenLocal).map(|f| f.pc).collect();
-    for &pc in &proven_facts {
-        assert_eq!(pc & 3, 0, "fact pcs are word-aligned");
-        assert!(dr.compiled.proven_local(pc), "fact at {pc:#x} missing from the compiled table");
-    }
-    assert_eq!(
-        dr.compiled.proven_count(),
-        proven_facts.len(),
-        "compiled table proves exactly the fact-listed words"
-    );
-    let end = obj.base() + 4 * obj.words().len() as u32;
-    for pc in (obj.base()..end).step_by(4) {
-        if dr.compiled.proven_local(pc) {
-            assert!(proven_facts.contains(&pc), "flagged word {pc:#x} has no ProvenLocal fact");
-        }
-        assert_eq!(dr.compiled.flags_at(pc + 1), 0, "misaligned pc carries no flags");
+    for f in dr.facts.iter().filter(|f| f.kind == FactKind::ProvenLocal) {
+        assert_eq!(f.pc & 3, 0, "fact pcs are word-aligned");
     }
 }
 
@@ -278,9 +261,9 @@ fn pipeline_program_is_deep_clean(specs: &[Spec]) {
     // instruction; dup chains for fanout can only add more.
     let alu_ops = dag.node_ids().filter(|&v| !matches!(dag.payload(v), Op::Fetch(_))).count();
     assert!(
-        dr.compiled.proven_count() >= alu_ops,
+        dr.proven_local_count() >= alu_ops,
         "{} proven < {alu_ops} ALU ops",
-        dr.compiled.proven_count()
+        dr.proven_local_count()
     );
 }
 

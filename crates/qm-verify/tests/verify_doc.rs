@@ -10,15 +10,13 @@ const DOC: &str = include_str!("../../../docs/VERIFY.md");
 
 /// API anchors the contract describes: each must appear backticked (as
 /// part of a path or call) so prose drift can't mask a rename.
-const API_ANCHORS: [&str; 11] = [
+const API_ANCHORS: [&str; 9] = [
     "qm_verify::verify_object",
     "qm_verify::deep_verify",
     "deep_verify_at",
     "FactKind::AddrRange",
     "MaxQueueDepth",
-    "DeepFacts",
-    "FACT_LOCAL",
-    "FACT_WRITES_MEM",
+    "DeepReport::proven_local_count",
     "qm_sim::xlate",
     "channel_high_water",
     "DeepReport::deep_clean",
@@ -116,7 +114,7 @@ fn the_contract_covers_every_promised_section() {
         "### Queue-pointer confinement",
         "### Value analysis: intervals with stride",
         "### Channel verdict and occupancy bounds",
-        "## The compiled fact table",
+        "## Facts are analysis only",
         "## Diagnostic codes",
         "## How each suite pins this contract",
     ] {
@@ -127,8 +125,8 @@ fn the_contract_covers_every_promised_section() {
 #[test]
 fn facts_documented_as_analysis_only() {
     // The load-bearing sentences: the simulator never consumes the
-    // facts, and no run can change the code image the table describes.
-    assert!(DOC.contains("The simulator does not read the table"));
+    // facts, and no run can change the code image they describe.
+    assert!(DOC.contains("The simulator does not read the facts"));
     assert!(DOC.contains("never fed back into a simulation"));
     assert!(DOC.contains("which no run can change"));
     // And no verifier result decides which engine runs.

@@ -1,6 +1,6 @@
 //! The snapshot decoder and restore path driven with hostile input.
 //!
-//! Every `qm-snap/v3` section carries a checksum, so plain bit flips
+//! Every `qm-snap/v4` section carries a checksum, so plain bit flips
 //! almost never get past `Snapshot::decode`. The mutator is therefore
 //! structure-aware: it takes a mid-run snapshot of a bundled workload,
 //! changes one to four bytes of one section body and rewrites that
