@@ -47,7 +47,7 @@ pub mod pretty;
 pub mod sema;
 
 /// Compiler options (the Table 6.6 optimization toggles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Options {
     /// Live-value analysis: prune context interfaces down to live values
     /// (off = transmit every scalar in scope).

@@ -173,12 +173,6 @@ pub fn parse_job(body: &[u8]) -> Result<JobSpec, ApiError> {
     if !(1..=MAX_PES as u64).contains(&pes) {
         return Err(bad(format!("pes must be 1..={MAX_PES}")));
     }
-    // Accepted and validated for wire compatibility, then ignored:
-    // results never depended on the host shard count, and every job
-    // runs on the serial scheduler (docs/API.md).
-    if opt_u64(&v, "shards")?.is_some_and(|s| s > 64) {
-        return Err(bad("shards must be 0..=64"));
-    }
 
     let verify = match v.get("verify") {
         None => VerifyLevel::Strict,
@@ -196,12 +190,6 @@ pub fn parse_job(body: &[u8]) -> Result<JobSpec, ApiError> {
     };
     if deep && verify == VerifyLevel::Off {
         return Err(bad("\"deep\":true needs verification on (\"verify\":\"warn\" or \"strict\")"));
-    }
-
-    // Accepted and validated for wire compatibility, then ignored:
-    // every job runs on the one translated engine (docs/API.md).
-    if v.get("backend").is_some_and(|b| !matches!(b.as_str(), Some("interp" | "translated"))) {
-        return Err(bad("backend must be \"interp\" or \"translated\""));
     }
 
     let max_cycles = opt_u64(&v, "max_cycles")?;
@@ -237,20 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_knob_is_accepted_at_any_verify_level_and_ignored() {
-        let plain = parse_job(br#"{"workload":"matmul","param":4}"#).unwrap();
-        for body in [
-            &br#"{"workload":"matmul","param":4,"backend":"translated"}"#[..],
-            br#"{"workload":"matmul","param":4,"backend":"interp","verify":"off"}"#,
-            br#"{"workload":"matmul","param":4,"backend":"translated","verify":"warn"}"#,
-        ] {
-            let spec = parse_job(body).unwrap();
-            assert_eq!(
-                spec,
-                JobSpec { verify: spec.verify, ..plain.clone() },
-                "backend is ignored"
-            );
-        }
+    fn retired_backend_and_shards_fields_are_ignored() {
+        let plain = parse_job(br#"{"assembly":"x","verify":"warn"}"#).unwrap();
+        let legacy =
+            parse_job(br#"{"assembly":"x","verify":"warn","backend":"jit","shards":65}"#).unwrap();
+        assert_eq!(legacy, plain, "unknown fields change nothing");
     }
 
     #[test]
@@ -281,12 +260,9 @@ mod tests {
             (br#"{"workload":"reduction","param":65}"#, "reduction param must be 4..=64"),
             (br#"{"assembly":"x","pes":0}"#, "pes must be"),
             (br#"{"assembly":"x","pes":2000}"#, "pes must be"),
-            (br#"{"assembly":"x","shards":65}"#, "shards must be 0..=64"),
             (br#"{"assembly":"x","verify":"maybe"}"#, "verify must be"),
             (br#"{"assembly":"x","tenant":""}"#, "tenant must be"),
             (br#"{"assembly":"x","max_cycles":0}"#, "must be positive"),
-            (br#"{"assembly":"x","backend":"jit"}"#, "backend must be"),
-            (br#"{"assembly":"x","backend":7}"#, "backend must be"),
             (br#"{"assembly":"x","deep":"yes"}"#, "deep must be"),
             (br#"{"assembly":"x","deep":true,"verify":"off"}"#, "needs verification on"),
         ] {

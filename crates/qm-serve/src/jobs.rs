@@ -10,7 +10,8 @@
 //! Pausing and continuing changes no architectural state, so a job's
 //! result — cycle count, outputs, [`Snapshot::state_digest`] — is
 //! independent of how often it was preempted or which threads ran its
-//! slices. The serve smoke test asserts exactly that.
+//! slices. `serve_http`'s end-to-end test asserts exactly that over the
+//! wire.
 //!
 //! Parked machines are bounded by admission: paused jobs wait in the
 //! FIFO, which [`JobQueue::submit`] caps at `queue_cap`, and at most one
@@ -18,16 +19,16 @@
 //! `queue_cap` + workers jobs are parked at once.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use qm_sim::config::SystemConfig;
 use qm_sim::snapshot::Snapshot;
 use qm_sim::system::{RunOutcome, RunStatus, System};
-use qm_verify::{deep_verify, verify_object, VerifyLevel, VerifyOptions};
-use qm_workloads::{Workload, WorkloadRun};
+use qm_verify::{DeepReport, VerifyLevel};
+use qm_workloads::cache::Entry;
+use qm_workloads::{CompileCache, Lang, Workload, WorkloadRun};
 
 use crate::api::{bundled_workload, ApiError, JobSpec, Program};
-use crate::cache::{self, CompileCache, Entry};
 
 /// Server-wide execution defaults (per-job overrides in [`JobSpec`]).
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +103,7 @@ pub struct Continuation {
     resume_at: u64,
     /// Workload jobs carry their workload and compile-cache entry so the
     /// final slice can evaluate correctness.
-    workload: Option<(Workload, std::sync::Arc<Entry>)>,
+    workload: Option<(Workload, Arc<Entry>)>,
     verify_json: Option<String>,
 }
 
@@ -359,64 +360,29 @@ fn system_config(spec: &JobSpec) -> SystemConfig {
 
 /// `build_entry`'s success: the cache entry, the hit flag, and the
 /// bundled workload (when the job named one) for reference checking.
-type Built = (std::sync::Arc<Entry>, bool, Option<Workload>);
+type Built = (Arc<Entry>, bool, Option<Workload>);
 
-/// Compile (or assemble) through the cache, producing the entry and the
-/// hit flag.
+/// Compile (or assemble) and verify through the cache, producing the
+/// entry and the hit flag. A bundled workload is its generated OCCAM
+/// source, so it shares an entry with a raw submission of that source.
 fn build_entry(spec: &JobSpec, cache: &CompileCache) -> Result<Built, (&'static str, String)> {
-    let opts = qm_occam::Options::default();
     let page_words = system_config(spec).queue_page_words;
-    let verify_opts = VerifyOptions { page_words };
+    let lookup = |lang, text: &str| {
+        cache
+            .lookup(lang, text, &qm_occam::Options::default(), page_words)
+            .map_err(|m| ("compile_error", m))
+    };
     match &spec.program {
+        Program::Occam(src) => lookup(Lang::Occam, src).map(|(entry, hit)| (entry, hit, None)),
+        Program::Assembly(src) => {
+            lookup(Lang::Assembly, src).map(|(entry, hit)| (entry, hit, None))
+        }
         Program::Workload { name, param } => {
             let w = bundled_workload(name, *param).map_err(|e| ("bad_request", e.message))?;
-            let k = cache::source_key(&w.source, &opts, &verify_opts);
-            let (entry, hit) = cache
-                .lookup_or_fill(k, || compile_occam(&w.source, &opts, &verify_opts))
-                .map_err(|m| ("compile_error", m))?;
+            let (entry, hit) = lookup(Lang::Occam, &w.source)?;
             Ok((entry, hit, Some(w)))
         }
-        Program::Occam(src) => {
-            let k = cache::key(&spec.program, &opts, &verify_opts);
-            let (entry, hit) = cache
-                .lookup_or_fill(k, || compile_occam(src, &opts, &verify_opts))
-                .map_err(|m| ("compile_error", m))?;
-            Ok((entry, hit, None))
-        }
-        Program::Assembly(src) => {
-            let k = cache::key(&spec.program, &opts, &verify_opts);
-            let (entry, hit) = cache
-                .lookup_or_fill(k, || {
-                    let object = qm_isa::asm::assemble(src).map_err(|e| e.to_string())?;
-                    let report = verify_object(&object, &verify_opts);
-                    Ok(Entry {
-                        verify_errors: report.errors().count() > 0,
-                        verify_json: report.to_json(),
-                        syms: HashMap::new(),
-                        object,
-                        deep: std::sync::OnceLock::new(),
-                    })
-                })
-                .map_err(|m| ("compile_error", m))?;
-            Ok((entry, hit, None))
-        }
     }
-}
-
-fn compile_occam(
-    src: &str,
-    opts: &qm_occam::Options,
-    verify_opts: &VerifyOptions,
-) -> Result<Entry, String> {
-    let compiled = qm_occam::compile(src, opts).map_err(|e| e.to_string())?;
-    let report = verify_object(&compiled.object, verify_opts);
-    Ok(Entry {
-        verify_errors: report.errors().count() > 0,
-        verify_json: report.to_json(),
-        syms: compiled.syms,
-        object: compiled.object,
-        deep: std::sync::OnceLock::new(),
-    })
 }
 
 /// Execute one preemption slice of `unit`: build the system or resume
@@ -437,7 +403,7 @@ pub fn execute_slice(unit: WorkUnit, cache: &CompileCache, defaults: &ExecConfig
                     return StepReport { step: Step::Failed(code, msg), cache_hit: None };
                 }
             };
-            if spec.verify == VerifyLevel::Strict && entry.verify_errors {
+            if spec.verify == VerifyLevel::Strict && entry.report.has_errors() {
                 return StepReport {
                     step: Step::Failed(
                         "verify_rejected",
@@ -452,14 +418,8 @@ pub fn execute_slice(unit: WorkUnit, cache: &CompileCache, defaults: &ExecConfig
             // cache hit) or run it once and store it for every later
             // deep job on the same program. The deep report replaces
             // the shallow envelope in the job result.
-            let deep = spec.deep.then(|| {
-                cache.deep_report(&entry, || {
-                    let opts = VerifyOptions { page_words: system_config(spec).queue_page_words };
-                    let dr = deep_verify(&entry.object, &opts);
-                    (dr.to_json(), !dr.deep_clean())
-                })
-            });
-            if spec.verify == VerifyLevel::Strict && matches!(&deep, Some((_, true))) {
+            let deep = spec.deep.then(|| cache.deep_report(&entry));
+            if spec.verify == VerifyLevel::Strict && deep.is_some_and(|d| !d.deep_clean()) {
                 return StepReport {
                     step: Step::Failed(
                         "verify_rejected",
@@ -470,9 +430,8 @@ pub fn execute_slice(unit: WorkUnit, cache: &CompileCache, defaults: &ExecConfig
                     cache_hit: Some(hit),
                 };
             }
-            let verify_json = (spec.verify != VerifyLevel::Off).then(|| {
-                deep.as_ref().map_or_else(|| entry.verify_json.clone(), |(json, _)| json.clone())
-            });
+            let verify_json = (spec.verify != VerifyLevel::Off)
+                .then(|| deep.map_or_else(|| entry.report.to_json(), DeepReport::to_json));
             let built = if let Some(w) = &workload {
                 let run = WorkloadRun { cfg: system_config(spec), ..WorkloadRun::default() };
                 run.prepare_compiled(w, &entry.object, &entry.syms).map_err(|e| e.to_string())
@@ -642,7 +601,7 @@ mod tests {
     fn sliced_job_matches_the_step_oracle() {
         let cache = CompileCache::new();
         let q = JobQueue::new(8, 8);
-        // The legacy backend field parses at any verify level and changes
+        // The retired backend field is an unknown field and changes
         // nothing; slicing runs the preempt → resume path too.
         let body = br#"{"workload":"matmul","param":4,"verify":"warn","backend":"interp","slice_cycles":500}"#;
         let id = q.submit(crate::api::parse_job(body).unwrap()).unwrap();
@@ -670,7 +629,7 @@ mod tests {
         let q = JobQueue::new(8, 8);
         let body = |shards| {
             let json = format!(r#"{{"workload":"matmul","param":4,"pes":8,"shards":{shards}}}"#);
-            crate::api::parse_job(json.as_bytes()).expect("shards 0..=64 still parses")
+            crate::api::parse_job(json.as_bytes()).expect("unknown fields are ignored")
         };
         let serial = q.submit(body(0)).unwrap();
         let legacy = q.submit(body(4)).unwrap();

@@ -7,10 +7,8 @@
 //! - `POST /v1/jobs` — submit OCCAM source, raw assembly or a bundled
 //!   workload, plus system knobs (`pes`, `verify`, `deep`,
 //!   `max_cycles`, `slice_cycles`). Answers `202` with a `job` envelope.
-//!   The legacy `shards` (0..=64) and `backend` (`interp` or
-//!   `translated`) fields are still validated and then ignored: every
-//!   job runs on the one engine and the serial scheduler, and results
-//!   never depended on either.
+//!   Unknown fields are ignored, among them the retired `shards` and
+//!   `backend`.
 //! - `GET /v1/jobs/:id` — poll a job; finished jobs carry the full
 //!   `run_outcome` body, the architectural state digest and the verify
 //!   report.
@@ -20,9 +18,11 @@
 //!
 //! Three mechanisms make the service multi-tenant rather than a REPL:
 //!
-//! - a **content-hashed compile cache** ([`cache`]): identical programs
-//!   compile and verify once; later submissions skip straight to
-//!   execution (determinism makes the cached artifacts exact);
+//! - a **program cache** ([`qm_workloads::CompileCache`], one per
+//!   server): a program is compiled and verified once, keyed by its
+//!   kind, whole text, compiler options and page size; identical later
+//!   submissions skip straight to execution (determinism makes the
+//!   cached artifacts exact);
 //! - a **bounded FIFO queue with per-tenant in-flight caps** ([`jobs`]):
 //!   admission control at submit time, fair drain order after;
 //! - **in-memory preemption** ([`jobs`]): long jobs run in cycle
@@ -32,12 +32,10 @@
 //!   cannot change results.
 
 pub mod api;
-pub mod cache;
 pub mod http;
 pub mod jobs;
 pub mod server;
 
 pub use api::{ApiError, JobSpec, Program};
-pub use cache::CompileCache;
 pub use jobs::{ExecConfig, JobQueue};
 pub use server::{ServeConfig, Server};

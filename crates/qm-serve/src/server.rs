@@ -15,9 +15,9 @@ use std::thread::JoinHandle;
 
 use qm_core::json::Envelope;
 use qm_sim::report::digest_hex;
+use qm_workloads::CompileCache;
 
 use crate::api::{parse_job, ApiError};
-use crate::cache::CompileCache;
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::jobs::{execute_slice, ExecConfig, Job, JobQueue};
 

@@ -7,15 +7,18 @@
 //! bit flips, truncations, splices and number inflation. Every mutant
 //! must decode to `Ok` or a typed error and must never panic. A failing
 //! case replays from the `Gen::new(seed, size)` the harness reports.
+//!
+//! Hostile programs get one more check: two tenants whose programs
+//! collide under a 64-bit checksum must each get their own result.
 
 use std::io::Cursor;
 use std::time::{Duration, Instant};
 
-use qm_core::json;
-use qm_core::rng::{check, Gen};
+use qm_core::json::{self, JsonValue};
+use qm_core::rng::{check, checksum, mix, Gen};
 use qm_serve::api::parse_job;
-use qm_serve::http::{read_request, MAX_BODY_BYTES};
-use qm_serve::Program;
+use qm_serve::http::{read_request, request, MAX_BODY_BYTES};
+use qm_serve::{Program, ServeConfig, Server};
 
 const GOLDENS: [&str; 5] = [
     include_str!("../../qm-bench/tests/golden/deep_report.json"),
@@ -171,4 +174,103 @@ fn a_max_size_occam_body_parses_in_linear_time() {
     let Program::Occam(src) = spec.program else { panic!("an occam job") };
     assert_eq!(src, "  x := x + 1 -- \"é€😀\" A\n".repeat(lines) + &" ".repeat(pad));
     assert!(elapsed < Duration::from_secs(2), "parse_job took {elapsed:?}");
+}
+
+/// The bytes a program cache keyed by `checksum` once hashed for an
+/// assembly job at the default options and page size: a kind tag, the
+/// four option bits and the page words (16 bytes, so the text starts on
+/// a chunk boundary), then the text.
+fn checksummed_key(text: &str) -> Vec<u8> {
+    let opts = qm_occam::Options::default();
+    let page_words = qm_sim::SystemConfig::default().queue_page_words;
+    let mut key = b"asm\0".to_vec();
+    key.extend(
+        [
+            opts.live_value_analysis,
+            opts.input_sequencing,
+            opts.priority_scheduling,
+            opts.loop_unrolling,
+        ]
+        .map(u8::from),
+    );
+    key.extend(u64::from(page_words).to_le_bytes());
+    key.extend(text.as_bytes());
+    key
+}
+
+/// `checksum`'s running state after whole 8-byte chunks of `bytes`.
+fn fold(bytes: &[u8]) -> u64 {
+    bytes
+        .chunks_exact(8)
+        .fold(0x51CC_5EED_0000_0001, |h, c| mix(h ^ u64::from_le_bytes(c.try_into().unwrap())))
+}
+
+/// Two assembly programs that send 7 and 9 to the host and share one
+/// `checksum` key. Each ends in a 16-byte comment. The second's first
+/// comment chunk is a counter; its last chunk undoes the difference
+/// `checksum` folds in, `b2 = mix(h_B ^ b1) ^ h_A1 ^ a2`, and is kept
+/// once it is printable JSON-safe text.
+fn colliding_programs() -> (String, String) {
+    let body = |value: u32| {
+        let mut text = format!("main: send+3 #0,#{value}\n trap #3,#0 ;");
+        while text.len() % 8 != 0 {
+            text.push(' ');
+        }
+        text
+    };
+    let (a1, a2) = (*b"collide:", *b"tenant A");
+    let a = body(7) + std::str::from_utf8(&[a1, a2].concat()).unwrap();
+    let h_a1 = fold(&checksummed_key(&a)[..checksummed_key(&a).len() - 8]);
+    let h_b = fold(&checksummed_key(&body(9)));
+    let safe = |c: &u8| (b' '..=b'~').contains(c) && !b"\"\\".contains(c);
+    for n in 0u32.. {
+        let b1 = format!("{n:08}");
+        let b1_word = u64::from_le_bytes(b1.as_bytes().try_into().unwrap());
+        let b2 = (mix(h_b ^ b1_word) ^ h_a1 ^ u64::from_le_bytes(a2)).to_le_bytes();
+        if b2.iter().all(safe) {
+            let b = body(9) + &b1 + std::str::from_utf8(&b2).unwrap();
+            return (a, b);
+        }
+    }
+    unreachable!("the counter space holds a collision")
+}
+
+/// Submit `text` as a Warn-verified assembly job and wait for it:
+/// `(host output, cache_hit)`.
+fn run_assembly(addr: &str, text: &str) -> (JsonValue, JsonValue) {
+    let body = format!(r#"{{"assembly":"{}","verify":"warn"}}"#, text.replace('\n', "\\n"));
+    let (status, reply) = request(addr, "POST", "/v1/jobs", &body).unwrap();
+    assert_eq!(status, 202, "{reply}");
+    let id = json::parse(&reply).unwrap().get("data").and_then(|d| d.get("id")?.as_u64()).unwrap();
+    for _ in 0..3000 {
+        let (_, reply) = request(addr, "GET", &format!("/v1/jobs/{id}"), "").unwrap();
+        let data = json::parse(&reply).unwrap().get("data").cloned().unwrap();
+        if data.get("status").and_then(JsonValue::as_str) == Some("done") {
+            let output = data.get("result").and_then(|r| r.get("outcome")?.get("output").cloned());
+            return (output.unwrap(), data.get("cache_hit").cloned().unwrap());
+        }
+        assert_ne!(data.get("status").and_then(JsonValue::as_str), Some("failed"), "{reply}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("job {id} did not settle");
+}
+
+/// One tenant cannot make the program cache answer another tenant's
+/// job with its own program: a hit needs the same text, not the same
+/// 64-bit sum.
+#[test]
+fn programs_with_colliding_checksums_keep_their_own_results() {
+    let (a, b) = colliding_programs();
+    assert_ne!(a, b);
+    assert_eq!(a.len(), b.len());
+    let (key_a, key_b) = (checksummed_key(&a), checksummed_key(&b));
+    assert_eq!(mix(fold(&key_a) ^ key_a.len() as u64), checksum(&key_a), "fold() replays checksum");
+    assert_eq!(checksum(&key_a), checksum(&key_b), "the two keys collide");
+
+    let server = Server::start(&ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let num = |n: f64| JsonValue::Arr(vec![JsonValue::Num(n)]);
+    assert_eq!(run_assembly(&addr, &a), (num(7.0), JsonValue::Bool(false)));
+    assert_eq!(run_assembly(&addr, &b), (num(9.0), JsonValue::Bool(false)), "{b:?}");
+    server.shutdown();
 }

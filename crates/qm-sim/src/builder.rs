@@ -26,11 +26,8 @@
 //! The pre-existing piecewise methods remain as thin delegates (and for
 //! post-build mutation such as workload memory initialisation).
 
-use std::sync::{Mutex, OnceLock, PoisonError};
-
 use qm_isa::asm::{assemble, Object};
-use qm_isa::UWord;
-use qm_verify::{verify_object_at, Report, VerifyLevel, VerifyOptions};
+use qm_verify::{verify_object_at, VerifyLevel, VerifyOptions};
 
 use crate::config::SystemConfig;
 use crate::system::{SimError, System};
@@ -40,33 +37,6 @@ use crate::Word;
 /// Alias for [`System`] so construction reads as `Simulation::builder()`;
 /// the two names are interchangeable.
 pub type Simulation = System;
-
-/// Verification is a pure function of (object, entry, page size), and
-/// harnesses that sweep one program across many machine shapes re-verify
-/// it per point. A small process-wide memo makes the repeats free.
-/// `Object` is `Eq` but not `Hash`, so this is a bounded linear scan —
-/// entries are whole programs, so more than a handful is rare.
-const VERIFY_MEMO_CAP: usize = 128;
-
-fn verify_memoized(obj: &Object, entry: UWord, page_words: u32) -> Report {
-    type Memo = Vec<(Object, UWord, u32, Report)>;
-    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
-    let memo = MEMO.get_or_init(Mutex::default);
-    let guard = memo.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((.., report)) =
-        guard.iter().find(|(o, e, p, _)| *e == entry && *p == page_words && o == obj)
-    {
-        return report.clone();
-    }
-    drop(guard);
-    let report = verify_object_at(obj, entry, &VerifyOptions { page_words });
-    let mut guard = memo.lock().unwrap_or_else(PoisonError::into_inner);
-    if guard.len() >= VERIFY_MEMO_CAP {
-        drop(guard.remove(0));
-    }
-    guard.push((obj.clone(), entry, page_words, report.clone()));
-    report
-}
 
 /// Fluent builder for a [`System`]; obtained from [`System::builder`].
 ///
@@ -208,7 +178,7 @@ impl SimBuilder {
             sys.load_object(&obj);
             let entry = obj.symbol("main").unwrap_or_else(|| obj.base());
             if self.verify != VerifyLevel::Off {
-                let report = verify_memoized(&obj, entry, page_words);
+                let report = verify_object_at(&obj, entry, &VerifyOptions { page_words });
                 if !report.is_clean() {
                     if self.verify == VerifyLevel::Strict {
                         return Err(SimError::Verify { report });

@@ -5,19 +5,21 @@
 //! config and compiler options), then
 //! [`prepare`](WorkloadRun::prepare), [`run`](WorkloadRun::run) or
 //! [`run_with_checkpoint`](WorkloadRun::run_with_checkpoint) any number
-//! of workloads. (It replaced the old `run_workload` /
-//! `prepare_workload` / `run_workload_cfg` free-function triple, whose
-//! deprecated shims have since been removed.)
+//! of workloads. Each distinct (source, options, page size) is compiled
+//! and verified once per process, through one shared
+//! [`CompileCache`], so sweeps that run a workload across many machine
+//! shapes pay the front end and the verifier once.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
-use qm_occam::{compile, sema::SymKind, Compiled, Options};
+use qm_occam::{sema::SymKind, Options};
 use qm_sim::config::SystemConfig;
 use qm_sim::snapshot::Snapshot;
 use qm_sim::system::{RunOutcome, RunStatus, System};
-use qm_sim::Simulation;
+use qm_sim::{Simulation, VerifyLevel};
 
+use crate::cache::{CompileCache, Entry, Lang};
 use crate::Workload;
 
 /// Driver failure.
@@ -67,41 +69,13 @@ pub struct CurvePoint {
     pub throughput_ratio: f64,
 }
 
-/// Compilation is a pure function of (source, options), and sweep
-/// harnesses recompile the same workload once per machine shape. A
-/// process-wide memo of successful compiles makes the repeats free;
-/// failures are not cached (they re-report with full diagnostics).
-const COMPILE_MEMO_CAP: usize = 256;
-
-fn compile_memoized(source: &str, opts: &Options) -> Result<Compiled, WorkloadError> {
-    type Key = (String, (bool, bool, bool, bool));
-    static MEMO: OnceLock<Mutex<HashMap<Key, Compiled>>> = OnceLock::new();
-    let key = (
-        source.to_string(),
-        (
-            opts.live_value_analysis,
-            opts.input_sequencing,
-            opts.priority_scheduling,
-            opts.loop_unrolling,
-        ),
-    );
-    let memo = MEMO.get_or_init(Mutex::default);
-    if let Some(hit) = memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-        return Ok(hit.clone());
-    }
-    let compiled = compile(source, opts).map_err(|e| WorkloadError::Compile(e.to_string()))?;
-    let mut guard = memo.lock().unwrap_or_else(PoisonError::into_inner);
-    if guard.len() >= COMPILE_MEMO_CAP {
-        guard.clear();
-    }
-    guard.insert(key, compiled.clone());
-    Ok(compiled)
+/// The process-wide cache behind [`WorkloadRun::prepare`].
+fn programs() -> &'static CompileCache {
+    static PROGRAMS: OnceLock<CompileCache> = OnceLock::new();
+    PROGRAMS.get_or_init(CompileCache::new)
 }
 
-fn find_array(
-    syms: &std::collections::HashMap<String, SymKind>,
-    base: &str,
-) -> Result<(u32, u32), WorkloadError> {
+fn find_array(syms: &HashMap<String, SymKind>, base: &str) -> Result<(u32, u32), WorkloadError> {
     let mut hits = syms.iter().filter_map(|(name, kind)| {
         let stem = name.split('.').next().unwrap_or(name);
         match kind {
@@ -173,21 +147,32 @@ impl WorkloadRun {
     /// run and verify themselves (compare the output arrays against
     /// [`Workload::expected`], as [`run`](Self::run) does).
     ///
+    /// The program comes from the process-wide [`CompileCache`], so it
+    /// is compiled and statically verified once; the returned entry is
+    /// the shared one. Verifier findings print to stderr on every call,
+    /// as [`VerifyLevel::Warn`] does in the builder.
+    ///
     /// # Errors
     ///
     /// [`WorkloadError`] on compile faults or unresolvable input arrays.
-    pub fn prepare(&self, w: &Workload) -> Result<(System, qm_occam::Compiled), WorkloadError> {
-        let compiled = compile_memoized(&w.source, &self.opts)?;
-        let sys = self.prepare_compiled(w, &compiled.object, &compiled.syms)?;
-        Ok((sys, compiled))
+    pub fn prepare(&self, w: &Workload) -> Result<(System, Arc<Entry>), WorkloadError> {
+        let (entry, _) = programs()
+            .lookup(Lang::Occam, &w.source, &self.opts, self.cfg.queue_page_words)
+            .map_err(WorkloadError::Compile)?;
+        if !entry.report.is_clean() {
+            eprint!("{}", entry.report.render());
+        }
+        let sys = self.prepare_compiled(w, &entry.object, &entry.syms)?;
+        Ok((sys, entry))
     }
 
     /// [`prepare`](Self::prepare) minus the compile: load an
     /// already-compiled `w`, initialise its input arrays and spawn the
-    /// main context. This is the entry point for executors that cache
-    /// object code across runs (e.g. `qm-serve`'s compile cache) — the
+    /// main context. This is the entry point for executors that keep
+    /// their own [`CompileCache`] (e.g. `qm-serve`'s) — the
     /// `object`/`syms` pair must come from compiling `w.source` under
-    /// these options, or array addresses will not line up.
+    /// these options, or array addresses will not line up. It does not
+    /// verify: the caller's cache already holds the report.
     ///
     /// # Errors
     ///
@@ -197,7 +182,7 @@ impl WorkloadRun {
         &self,
         w: &Workload,
         object: &qm_isa::asm::Object,
-        syms: &std::collections::HashMap<String, SymKind>,
+        syms: &HashMap<String, SymKind>,
     ) -> Result<System, WorkloadError> {
         if object.symbol("main").is_none() {
             return Err(WorkloadError::Compile("no main context".into()));
@@ -205,6 +190,7 @@ impl WorkloadRun {
         let mut sys = Simulation::builder()
             .config(self.cfg.clone())
             .object(object)
+            .verify(VerifyLevel::Off)
             .no_spawn()
             .build()
             .map_err(|e| WorkloadError::Sim(e.to_string()))?;
@@ -289,7 +275,7 @@ impl WorkloadRun {
         &self,
         w: &Workload,
         sys: &System,
-        syms: &std::collections::HashMap<String, SymKind>,
+        syms: &HashMap<String, SymKind>,
         outcome: RunOutcome,
     ) -> Result<BenchResult, WorkloadError> {
         let mut mismatches = Vec::new();
