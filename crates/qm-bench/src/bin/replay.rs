@@ -48,7 +48,7 @@ fn demo(json: bool) {
 
     let spread = Variant::new("round-robin");
     let local = Variant::new("local").with_placement(Placement::Local);
-    let report = bisect(&snap, &spread, &local).expect("bisection");
+    let report = bisect(&snap, &spread, &local);
     if json {
         println!("{}", report.to_json());
     } else {

@@ -14,13 +14,13 @@
 //! the deadlock reports.
 //!
 //! `bin/replay.rs` drives this as a demo (round-robin vs local placement
-//! of matmul from a shared checkpoint). [`smoke`] is the round-trip
-//! check that the `smoke_passes` unit test runs.
+//! of matmul from a shared checkpoint). [`smoke`] is the capture,
+//! restore and resume check that the `smoke_passes` unit test runs.
 
 use std::fmt;
 
 use qm_sim::config::Placement;
-use qm_sim::snapshot::{Snapshot, SnapshotError};
+use qm_sim::snapshot::Snapshot;
 use qm_sim::system::{RunOutcome, RunStatus, System};
 use qm_workloads::WorkloadRun;
 
@@ -50,16 +50,13 @@ impl Variant {
     }
 
     /// Restore the snapshot and apply this variant's overrides.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] if the snapshot fails validation.
-    pub fn instantiate(&self, snap: &Snapshot) -> Result<System, SnapshotError> {
-        let mut sys = System::restore(snap)?;
+    #[must_use]
+    pub fn instantiate(&self, snap: &Snapshot) -> System {
+        let mut sys = System::restore(snap);
         if let Some(placement) = self.placement {
             sys.set_placement(placement);
         }
-        Ok(sys)
+        sys
     }
 }
 
@@ -68,16 +65,13 @@ impl Variant {
 /// budget) die deterministically too, so their digest is a checksum of
 /// the structured error — still comparable, so bisection keeps working
 /// across the death cycle.
-///
-/// # Errors
-///
-/// [`SnapshotError`] if the snapshot fails validation.
-pub fn digest_at(snap: &Snapshot, variant: &Variant, k: u64) -> Result<u64, SnapshotError> {
-    let mut sys = variant.instantiate(snap)?;
-    Ok(match sys.run_until(k) {
+#[must_use]
+pub fn digest_at(snap: &Snapshot, variant: &Variant, k: u64) -> u64 {
+    let mut sys = variant.instantiate(snap);
+    match sys.run_until(k) {
         Ok(_) => Snapshot::capture(&sys).state_digest(),
         Err(e) => qm_core::rng::checksum(e.to_string().as_bytes()),
-    })
+    }
 }
 
 /// One variant's side of a [`DivergenceReport`].
@@ -183,25 +177,21 @@ impl fmt::Display for DivergenceReport {
 
 /// Probe one variant at the first divergent cycle (or the capture cycle)
 /// and run it to completion for the report.
-fn variant_report(
-    snap: &Snapshot,
-    variant: &Variant,
-    split: u64,
-) -> Result<VariantReport, SnapshotError> {
-    let mut probe = variant.instantiate(snap)?;
+fn variant_report(snap: &Snapshot, variant: &Variant, split: u64) -> VariantReport {
+    let mut probe = variant.instantiate(snap);
     // A probe that dies before the split is still informative: the
     // wait-for state below describes the death scene.
     let _ = probe.run_until(split);
     let wait_for_at_split: Vec<String> =
         probe.wait_for_report().iter().map(ToString::to_string).collect();
-    let mut full = variant.instantiate(snap)?;
+    let mut full = variant.instantiate(snap);
     let outcome = full.run().map_err(|e| e.to_string());
-    Ok(VariantReport {
+    VariantReport {
         name: variant.name.clone(),
         final_cycles: full.elapsed_cycles(),
         outcome,
         wait_for_at_split,
-    })
+    }
 }
 
 /// Binary-search the first cycle at which `a` and `b`, launched from the
@@ -211,42 +201,35 @@ fn variant_report(
 /// capture cycle by construction, and past the split the executions have
 /// materially different histories, so "digest equal at `k`" is monotone
 /// in `k` over the searched range.
-///
-/// # Errors
-///
-/// [`SnapshotError`] if the snapshot fails validation.
-pub fn bisect(
-    snap: &Snapshot,
-    a: &Variant,
-    b: &Variant,
-) -> Result<DivergenceReport, SnapshotError> {
+#[must_use]
+pub fn bisect(snap: &Snapshot, a: &Variant, b: &Variant) -> DivergenceReport {
     let captured_at = snap.cycle();
-    let report_a = variant_report(snap, a, captured_at)?;
-    let report_b = variant_report(snap, b, captured_at)?;
+    let report_a = variant_report(snap, a, captured_at);
+    let report_b = variant_report(snap, b, captured_at);
     // Probe one cycle past the later finisher: beyond both completions
     // the digests are frozen at their final values.
     let hi = report_a.final_cycles.max(report_b.final_cycles) + 1;
-    if digest_at(snap, a, hi)? == digest_at(snap, b, hi)? {
-        return Ok(DivergenceReport {
+    if digest_at(snap, a, hi) == digest_at(snap, b, hi) {
+        return DivergenceReport {
             captured_at,
             first_divergent_cycle: None,
             variants: vec![report_a, report_b],
-        });
+        };
     }
     let (mut lo, mut hi) = (captured_at, hi);
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if digest_at(snap, a, mid)? == digest_at(snap, b, mid)? {
+        if digest_at(snap, a, mid) == digest_at(snap, b, mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    Ok(DivergenceReport {
+    DivergenceReport {
         captured_at,
         first_divergent_cycle: Some(hi),
-        variants: vec![variant_report(snap, a, hi)?, variant_report(snap, b, hi)?],
-    })
+        variants: vec![variant_report(snap, a, hi), variant_report(snap, b, hi)],
+    }
 }
 
 /// Capture cycle of [`smoke`]'s placement pair: matmul(4) on 2 PEs has
@@ -274,9 +257,9 @@ pub fn capture_workload(
     }
 }
 
-/// The snapshot smoke check: a full capture → encode → decode →
-/// restore → resume round trip must be bit-identical to the
-/// uninterrupted run, and a round-robin/local placement pair from a
+/// The snapshot smoke check: a mid-run capture must restore to a system
+/// that captures to the same snapshot and resumes bit-identically to
+/// the uninterrupted run, and a round-robin/local placement pair from a
 /// snapshot captured before the forks are placed must bisect to a
 /// divergence.
 ///
@@ -291,13 +274,12 @@ pub fn smoke() -> Result<(), String> {
         return Err(format!("baseline run verified incorrect: {:?}", baseline.mismatches));
     }
 
-    // Round trip through bytes at a mid-run capture point.
+    // Restore and resume from a mid-run capture point.
     let snap = capture_workload(&run, &w, baseline.outcome.elapsed_cycles / 2)?;
-    let decoded = Snapshot::decode(&snap.encode()).map_err(|e| e.to_string())?;
-    if decoded != snap {
-        return Err("decode(encode(snapshot)) is not the identity".into());
+    let mut resumed = System::restore(&snap);
+    if Snapshot::capture(&resumed) != snap {
+        return Err("capture(restore(snapshot)) is not the identity".into());
     }
-    let mut resumed = System::restore(&decoded).map_err(|e| e.to_string())?;
     let outcome = resumed.run().map_err(|e| e.to_string())?;
     if outcome != baseline.outcome {
         return Err("resumed outcome differs from the uninterrupted run".into());
@@ -310,7 +292,7 @@ pub fn smoke() -> Result<(), String> {
     let early = capture_workload(&run, &w, EARLY_CAPTURE)?;
     let spread = Variant::new("round-robin");
     let local = Variant::new("local").with_placement(Placement::Local);
-    let report = bisect(&early, &spread, &local).map_err(|e| e.to_string())?;
+    let report = bisect(&early, &spread, &local);
     let Some(split) = report.first_divergent_cycle else {
         return Err("local placement failed to diverge from round-robin".into());
     };
@@ -337,7 +319,7 @@ mod tests {
     #[test]
     fn identical_variants_never_diverge() {
         let snap = shared_snapshot();
-        let report = bisect(&snap, &Variant::new("a"), &Variant::new("b")).expect("bisects");
+        let report = bisect(&snap, &Variant::new("a"), &Variant::new("b"));
         assert_eq!(report.first_divergent_cycle, None);
         assert_eq!(
             report.variants[0].outcome, report.variants[1].outcome,
@@ -352,19 +334,13 @@ mod tests {
             .expect("captures before the forks are placed");
         let spread = Variant::new("round-robin");
         let local = Variant::new("local").with_placement(Placement::Local);
-        let report = bisect(&snap, &spread, &local).expect("bisects");
+        let report = bisect(&snap, &spread, &local);
         let split = report.first_divergent_cycle.expect("local placement diverges");
         assert!(split > report.captured_at, "divergence is after the branch point");
         // Bisection found the *first* divergent cycle: equal one cycle
         // before, different at the split.
-        assert_eq!(
-            digest_at(&snap, &spread, split - 1).unwrap(),
-            digest_at(&snap, &local, split - 1).unwrap()
-        );
-        assert_ne!(
-            digest_at(&snap, &spread, split).unwrap(),
-            digest_at(&snap, &local, split).unwrap()
-        );
+        assert_eq!(digest_at(&snap, &spread, split - 1), digest_at(&snap, &local, split - 1));
+        assert_ne!(digest_at(&snap, &spread, split), digest_at(&snap, &local, split));
         let text = report.to_string();
         assert!(text.contains("first divergent cycle"), "{text}");
         assert!(text.contains("variant \"local\""), "{text}");
@@ -377,7 +353,7 @@ mod tests {
         // oracle, and compare digests at probes through to completion.
         let snap = shared_snapshot();
         let digest = |oracle: bool, k: u64| {
-            let mut sys = System::restore(&snap).expect("restores");
+            let mut sys = System::restore(&snap);
             if oracle {
                 sys.use_step_oracle();
             }
@@ -400,7 +376,7 @@ mod tests {
         let snap = shared_snapshot();
         let v = Variant::new("probe");
         let k = snap.cycle() + 40;
-        assert_eq!(digest_at(&snap, &v, k).unwrap(), digest_at(&snap, &v, k).unwrap());
+        assert_eq!(digest_at(&snap, &v, k), digest_at(&snap, &v, k));
     }
 
     #[test]

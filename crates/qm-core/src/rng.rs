@@ -2,9 +2,9 @@
 //! property harness built on them.
 //!
 //! One audited source for every seeded draw and integrity hash in the
-//! workspace: the snapshot format's section checksums
-//! (`qm_sim::snapshot`) and the property harness's draws both build on
-//! [`mix`]. Keeping the finalizer in one place means one set of tests
+//! workspace: the architectural state digest
+//! (`qm_sim::snapshot::Snapshot::state_digest`) and the property
+//! harness's draws both build on [`mix`]. Keeping the finalizer in one place means one set of tests
 //! vouches for its avalanche behaviour, and a change to it cannot
 //! silently diverge between its users.
 //!
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn checksum_detects_flips_truncation_and_extension() {
-        let data = b"qm-snap section payload".to_vec();
+        let data = b"digest section payload".to_vec();
         let base = checksum(&data);
         assert_eq!(base, checksum(&data), "checksum is a pure function");
 

@@ -16,6 +16,9 @@ use std::net::TcpStream;
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body, in bytes (OCCAM sources are small).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Most body bytes reserved before any arrive; a longer body grows its
+/// buffer as it is read.
+const BODY_CHUNK_BYTES: usize = 1024;
 
 /// One parsed request: method, path and raw body bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,8 +119,13 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, HttpError> {
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge("body"));
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body).map_err(|_| HttpError::Malformed("body shorter than declared"))?;
+    // Grow the body with the bytes that arrive, not with the length the
+    // head promises: a short head must not buy a large allocation.
+    let mut body = Vec::with_capacity(content_length.min(BODY_CHUNK_BYTES));
+    let read = r.take(content_length as u64).read_to_end(&mut body);
+    if read.is_err() || body.len() < content_length {
+        return Err(HttpError::Malformed("body shorter than declared"));
+    }
     Ok(Request { method, path, body })
 }
 

@@ -355,7 +355,7 @@ main:   plus+2 r0,r1 :r0
                 sys.use_step_oracle();
             }
             sys.run_until(4).unwrap();
-            let mut resumed = System::restore(&crate::snapshot::Snapshot::capture(&sys)).unwrap();
+            let mut resumed = System::restore(&crate::snapshot::Snapshot::capture(&sys));
             if !oracle_first {
                 resumed.use_step_oracle();
             }

@@ -18,8 +18,9 @@
 //! * [`system`] — the top-level simulator and run loop.
 //! * [`xlate`] — translated execution, the run loop's engine.
 //! * [`builder`] — fluent construction: [`Simulation::builder()`].
-//! * [`snapshot`] — versioned capture/restore of complete machine state
-//!   (`qm-snap/v4`) with deterministic-replay guarantees.
+//! * [`snapshot`] — in-memory capture/restore of complete machine
+//!   state with deterministic-replay guarantees, and its architectural
+//!   digest.
 //! * [`report`] — the stable `qm-api/v1` JSON wire format for
 //!   [`RunOutcome`] and architectural state digests (the contract `qm-serve` serves over HTTP).
 //! * [`trace`] — structured event tracing: typed simulator events, the
@@ -80,7 +81,7 @@ pub use config::SystemConfig;
 // is `qm_verify::{VerifyLevel, VerifyOptions}` (or the facade prelude).
 #[doc(hidden)]
 pub use qm_verify::{VerifyLevel, VerifyOptions};
-pub use snapshot::{Snapshot, SnapshotError};
+pub use snapshot::Snapshot;
 pub use system::{BlockedCtx, RunLoopStats, RunOutcome, RunStatus, SimError, System};
 pub use trace::{ChromeTrace, Recorder, TraceEvent, TraceRecord, TraceSink, Tracer};
 

@@ -1334,7 +1334,7 @@ child:  recv r17,#0 :r0
             sys.load_object(&second);
             sys.spawn_main(second.base());
             let out = sys.run().unwrap();
-            (out, crate::snapshot::Snapshot::capture(&sys).encode())
+            (out, crate::snapshot::Snapshot::capture(&sys))
         };
         let engine = run(false);
         assert_eq!(engine.0.output, vec![7, 11]);

@@ -48,10 +48,10 @@ fn build(pes: usize, placement: Placement, rec: Option<&Recorder>) -> System {
     b.build().expect("assembles")
 }
 
-/// Run to the end, pausing at `pause_at`: capture, encode, decode,
-/// restore and resume. The capture must decode to itself and re-capture
-/// from the restored system to the same bytes. Returns the stitched
-/// result and, with `traced`, the trace records of both halves.
+/// Run to the end, pausing at `pause_at`: capture, restore and resume.
+/// The restored system must re-capture to an equal snapshot. Returns
+/// the stitched result and, with `traced`, the trace records of both
+/// halves.
 fn interrupted(
     pes: usize,
     placement: Placement,
@@ -66,12 +66,9 @@ fn interrupted(
         Ok(RunStatus::Paused { .. }) => {
             let snap = Snapshot::capture(&sys);
             drop(sys); // the restored system is all that survives
-            let bytes = snap.encode();
-            let decoded = Snapshot::decode(&bytes).expect("decodes");
-            assert_eq!(decoded, snap, "decode inverts encode");
-            let recaptured = Snapshot::capture(&System::restore(&decoded).expect("restores"));
-            assert_eq!(recaptured.encode(), bytes, "byte-identical re-capture");
-            let mut resumed = System::restore(&decoded).expect("restores again");
+            let recaptured = Snapshot::capture(&System::restore(&snap));
+            assert_eq!(recaptured, snap, "identical re-capture");
+            let mut resumed = System::restore(&snap);
             let second = Recorder::new(1 << 16);
             if traced {
                 resumed.set_trace_sink(second.sink());
@@ -85,7 +82,7 @@ fn interrupted(
     (result, first.records())
 }
 
-/// The property: paused at `pause_at` and resumed from bytes, the run
+/// The property: paused at `pause_at` and resumed from a snapshot, the run
 /// ends exactly as the uninterrupted one does — the same metrics, or
 /// (for runs that end in an error) the same structured error — untraced
 /// and traced, with the same trace stream. Returns the shared result.
@@ -145,6 +142,6 @@ fn snapshot_of_a_finished_run_restores_the_outcome() {
     let mut sys = build(2, RR, None);
     let outcome = sys.run().expect("runs");
     let snap = Snapshot::capture(&sys);
-    let mut restored = System::restore(&snap).expect("restores");
+    let mut restored = System::restore(&snap);
     assert_eq!(restored.run().expect("trivially re-finishes"), outcome);
 }

@@ -1,13 +1,12 @@
-//! Hardening and canonical-bytes tests for the `qm-snap/v4` format via
-//! the public API: corrupt inputs yield structured errors (never
-//! panics), and capture → encode → decode → restore → capture is
-//! byte-identical — including for mid-run states with blocked contexts
-//! and a placement policy that reads other PEs' clocks.
+//! Capture → restore → capture reproduces the snapshot exactly, through
+//! the public API — including for mid-run states with blocked contexts
+//! and a placement policy that reads other PEs' clocks — and the
+//! architectural digest survives the round trip.
 //!
 //! (Dependency-free on purpose: part of the offline test gate.)
 
 use qm_sim::config::Placement;
-use qm_sim::snapshot::{Snapshot, SnapshotError};
+use qm_sim::snapshot::Snapshot;
 use qm_sim::system::RunStatus;
 use qm_sim::{Simulation, System, SystemConfig};
 
@@ -41,88 +40,31 @@ fn paused_system() -> System {
 }
 
 #[test]
-fn mid_run_capture_round_trips_byte_identically() {
+fn mid_run_capture_round_trips_to_an_equal_snapshot() {
     let sys = paused_system();
     let snap = Snapshot::capture(&sys);
     assert!(snap.cycle() > 0, "capture is genuinely mid-run");
-    let bytes = snap.encode();
-    assert_eq!(bytes, snap.encode(), "encode is deterministic");
+    assert_eq!(Snapshot::capture(&sys), snap, "capture is deterministic");
 
-    let decoded = Snapshot::decode(&bytes).expect("decodes");
-    assert_eq!(decoded, snap, "decode inverts encode");
-
-    let restored = System::restore(&decoded).expect("restores");
-    let recaptured = Snapshot::capture(&restored);
+    let recaptured = Snapshot::capture(&System::restore(&snap));
     assert_eq!(recaptured, snap, "capture after restore reproduces the snapshot");
-    assert_eq!(recaptured.encode(), bytes, "… byte for byte");
 }
 
 #[test]
 fn digests_agree_across_the_round_trip_and_track_progress() {
     let sys = paused_system();
     let snap = Snapshot::capture(&sys);
-    let restored = System::restore(&snap).expect("restores");
+    let restored = System::restore(&snap);
     assert_eq!(
         Snapshot::capture(&restored).state_digest(),
         snap.state_digest(),
         "restore preserves the architectural digest"
     );
-    let mut advanced = System::restore(&snap).expect("restores");
+    let mut advanced = System::restore(&snap);
     advanced.run().expect("finishes");
     assert_ne!(
         Snapshot::capture(&advanced).state_digest(),
         snap.state_digest(),
         "running to completion changes the digest"
     );
-}
-
-#[test]
-fn wrong_magic_is_rejected() {
-    let mut bytes = Snapshot::capture(&paused_system()).encode();
-    bytes[0] = b'X';
-    assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadMagic));
-    assert_eq!(Snapshot::decode(b"not a snapshot at all..."), Err(SnapshotError::BadMagic));
-}
-
-#[test]
-fn unknown_versions_are_rejected_with_the_version() {
-    let mut bytes = Snapshot::capture(&paused_system()).encode();
-    // 3 is the previous layout, which carried the automatic snapshot
-    // cadence; it is refused rather than migrated.
-    for version in [3, 0x2A] {
-        bytes[8] = version;
-        assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::UnknownVersion(version.into())));
-    }
-}
-
-#[test]
-fn every_truncation_point_errors_instead_of_panicking() {
-    let bytes = Snapshot::capture(&paused_system()).encode();
-    for len in 0..bytes.len() {
-        let err = Snapshot::decode(&bytes[..len]).expect_err("truncated input must not decode");
-        assert!(
-            matches!(err, SnapshotError::Truncated(_) | SnapshotError::ChecksumMismatch { .. }),
-            "truncation to {len} bytes gave {err:?}"
-        );
-    }
-}
-
-#[test]
-fn every_single_byte_flip_is_detected() {
-    let bytes = Snapshot::capture(&paused_system()).encode();
-    // Flipping any payload byte must surface as *some* structured error
-    // (usually a checksum mismatch; table/header flips hit the earlier
-    // guards). Step a few bytes at a time to keep the test quick.
-    for i in (0..bytes.len()).step_by(7) {
-        let mut corrupt = bytes.clone();
-        corrupt[i] ^= 0x40;
-        if let Err(e) = Snapshot::decode(&corrupt) {
-            let _ = e.to_string(); // Display never panics either
-        } else {
-            // A flip inside the version/count/table that still decodes
-            // would be a hole in the armour — only the magic's case
-            // variations could legitimately survive, and they cannot.
-            panic!("flip at byte {i} went undetected");
-        }
-    }
 }

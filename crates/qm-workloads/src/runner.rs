@@ -4,7 +4,8 @@
 //! [`WorkloadRun`] is the single entry point: configure once (system
 //! config and compiler options), then
 //! [`prepare`](WorkloadRun::prepare), [`run`](WorkloadRun::run) or
-//! [`run_with_checkpoint`](WorkloadRun::run_with_checkpoint) any number
+//! [`run_with_checkpoint`](WorkloadRun::run_with_checkpoint) (the same
+//! run, paused, captured and finished on a restored system) any number
 //! of workloads. Each distinct (source, options, page size) is compiled
 //! and verified once per process, through one shared
 //! [`CompileCache`], so sweeps that run a workload across many machine
@@ -226,18 +227,17 @@ impl WorkloadRun {
         self.evaluate(w, &sys, &compiled.syms, outcome)
     }
 
-    /// Like [`run`](Self::run), but pause at cycle `pause_at`, push the
-    /// machine state through a full snapshot round trip
-    /// (capture → encode → decode → restore) and finish on the restored
-    /// system. By the snapshot subsystem's replay guarantee the result
-    /// is bit-identical to [`run`](Self::run), making this the one-call
-    /// way to exercise checkpointing against any workload. Runs that
-    /// complete before `pause_at` degrade to a plain run.
+    /// Like [`run`](Self::run), but pause at cycle `pause_at`, capture
+    /// the machine state in a [`Snapshot`], restore a fresh system from
+    /// it and finish on that system. By the snapshot subsystem's replay
+    /// guarantee the result is bit-identical to [`run`](Self::run),
+    /// making this the one-call way to exercise checkpointing against
+    /// any workload. Runs that complete before `pause_at` degrade to a
+    /// plain run.
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run), plus [`WorkloadError::Sim`] if the
-    /// snapshot round trip itself fails.
+    /// As [`run`](Self::run).
     pub fn run_with_checkpoint(
         &self,
         w: &Workload,
@@ -248,11 +248,7 @@ impl WorkloadRun {
         let (sys, outcome) = match status {
             RunStatus::Done(outcome) => (sys, outcome),
             RunStatus::Paused { .. } => {
-                let bytes = Snapshot::capture(&sys).encode();
-                let snap =
-                    Snapshot::decode(&bytes).map_err(|e| WorkloadError::Sim(e.to_string()))?;
-                let mut restored =
-                    System::restore(&snap).map_err(|e| WorkloadError::Sim(e.to_string()))?;
+                let mut restored = System::restore(&Snapshot::capture(&sys));
                 let outcome = restored.run().map_err(|e| WorkloadError::Sim(e.to_string()))?;
                 (restored, outcome)
             }

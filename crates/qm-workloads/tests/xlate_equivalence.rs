@@ -1,7 +1,7 @@
 //! Engine ≡ oracle: the translated engine against the `Pe::step` oracle
 //! (`System::use_step_oracle`). One property, [`engine_matches_oracle`],
 //! demands bit-identity of outcomes (or the identical structured error),
-//! state digests and snapshot bytes, and that a snapshot captured
+//! state digests and snapshots, and that a snapshot captured
 //! mid-run on either one restores and finishes on the other with the
 //! oracle's result (the engine ≡ oracle clause of
 //! `docs/DETERMINISM.md`).
@@ -45,7 +45,7 @@ fn engine_matches_oracle(
     let snap_a = Snapshot::capture(&engine);
     let snap_b = Snapshot::capture(&oracle);
     assert_eq!(snap_a.state_digest(), snap_b.state_digest(), "{label}: digests diverged");
-    assert_eq!(snap_a.encode(), snap_b.encode(), "{label}: snapshot bytes diverged");
+    assert_eq!(snap_a, snap_b, "{label}: snapshots diverged");
 
     for oracle_first in [true, false] {
         let mut sys = build();
@@ -57,9 +57,7 @@ fn engine_matches_oracle(
                 assert_eq!(Ok(outcome), b, "{label}: finished before the pause");
             }
             Ok(RunStatus::Paused { .. }) => {
-                let bytes = Snapshot::capture(&sys).encode();
-                let snap = Snapshot::decode(&bytes).expect("decodes");
-                let mut restored = System::restore(&snap).expect("restores");
+                let mut restored = System::restore(&Snapshot::capture(&sys));
                 // The oracle is host-side, not machine state: the
                 // snapshot carries none, so the continuation picks its
                 // own.
@@ -648,11 +646,10 @@ fn pausing_at_every_cycle_of_a_contact_window_matches_the_oracle() {
         let a = engine.run_until(limit).expect("runs");
         let b = oracle.run_until(limit).expect("runs");
         assert_eq!(a, b, "pause at {limit}");
-        let bytes = Snapshot::capture(&engine).encode();
-        assert_eq!(bytes, Snapshot::capture(&oracle).encode(), "snapshot at {limit}");
+        let snap = Snapshot::capture(&engine);
+        assert_eq!(snap, Snapshot::capture(&oracle), "snapshot at {limit}");
         contacts += engine.run_loop_stats().rewinds_on_contact;
-        let mut restored =
-            System::restore(&Snapshot::decode(&bytes).expect("decodes")).expect("restores");
+        let mut restored = System::restore(&snap);
         assert_eq!(restored.run().expect("finishes"), full, "finish from {limit}");
     }
     assert!(contacts > 0, "the window holds no contact");
@@ -687,8 +684,8 @@ fn run_loop_stats_count_scheduling_and_stay_out_of_snapshots() {
     }
     assert_ne!(once.run_loop_stats(), thrice.run_loop_stats());
     let snap = Snapshot::capture(&thrice);
-    assert_eq!(Snapshot::capture(&once).encode(), snap.encode());
-    let mut restored = System::restore(&snap).expect("restores");
+    assert_eq!(Snapshot::capture(&once), snap);
+    let mut restored = System::restore(&snap);
     assert_eq!(restored.run_loop_stats(), RunLoopStats::default());
     assert_eq!(Snapshot::capture(&restored).state_digest(), snap.state_digest());
     assert_eq!(restored.run().expect("finishes"), build(4).run().expect("runs"));

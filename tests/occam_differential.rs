@@ -7,7 +7,7 @@
 //! the same assembly and that the translated engine and the `Pe::step`
 //! oracle (`System::use_step_oracle`) agree on cycles, instructions and
 //! `state_digest` — on the splicing channels `par` compiles to, too —
-//! and that a run paused mid-way, taken through the snapshot format and
+//! and that a run paused mid-way, captured in a snapshot and
 //! restored, finishes exactly as the uninterrupted run did.
 //! Every object it compiles must also pass the Strict static verifier
 //! and the deep pass, and no channel's runtime high-water mark may
@@ -107,17 +107,15 @@ fn run_differential(program: &Process) -> usize {
 
 /// The snapshot oracle: pause a fresh run at a cycle drawn from the
 /// program's own cycle range (fixed by a checksum of the run's
-/// description, so a failure replays), take it through `capture` →
-/// `encode` → `decode` → `restore`, and finish. Cycles, instructions,
-/// output and `state_digest` must equal the uninterrupted run's.
+/// description, so a failure replays), `capture` it, `restore` a fresh
+/// system from the snapshot, and finish. Cycles, instructions, output
+/// and `state_digest` must equal the uninterrupted run's.
 fn check_snapshot_resume(build: &dyn Fn() -> System, whole: &System, out: &RunOutcome, what: &str) {
     let pause = checksum(what.as_bytes()) % out.elapsed_cycles.max(1);
     let mut first = build();
     let (resumed, done) = match first.run_until(pause).expect("the first leg runs") {
         RunStatus::Paused { .. } => {
-            let bytes = Snapshot::capture(&first).encode();
-            let snap = Snapshot::decode(&bytes).expect("own encoding decodes");
-            let mut resumed = System::restore(&snap).expect("own snapshot restores");
+            let mut resumed = System::restore(&Snapshot::capture(&first));
             let done = resumed.run().expect("the resumed leg runs");
             (resumed, done)
         }
