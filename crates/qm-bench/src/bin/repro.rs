@@ -8,14 +8,14 @@
 //! values where the thesis gives them, and a `correct` verification of
 //! every simulated run.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use qm_bench::sweep::{
     bus_ablation_grid, channel_ablation_grid, curves_grid, placement_ablation_grid, run_point,
     run_serial, scaling_grid,
 };
 use qm_bench::{text_table, thesis_workloads, PE_COUNTS};
-use qm_core::dfg::{analysis, Dag};
+use qm_core::dfg::{analysis, Dag, ValueRef};
 use qm_core::expr::{Op, ParseTree};
 use qm_core::level_order::level_order_sequence;
 use qm_core::pipeline::speedup_row;
@@ -193,25 +193,29 @@ fn table3_4() {
 /// the depth-first node list of Fig. 4.13.
 fn table4_4() {
     let mut g: Dag<&str> = Dag::new();
-    let a = g.add_node("a", &[]);
-    let b = g.add_node("b", &[]);
-    let plus = g.add_node("+", &[a, b]);
-    let c = g.add_node("c", &[]);
-    let neg = g.add_node("-", &[c]);
-    let mul = g.add_node("*", &[plus, neg]);
-    let d = g.add_node("d", &[]);
-    let div = g.add_node("/", &[mul, d]);
-    let _e = g.add_node("e", &[div]);
+    let mut add = |name, ins: &[usize]| {
+        let vins: Vec<ValueRef> = ins.iter().map(|&v| ValueRef::of(v)).collect();
+        g.add(name, &vins, &[])
+    };
+    let a = add("a", &[]);
+    let b = add("b", &[]);
+    let plus = add("+", &[a, b]);
+    let c = add("c", &[]);
+    let neg = add("-", &[c]);
+    let mul = add("*", &[plus, neg]);
+    let d = add("d", &[]);
+    let div = add("/", &[mul, d]);
+    add("e", &[div]);
 
     let dfl = analysis::depth_first_list(&g);
     let names: Vec<&str> = dfl.iter().map(|&v| *g.payload(v)).collect();
     println!("Fig. 4.13/4.14 — depth-first list: {}\n", names.join(" "));
 
-    let is_input = |p: &&str| ["a", "b", "c", "d"].contains(p);
-    let info = analysis::analyse(&g, is_input);
+    // The compiler's own analysis: bitset rows of P* and I*.
+    let info = analysis::analyse(&g, &[a, b, c, d]);
     println!("Table 4.4 — P*(v), I*(v), C(v)\n");
-    let set = |s: &BTreeSet<usize>| -> String {
-        let names: Vec<&str> = s.iter().map(|&v| *g.payload(v)).collect();
+    let set = |ids: Vec<usize>| -> String {
+        let names: Vec<&str> = ids.iter().map(|&v| *g.payload(v)).collect();
         format!("{{{}}}", names.join(","))
     };
     let rows: Vec<Vec<String>> = g
@@ -219,16 +223,16 @@ fn table4_4() {
         .map(|v| {
             vec![
                 (*g.payload(v)).to_string(),
-                set(&info[v].predecessors),
-                set(&info[v].required_inputs),
-                info[v].cost.to_string(),
+                set(info.predecessors(v).collect()),
+                set(info.required_inputs(v).collect()),
+                info.cost(v).to_string(),
             ]
         })
         .collect();
     println!("{}", text_table(&["v", "P*(v)", "I*(v)", "C(v)"], &rows));
 
     println!("Table 4.5 — input weights W(v) (descending = transmission order)\n");
-    let seq = analysis::input_sequence(&g, is_input);
+    let seq = info.input_sequence();
     let rows: Vec<Vec<String>> =
         seq.iter().map(|&(v, w)| vec![(*g.payload(v)).to_string(), w.to_string()]).collect();
     println!("{}", text_table(&["v", "W(v)"], &rows));

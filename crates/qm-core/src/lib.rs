@@ -21,10 +21,12 @@
 //! * [`indexed`] — the indexed queue machine: results may be stored at any
 //!   offset from the front of the queue, operands are still consumed from
 //!   the front only.
-//! * [`dfg`] — acyclic data-flow graphs: the partial order `π_G`, generation
-//!   of valid indexed-queue-machine instruction sequences, the input
-//!   sequencing relation `π_I` (with `P*`, `I*`, `C(v)`, `W(v)`), and the
-//!   priority-based instruction scheduling heuristic of Fig. 4.20.
+//! * [`dfg`] — acyclic data-flow graphs, the one graph type of the
+//!   workspace (the OCCAM compiler's per-context graphs are `Dag`s too):
+//!   the partial order `π_G`, generation of valid indexed-queue-machine
+//!   instruction sequences, the input sequencing relation `π_I` (with
+//!   `P*`, `I*`, `C(v)`, `W(v)`), and the priority-based instruction
+//!   scheduling heuristic of Fig. 4.20.
 //! * [`json`] — infrastructure, not thesis theory: the workspace's shared
 //!   JSON writer/parser and the versioned `qm-api/v1` report envelope
 //!   (it lives here, at the bottom of the crate graph, so every crate's
@@ -63,6 +65,8 @@ pub mod json;
 pub mod level_order;
 pub mod pipeline;
 pub mod rng;
+#[cfg(test)]
+mod sequence;
 pub mod simple;
 pub mod stack;
 

@@ -29,6 +29,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Display;
 
+use qm_core::dfg::analysis;
 use qm_isa::Opcode;
 
 use crate::ast::{BinOp, Decl, Expr, Lvalue, Param, Process, Replicator};
@@ -582,10 +583,12 @@ impl<'a> Compiler<'a> {
         let inputs: Vec<Name> = if allow_pi && self.opts.input_sequencing && ctx.recv_ins.len() > 1
         {
             let nodes: Vec<NodeId> = ctx.recv_ins.iter().map(|&(_, n)| n).collect();
-            let ordered = ctx.g.input_order(&nodes);
-            ordered
+            analysis::analyse(&ctx.g, &nodes)
+                .input_sequence()
                 .iter()
-                .map(|&n| ctx.recv_ins.iter().find(|&&(_, m)| m == n).expect("input node known").0)
+                .map(|&(n, _)| {
+                    ctx.recv_ins.iter().find(|&&(_, m)| m == n).expect("input node known").0
+                })
                 .collect()
         } else {
             live_in.to_vec()

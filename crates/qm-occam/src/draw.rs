@@ -17,14 +17,12 @@ pub fn to_dot(label: &str, graph: &ContextGraph) -> String {
     let _ = writeln!(out, "  rankdir=TB;");
     let _ = writeln!(out, "  node [shape=ellipse, fontname=\"Helvetica\"];");
     for id in 0..graph.len() {
-        let node = graph.node(id);
-        let (text, shape) = describe(&node.actor);
+        let (text, shape) = describe(graph.payload(id));
         let _ = writeln!(out, "  n{id} [label=\"{text}\", shape={shape}];");
     }
     for id in 0..graph.len() {
-        let node = graph.node(id);
-        for (slot, v) in node.vins().iter().enumerate() {
-            let tail = if graph.node(v.node).actor.value_outs() > 1 {
+        for (slot, v) in graph.vins(id).iter().enumerate() {
+            let tail = if graph.payload(v.node).value_outs() > 1 {
                 format!(" taillabel=\"{}\"", v.out)
             } else {
                 String::new()

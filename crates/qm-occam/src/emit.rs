@@ -101,7 +101,7 @@ impl Emitter {
         // --- Schedule live nodes; keep End last. ---
         let mut order = graph.schedule(priorities);
         order.retain(|&i| !self.dead[i]);
-        if let Some(end_pos) = order.iter().position(|&i| graph.node(i).actor == Actor::End) {
+        if let Some(end_pos) = order.iter().position(|&i| *graph.payload(i) == Actor::End) {
             let end = order.remove(end_pos);
             order.push(end);
         }
@@ -112,17 +112,17 @@ impl Emitter {
         let mut acc = 0usize;
         for &id in &order {
             self.base[id] = acc;
-            acc += graph.node(id).actor.value_ins();
+            acc += graph.payload(id).value_ins();
         }
 
         let mut w = Lines { out, label, first: true };
         for &id in &order {
-            let node = graph.node(id);
-            let qp = Qp(node.actor.value_ins());
+            let actor = graph.payload(id);
+            let qp = Qp(actor.value_ins());
             // Output 0's offsets; none for actors without a result.
             self.rel_offsets(graph, label, id, 0)?;
             let offs = &self.offs;
-            match &node.actor {
+            match actor {
                 Actor::Const(v) => emit_value(&mut w, format_args!("plus #{v},#0"), offs),
                 Actor::Label(l) => emit_value(&mut w, format_args!("plus #{l},#0"), offs),
                 Actor::Copy => emit_value(&mut w, "plus+1 r0,#0", offs),
@@ -164,7 +164,7 @@ impl Emitter {
                     }
                 }
                 Actor::ChanNew | Actor::Now => {
-                    let entry = if node.actor == Actor::ChanNew { 6 } else { 4 };
+                    let entry = if *actor == Actor::ChanNew { 6 } else { 4 };
                     match offs.as_slice() {
                         [] => w.line(format_args!("trap #{entry},#0")),
                         [single] if *single < 16 => {
@@ -197,21 +197,21 @@ impl Emitter {
         self.live_uses.clear();
         self.live_uses.resize(n, 0);
         for id in 0..n {
-            for p in graph.node(id).vins().iter().map(|v| v.node).chain(graph.ctrl_preds(id)) {
+            for p in graph.preds(id) {
                 self.live_uses[p] += 1;
             }
         }
         self.work.clear();
         for id in 0..n {
-            if self.live_uses[id] == 0 && graph.node(id).actor.is_pure() {
+            if self.live_uses[id] == 0 && graph.payload(id).is_pure() {
                 self.work.push(id);
             }
         }
         while let Some(id) = self.work.pop() {
             self.dead[id] = true;
-            for p in graph.node(id).vins().iter().map(|v| v.node).chain(graph.ctrl_preds(id)) {
+            for p in graph.preds(id) {
                 self.live_uses[p] -= 1;
-                if self.live_uses[p] == 0 && graph.node(p).actor.is_pure() {
+                if self.live_uses[p] == 0 && graph.payload(p).is_pure() {
                     self.work.push(p);
                 }
             }
@@ -228,7 +228,7 @@ impl Emitter {
         id: NodeId,
         out: u8,
     ) -> Result<(), EmitError> {
-        let front = self.base[id] + graph.node(id).actor.value_ins();
+        let front = self.base[id] + graph.payload(id).value_ins();
         self.offs.clear();
         for (c, slot) in graph.consumers(id, out) {
             if !self.dead[c] {
@@ -310,7 +310,7 @@ fn emit_value(w: &mut Lines<'_>, base: impl Display, offsets: &[usize]) {
 /// leaving them unwired lets the emitter's dead-code pass drop them.
 pub fn wire_end(graph: &mut ContextGraph, end: NodeId) {
     for id in 0..graph.len() {
-        if id != end && !graph.has_succ(id) && !graph.node(id).actor.is_pure() {
+        if id != end && !graph.has_succ(id) && !graph.payload(id).is_pure() {
             graph.add_ctrl(id, end);
         }
     }
@@ -320,6 +320,7 @@ pub fn wire_end(graph: &mut ContextGraph, end: NodeId) {
 mod tests {
     use super::*;
     use crate::graph::{Actor, ChanRef, ContextGraph, ValueRef};
+    use qm_core::rng::Gen;
     use qm_isa::Opcode;
 
     /// The fixpoint dead-code pass the worklist replaced, kept as its
@@ -331,11 +332,10 @@ mod tests {
         loop {
             let mut changed = false;
             for id in 0..n {
-                if dead[id] || !graph.node(id).actor.is_pure() {
+                if dead[id] || !graph.payload(id).is_pure() {
                     continue;
                 }
-                let read =
-                    (0..n).any(|c| !dead[c] && graph.node(c).vins().iter().any(|v| v.node == id));
+                let read = (0..n).any(|c| !dead[c] && graph.vins(c).iter().any(|v| v.node == id));
                 let followed = (0..n).any(|c| !dead[c] && graph.ctrl_preds(c).any(|p| p == id));
                 if !read && !followed {
                     dead[id] = true;
@@ -348,10 +348,77 @@ mod tests {
         }
     }
 
+    /// Whether a path of value or control edges leads from `from` to `to`.
+    fn reaches(g: &ContextGraph, from: NodeId, to: NodeId) -> bool {
+        let mut seen = vec![false; g.len()];
+        let mut stack = vec![to];
+        while let Some(x) = stack.pop() {
+            if x == from {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[x], true) {
+                stack.extend(g.preds(x));
+            }
+        }
+        false
+    }
+
+    /// A random context graph of up to 40 nodes over every actor kind,
+    /// pure and effectful. Value inputs and control predecessors point
+    /// back to random earlier nodes (repeats included); a few extra
+    /// control edges point either way, like the backward edges input
+    /// sequencing adds, without closing a cycle.
+    fn random_graph(g: &mut Gen) -> ContextGraph {
+        let palette = [
+            Actor::Const(1),
+            Actor::Label("l".into()),
+            Actor::Copy,
+            Actor::Neg,
+            Actor::Not,
+            Actor::Bin(Opcode::Plus),
+            Actor::Fetch,
+            Actor::Store,
+            Actor::Recv(ChanRef::InReg),
+            Actor::Recv(ChanRef::Value),
+            Actor::Send(ChanRef::OutReg),
+            Actor::Send(ChanRef::Value),
+            Actor::Fork { iterative: false, local: false },
+            Actor::Fork { iterative: true, local: true },
+            Actor::ChanNew,
+            Actor::Now,
+            Actor::Wait,
+        ];
+        let mut graph = ContextGraph::new();
+        let n = g.range(1..=40usize);
+        for id in 0..n {
+            let producers: Vec<ValueRef> = (0..id)
+                .flat_map(|p| {
+                    let outs = graph.payload(p).value_outs();
+                    (0..outs).map(move |out| ValueRef { node: p, out })
+                })
+                .collect();
+            let mut actor = g.pick(&palette).clone();
+            if producers.is_empty() && actor.value_ins() > 0 {
+                actor = Actor::Const(0);
+            }
+            let vins: Vec<ValueRef> = (0..actor.value_ins()).map(|_| *g.pick(&producers)).collect();
+            let ctrl: Vec<NodeId> =
+                if id == 0 { Vec::new() } else { g.vec(0..=3, |g| g.below(id as u64) as usize) };
+            graph.add(actor, &vins, &ctrl);
+        }
+        for _ in 0..g.range(0..=8usize) {
+            let (from, to) = (g.below(n as u64) as usize, g.below(n as u64) as usize);
+            if from != to && !reaches(&graph, to, from) {
+                graph.add_ctrl(from, to);
+            }
+        }
+        graph
+    }
+
     #[test]
     fn worklist_dead_code_matches_the_fixpoint_oracle() {
         qm_core::rng::check(300, |g| {
-            let mut graph = crate::graph::tests::random_graph(g);
+            let mut graph = random_graph(g);
             if g.below(2) == 0 {
                 let end = graph.add(Actor::End, &[], &[]);
                 wire_end(&mut graph, end);

@@ -7,13 +7,15 @@
 //! * [`ift`] — *dataflow*: the Intermediate Form Table with I/O/E sets,
 //!   use/definition chains and live-value analysis (Tables 4.1–4.3,
 //!   Figs 4.11–4.12).
-//! * [`graph`] — *grapher*: per-context acyclic data-flow graphs with
-//!   control-token sequencing for side effects (§4.6).
-//! * [`codegen`] — *sequencer* + *coder*: the Fig. 4.20 priority
-//!   scheduling heuristic, queue-position assignment (§3.6), and assembly
-//!   emission, including the dynamic graph-splicing protocol
-//!   (`rfork`/`ifork`/channel sends) for `while`, `if`, `par`,
-//!   replication and procedure calls (§4.2).
+//! * [`graph`] / [`codegen`] — *grapher*: per-context acyclic data-flow
+//!   graphs (a [`qm_core::dfg::Dag`] of actors) with control-token
+//!   sequencing for side effects (§4.6), inputs ordered by the §4.5
+//!   weights `W(v)` of [`qm_core::dfg::analysis`], and the dynamic
+//!   graph-splicing protocol (`rfork`/`ifork`/channel sends) for `while`,
+//!   `if`, `par`, replication and procedure calls (§4.2).
+//! * [`emit`] — *sequencer* + *coder*: the Fig. 4.20 priority scheduling
+//!   heuristic ([`qm_core::dfg::Dag::schedule_by`]), queue-position
+//!   assignment (§3.6) and assembly emission.
 //!
 //! The output is queue-machine assembly accepted by [`qm_isa::asm`] and
 //! runnable on [`qm_sim`](../qm_sim/index.html).

@@ -58,7 +58,7 @@ seq
     let g = graphs(src, &Options::default());
     let (_, main) = &g[0];
     for id in 0..main.len() {
-        if main.node(id).actor == Actor::Fetch {
+        if *main.payload(id) == Actor::Fetch {
             assert!(
                 main.ctrl_preds(id).next().is_none(),
                 "read-only fetch {id} carries control edges: {:?}",
@@ -80,7 +80,7 @@ seq
     let g = graphs(src, &Options::default());
     let (_, main) = &g[0];
     let fetches: Vec<usize> =
-        (0..main.len()).filter(|&i| main.node(i).actor == Actor::Fetch).collect();
+        (0..main.len()).filter(|&i| *main.payload(i) == Actor::Fetch).collect();
     assert_eq!(fetches.len(), 1);
     assert!(
         main.ctrl_preds(fetches[0]).next().is_some(),
@@ -110,7 +110,7 @@ fn queue_page_overflow_degrades_to_loops() {
 fn main_context_ends_with_end_trap() {
     let g = graphs("screen ! 1\n", &Options::default());
     let (_, main) = &g[0];
-    let ends = (0..main.len()).filter(|&i| main.node(i).actor == Actor::End).count();
+    let ends = (0..main.len()).filter(|&i| *main.payload(i) == Actor::End).count();
     assert_eq!(ends, 1);
 }
 
@@ -144,7 +144,7 @@ seq
     let g = graphs(src, &Options::default());
     let test_ctx = g.iter().find(|(l, _)| l.starts_with("test")).expect("loop test context");
     let has_inreg_recv =
-        (0..test_ctx.1.len()).any(|i| test_ctx.1.node(i).actor == Actor::Recv(ChanRef::InReg));
+        (0..test_ctx.1.len()).any(|i| *test_ctx.1.payload(i) == Actor::Recv(ChanRef::InReg));
     assert!(has_inreg_recv, "loop contexts receive L on r17");
 }
 

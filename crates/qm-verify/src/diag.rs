@@ -37,8 +37,9 @@ impl std::fmt::Display for Severity {
 ///
 /// `QV00xx` — abstract queue-state dataflow (per-context), `QV01xx` —
 /// control-flow/decoding, `QV02xx` — splice/channel wiring, `QV03xx` —
-/// valid-sequence checking against a DFG plus analysis-gave-up notes,
-/// `QV04xx` — deep-pass (whole-program) verdicts.
+/// analysis-gave-up notes, `QV04xx` — deep-pass (whole-program) verdicts.
+/// `QV0301` and `QV0302` named the retired valid-sequence check against
+/// a DFG; they are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // the variants are documented by `description`
 pub enum Code {
@@ -58,8 +59,6 @@ pub enum Code {
     StaticDeadlock,
     ChannelNeverRead,
     DoublyConnectedChannel,
-    BadSequence,
-    OffsetMismatch,
     WiringUndecidable,
     DeepDeadlockFree,
     DeepCyclic,
@@ -87,8 +86,6 @@ impl Code {
             Code::StaticDeadlock => "QV0202",
             Code::ChannelNeverRead => "QV0203",
             Code::DoublyConnectedChannel => "QV0204",
-            Code::BadSequence => "QV0301",
-            Code::OffsetMismatch => "QV0302",
             Code::WiringUndecidable => "QV0303",
             Code::DeepDeadlockFree => "QV0401",
             Code::DeepCyclic => "QV0402",
@@ -110,8 +107,6 @@ impl Code {
             | Code::BadForkTarget
             | Code::DanglingChannel
             | Code::StaticDeadlock
-            | Code::BadSequence
-            | Code::OffsetMismatch
             | Code::DeepCyclic => Severity::Error,
             Code::JoinDepthMismatch
             | Code::DupWithoutResult
@@ -143,8 +138,6 @@ impl Code {
             Code::StaticDeadlock => "wait-for cycle: contexts statically guaranteed to deadlock",
             Code::ChannelNeverRead => "channel is sent on but never received from",
             Code::DoublyConnectedChannel => "channel receives in more than one context",
-            Code::BadSequence => "instruction order is not a valid sequence for the DFG",
-            Code::OffsetMismatch => "operand offsets disagree with predecessor positions",
             Code::WiringUndecidable => "wiring analysis gave up: splice not statically decidable",
             Code::DeepDeadlockFree => "deep pass proves the channel graph deadlock-free",
             Code::DeepCyclic => "deep pass proves a wait-for cycle: guaranteed deadlock",
@@ -481,8 +474,6 @@ mod tests {
             Code::StaticDeadlock,
             Code::ChannelNeverRead,
             Code::DoublyConnectedChannel,
-            Code::BadSequence,
-            Code::OffsetMismatch,
             Code::WiringUndecidable,
             Code::DeepDeadlockFree,
             Code::DeepCyclic,

@@ -6,7 +6,10 @@
 //! are wired consistently. The simulator discovers violations
 //! dynamically — as deadlocks or garbage reads; this crate proves their
 //! absence (or pinpoints them) at load time, in the spirit of classic
-//! bytecode verification:
+//! bytecode verification. Valid sequences themselves are made by
+//! construction — `qm_occam`'s emitter lays out the §3.6 queue
+//! positions over a `qm_core::dfg::Dag` — so this crate checks the
+//! object code they become:
 //!
 //! * `queue` *(internal)* / [`verify_object`] — abstract queue-state
 //!   dataflow per context: definedness of every queue slot at every
@@ -21,10 +24,6 @@
 //!   [`domain`]) proving queue-pointer confinement, per-site address
 //!   ranges, static channel-occupancy bounds and a definite channel
 //!   verdict; emits the proven facts as a report.
-//! * [`sequence`] — valid-sequence checking of an
-//!   [`qm_core::IndexedProgram`] against its source DFG.
-//! * [`lower`] — reference lowering from the indexed model to PE
-//!   assembly, used by the pipeline property tests and the CLI.
 //! * [`names`] — the one formatting helper for context/PC labels shared
 //!   with `qm-sim`'s runtime diagnostics.
 //!
@@ -46,10 +45,8 @@ mod decoded;
 pub mod deep;
 pub mod diag;
 pub mod domain;
-pub mod lower;
 pub mod names;
 mod queue;
-pub mod sequence;
 pub mod traps;
 mod wiring;
 mod worklist;

@@ -1,29 +1,28 @@
-//! Pipeline properties over the repo's own chain: random acyclic
-//! data-flow graphs (folded to a single sink), linearised by
-//! `schedule_by`, then §3.6 construction, reference lowering and the
-//! assembler:
+//! Pipeline properties over the compiler's own back half: random
+//! acyclic data-flow graphs of context actors (folded to one sink, sent
+//! on channel 0), emitted by `qm_occam::emit::emit_context` with the
+//! Fig. 4.20 priorities on and off, then assembled:
 //!
-//! `Dag` → `schedule_by` → `to_indexed_program` → `lower` → `assemble`
-//! → `verify_object` / `sequence::check_indexed` / `deep_verify`.
+//! `ContextGraph` → `emit_context` → `assemble` → `verify_object` /
+//! `deep_verify`.
 //!
 //! [`check_pipeline`] pins that every such program passes the static
-//! verifier under `Strict` (no findings at all) and that its
-//! instruction order is a valid sequence for the source DFG, under
-//! random per-operator priorities. [`pipeline_program_is_deep_clean`]
-//! pins the deep pass's shape invariants (see [`check_shape`]) and that
-//! straight-line compiler output analyzes deep-clean, confined and
-//! provably local. Both draw from the one generator, [`build_dag`];
-//! hand-written fork, channel and deadlock fixtures cover the corners
-//! the generator cannot reach.
+//! verifier under `Strict` (no findings at all).
+//! [`pipeline_program_is_deep_clean`] pins the deep pass's shape
+//! invariants (see [`check_shape`]) and that straight-line compiler
+//! output analyzes deep-clean, confined and provably local. Both draw
+//! from the one generator, [`build_graph`]; hand-written fork, channel
+//! and deadlock fixtures cover the corners the generator cannot reach.
 
-use qm_core::dfg::Dag;
-use qm_core::expr::Op;
-use qm_core::indexed::table_3_4_program;
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
+
 use qm_core::rng::check;
-use qm_core::Word;
+use qm_isa::asm::{assemble, Object};
+use qm_isa::Opcode;
+use qm_occam::emit::{emit_context, wire_end};
+use qm_occam::graph::{Actor, ChanRef, ContextGraph, NodeId, ValueRef};
 use qm_verify::deep::{Fact, FactKind};
-use qm_verify::lower::{lower, lower_and_assemble};
-use qm_verify::sequence::check_indexed;
 use qm_verify::{deep_verify, verify_object, Code, DeepReport, Verdict, VerifyOptions};
 
 /// Raw node spec: (kind selector, literal byte, two input selectors).
@@ -31,103 +30,115 @@ type Spec = (u8, i8, usize, usize);
 
 const FETCH_NAMES: [&str; 3] = ["a", "b", "c"];
 
-/// Build a DAG from raw specs; inputs always point at earlier nodes so
-/// the graph is acyclic by construction, and trailing `Add` nodes fold
-/// every sink into one (the shape `to_indexed_program` requires).
-fn build_dag(specs: &[Spec]) -> Dag<Op> {
-    let mut dag: Dag<Op> = Dag::new();
+/// A context graph under construction: the value nodes operators may
+/// read, and the names of the data words its fetches read.
+#[derive(Default)]
+struct Builder {
+    graph: ContextGraph,
+    vals: Vec<NodeId>,
+    names: BTreeSet<&'static str>,
+}
+
+/// A finished context graph and the data words it reads.
+struct Program {
+    graph: ContextGraph,
+    names: BTreeSet<&'static str>,
+}
+
+impl Builder {
+    /// A fetch of the zero-initialised data word `d_<name>`.
+    fn fetch(&mut self, name: &'static str) -> NodeId {
+        self.names.insert(name);
+        let addr = self.graph.add(Actor::Label(format!("d_{name}")), &[], &[]);
+        self.op(Actor::Fetch, &[addr])
+    }
+
+    /// A value node reading output 0 of each of `ins`.
+    fn op(&mut self, actor: Actor, ins: &[NodeId]) -> NodeId {
+        let vins: Vec<ValueRef> = ins.iter().map(|&v| ValueRef::of(v)).collect();
+        let v = self.graph.add(actor, &vins, &[]);
+        self.vals.push(v);
+        v
+    }
+
+    /// Fold every sink into one with trailing adds, send it on channel
+    /// 0, then end the context after every side effect.
+    fn finish(mut self) -> Program {
+        loop {
+            let sinks: Vec<NodeId> =
+                self.vals.iter().copied().filter(|&v| !self.graph.has_succ(v)).collect();
+            match sinks[..] {
+                [x, y, ..] => self.op(Actor::Bin(Opcode::Plus), &[x, y]),
+                [sink] => {
+                    let chan = self.graph.add(Actor::Const(0), &[], &[]);
+                    let vins = [ValueRef::of(chan), ValueRef::of(sink)];
+                    self.graph.add(Actor::Send(ChanRef::Value), &vins, &[]);
+                    let end = self.graph.add(Actor::End, &[], &[]);
+                    wire_end(&mut self.graph, end);
+                    return Program { graph: self.graph, names: self.names };
+                }
+                [] => unreachable!("the last value node is a sink"),
+            };
+        }
+    }
+}
+
+/// Build a context graph from raw specs; inputs always point at earlier
+/// value nodes, so the graph is acyclic by construction.
+fn build_graph(specs: &[Spec]) -> Program {
+    let mut b = Builder::default();
     for &(kind, lit, x, y) in specs {
-        let n = dag.len();
+        let n = b.vals.len();
+        let pick = |i: usize| b.vals[i % n];
         match kind {
-            0 => {
-                dag.add_node(Op::Literal(Word::from(lit)), &[]);
-            }
-            1 => {
-                let name = FETCH_NAMES[lit.unsigned_abs() as usize % FETCH_NAMES.len()];
-                dag.add_node(Op::Fetch(name.to_string()), &[]);
-            }
+            0 => b.op(Actor::Const(i32::from(lit)), &[]),
+            1 => b.fetch(FETCH_NAMES[lit.unsigned_abs() as usize % FETCH_NAMES.len()]),
             2 if n > 0 => {
-                let op = if lit % 2 == 0 { Op::Neg } else { Op::Not };
-                dag.add_node(op, &[x % n]);
+                let (actor, v) = (if lit % 2 == 0 { Actor::Neg } else { Actor::Not }, pick(x));
+                b.op(actor, &[v])
             }
-            _ if dag.len() > 1 => {
+            _ if n > 1 => {
                 let op = match lit.rem_euclid(3) {
-                    0 => Op::Add,
-                    1 => Op::Sub,
-                    _ => Op::Mul,
+                    0 => Opcode::Plus,
+                    1 => Opcode::Minus,
+                    _ => Opcode::Mul,
                 };
-                let n = dag.len();
-                dag.add_node(op, &[x % n, y % n]);
+                let ins = [pick(x), pick(y)];
+                b.op(Actor::Bin(op), &ins)
             }
-            _ => {
-                dag.add_node(Op::Literal(1), &[]);
-            }
-        }
+            _ => b.op(Actor::Const(1), &[]),
+        };
     }
-    loop {
-        let sinks: Vec<usize> = dag.node_ids().filter(|&v| dag.succs(v).is_empty()).collect();
-        if sinks.len() <= 1 {
-            break;
-        }
-        dag.add_node(Op::Add, &[sinks[0], sinks[1]]);
-    }
-    dag
+    b.finish()
 }
 
-/// Priority class of an operator, indexing the random weight table so
-/// different weight draws explore different valid linearisations.
-fn op_class(op: &Op) -> usize {
-    match op {
-        Op::Literal(_) => 0,
-        Op::Fetch(_) => 1,
-        Op::Neg => 2,
-        Op::Not => 3,
-        Op::Add => 4,
-        Op::Sub => 5,
-        Op::Mul => 6,
-        Op::Div => 7,
+/// The assembly of `p` with the Fig. 4.20 priorities on or off,
+/// followed by its data words, assembled.
+fn assemble_program(p: &Program, priorities: bool) -> (String, Object) {
+    let mut src = emit_context("main", &p.graph, priorities).expect("fits the queue page");
+    for name in &p.names {
+        let _ = writeln!(src, "d_{name}: .word 0");
     }
+    let obj = assemble(&src).unwrap_or_else(|e| panic!("emitted program assembles: {e}\n{src}"));
+    (src, obj)
 }
 
-fn env(name: &str) -> Word {
-    match name {
-        "a" => 3,
-        "b" => -2,
-        _ => 7,
+/// Emit, assemble and Strict-verify one program under both priority
+/// settings; panics (via assert) on any finding. Shared by the property
+/// and the pinned regression cases.
+fn check_pipeline(p: &Program) {
+    for priorities in [false, true] {
+        let (src, obj) = assemble_program(p, priorities);
+        let report = verify_object(&obj, &VerifyOptions::default());
+        assert!(report.is_clean(), "Strict verification of:\n{src}\n{}", report.render());
     }
-}
-
-/// Run the whole pipeline for one DAG + weight table; panics (via
-/// assert) on any violation. Shared by the property and the pinned
-/// regression cases.
-fn check_pipeline(dag: &Dag<Op>, weights: &[i32; 8]) {
-    let order = dag.schedule_by(|op| weights[op_class(op)]);
-    assert!(dag.respects_partial_order(&order), "schedule_by must respect pi_G");
-
-    let program = dag.to_indexed_program(&order).expect("single-sink DAG lowers");
-    let seq = check_indexed(dag, &order, &program);
-    assert!(!seq.has_errors(), "valid-sequence check: {}", seq.render());
-
-    // The indexed program computes the same value the graph does.
-    let want = dag.evaluate(&env).expect("no division in generated ops");
-    let got = program.evaluate(&env).expect("indexed evaluation succeeds");
-    assert_eq!(want, got, "indexed program computes the graph's value\n{program}");
-
-    let src = lower(&program).expect("offsets fit the dup range");
-    let obj = lower_and_assemble(&program).expect("lowered program assembles");
-    let report = verify_object(&obj, &VerifyOptions::default());
-    assert!(report.is_clean(), "Strict verification of:\n{src}\n{}", report.render());
 }
 
 #[test]
 fn scheduler_assembler_pipeline_always_verifies() {
     check(64, |g| {
         let specs = g.vec(1..32, |g| (g.range(0..4), g.range(..), g.range(..), g.range(..)));
-        let mut weights = [0i32; 8];
-        for w in &mut weights {
-            *w = g.range(0..16);
-        }
-        check_pipeline(&build_dag(&specs), &weights);
+        check_pipeline(&build_graph(&specs));
     });
 }
 
@@ -137,57 +148,56 @@ fn scheduler_assembler_pipeline_always_verifies() {
 
 #[test]
 fn pinned_table_3_4_program_lowers_and_verifies() {
-    let p = table_3_4_program();
-    let obj = lower_and_assemble(&p).expect("assembles");
-    let report = verify_object(&obj, &VerifyOptions::default());
-    assert!(report.is_clean(), "{}", report.render());
+    // d ← a/(a+b) + (a+b)·c, the Fig. 3.6(b) graph.
+    let mut b = Builder::default();
+    let (a, bb, c) = (b.fetch("a"), b.fetch("b"), b.fetch("c"));
+    let sum = b.op(Actor::Bin(Opcode::Plus), &[a, bb]);
+    let div = b.op(Actor::Bin(Opcode::Div), &[a, sum]);
+    let mul = b.op(Actor::Bin(Opcode::Mul), &[sum, c]);
+    b.op(Actor::Bin(Opcode::Plus), &[div, mul]);
+    check_pipeline(&b.finish());
 }
 
 #[test]
 fn pinned_shared_subexpression_fanout() {
     // (a+b) used by three consumers — fanout forces a dup chain.
-    let mut dag: Dag<Op> = Dag::new();
-    let a = dag.add_node(Op::Fetch("a".into()), &[]);
-    let b = dag.add_node(Op::Fetch("b".into()), &[]);
-    let s = dag.add_node(Op::Add, &[a, b]);
-    let n = dag.add_node(Op::Neg, &[s]);
-    let m = dag.add_node(Op::Mul, &[s, s]);
-    let t = dag.add_node(Op::Add, &[n, m]);
-    let _ = dag.add_node(Op::Sub, &[t, s]);
-    for weights in [[0; 8], [7, 3, 1, 0, 5, 2, 6, 4], [1, 2, 3, 4, 5, 6, 7, 8]] {
-        check_pipeline(&dag, &weights);
-    }
+    let mut b = Builder::default();
+    let (a, bb) = (b.fetch("a"), b.fetch("b"));
+    let s = b.op(Actor::Bin(Opcode::Plus), &[a, bb]);
+    let n = b.op(Actor::Neg, &[s]);
+    let m = b.op(Actor::Bin(Opcode::Mul), &[s, s]);
+    let t = b.op(Actor::Bin(Opcode::Plus), &[n, m]);
+    b.op(Actor::Bin(Opcode::Minus), &[t, s]);
+    check_pipeline(&b.finish());
 }
 
 #[test]
 fn pinned_unary_tower() {
     // A long Neg/Not tower: every instruction consumes the previous
     // result immediately (offset 0 throughout).
-    let mut dag: Dag<Op> = Dag::new();
-    let mut v = dag.add_node(Op::Literal(5), &[]);
+    let mut b = Builder::default();
+    let mut v = b.op(Actor::Const(5), &[]);
     for i in 0..12 {
-        let op = if i % 2 == 0 { Op::Neg } else { Op::Not };
-        v = dag.add_node(op, &[v]);
+        v = b.op(if i % 2 == 0 { Actor::Neg } else { Actor::Not }, &[v]);
     }
-    check_pipeline(&dag, &[0; 8]);
+    check_pipeline(&b.finish());
 }
 
 #[test]
 fn pinned_two_independent_chains() {
-    // Two chains whose interleaving depends on the weight table; both
-    // interleavings must verify.
-    let mut dag: Dag<Op> = Dag::new();
-    let mut l = dag.add_node(Op::Literal(2), &[]);
+    // Two chains whose interleaving depends on the priorities (the
+    // fetch ranks below the constant); both interleavings must verify.
+    let mut b = Builder::default();
+    let mut l = b.op(Actor::Const(2), &[]);
     for _ in 0..4 {
-        l = dag.add_node(Op::Neg, &[l]);
+        l = b.op(Actor::Neg, &[l]);
     }
-    let mut r = dag.add_node(Op::Fetch("c".into()), &[]);
+    let mut r = b.fetch("c");
     for _ in 0..4 {
-        r = dag.add_node(Op::Not, &[r]);
+        r = b.op(Actor::Not, &[r]);
     }
-    let _ = dag.add_node(Op::Sub, &[l, r]);
-    check_pipeline(&dag, &[0, 0, 9, 1, 0, 0, 0, 0]);
-    check_pipeline(&dag, &[0, 9, 1, 9, 0, 0, 0, 0]);
+    b.op(Actor::Bin(Opcode::Minus), &[l, r]);
+    check_pipeline(&b.finish());
 }
 
 // The deep tier, on the same generator.
@@ -209,7 +219,7 @@ fn fact_key(f: &Fact) -> (String, u32, u8) {
 /// * exactly one verdict diagnostic, agreeing with `verdict`;
 /// * the fact list is sorted by `(ctx, pc, kind)` and duplicate-free;
 /// * every `ProvenLocal` fact names a word-aligned pc.
-fn check_shape(obj: &qm_isa::asm::Object, dr: &DeepReport) {
+fn check_shape(obj: &Object, dr: &DeepReport) {
     let opts = VerifyOptions::default();
 
     let shallow = verify_object(obj, &opts);
@@ -243,28 +253,36 @@ fn check_shape(obj: &qm_isa::asm::Object, dr: &DeepReport) {
 }
 
 /// The property: the program the chain builds from `specs` keeps the
-/// shape invariants, and — our own straight-line lowering being fully
-/// provable — analyzes deep-clean, confined, never cyclic, with every
-/// ALU op proven local.
+/// shape invariants under both priority settings, and — the emitter's
+/// straight-line output being fully provable — analyzes deep-clean,
+/// confined, never cyclic, with every ALU op proven local.
 fn pipeline_program_is_deep_clean(specs: &[Spec]) {
-    let dag = build_dag(specs);
-    let order = dag.schedule_by(|_| 0);
-    let program = dag.to_indexed_program(&order).expect("single-sink DAG lowers");
-    let obj = lower_and_assemble(&program).expect("lowered program assembles");
-    let dr = deep_verify(&obj, &VerifyOptions::default());
-    check_shape(&obj, &dr);
-
-    assert!(dr.deep_clean(), "{}", dr.report.render());
-    assert!(dr.qp_confined, "{:?}", dr.confinement_loss);
-    assert_ne!(dr.verdict, Verdict::Cyclic);
-    // Every ALU op the graph holds lowers to one proven-local
-    // instruction; dup chains for fanout can only add more.
-    let alu_ops = dag.node_ids().filter(|&v| !matches!(dag.payload(v), Op::Fetch(_))).count();
-    assert!(
-        dr.proven_local_count() >= alu_ops,
-        "{} proven < {alu_ops} ALU ops",
-        dr.proven_local_count()
-    );
+    let p = build_graph(specs);
+    // Constants, labels, negations and binary operators each emit one
+    // ALU instruction; dup chains for fanout can only add more.
+    let alu_ops = p
+        .graph
+        .node_ids()
+        .filter(|&v| {
+            matches!(
+                p.graph.payload(v),
+                Actor::Const(_) | Actor::Label(_) | Actor::Neg | Actor::Not | Actor::Bin(_)
+            )
+        })
+        .count();
+    for priorities in [false, true] {
+        let (src, obj) = assemble_program(&p, priorities);
+        let dr = deep_verify(&obj, &VerifyOptions::default());
+        check_shape(&obj, &dr);
+        assert!(dr.deep_clean(), "{src}\n{}", dr.report.render());
+        assert!(dr.qp_confined, "{src}\n{:?}", dr.confinement_loss);
+        assert_ne!(dr.verdict, Verdict::Cyclic);
+        assert!(
+            dr.proven_local_count() >= alu_ops,
+            "{} proven < {alu_ops} ALU ops\n{src}",
+            dr.proven_local_count()
+        );
+    }
 }
 
 #[test]

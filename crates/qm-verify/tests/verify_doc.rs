@@ -75,8 +75,6 @@ fn the_code_table_matches_the_verifier() {
         Code::StaticDeadlock,
         Code::ChannelNeverRead,
         Code::DoublyConnectedChannel,
-        Code::BadSequence,
-        Code::OffsetMismatch,
         Code::WiringUndecidable,
         Code::DeepDeadlockFree,
         Code::DeepCyclic,
