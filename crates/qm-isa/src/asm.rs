@@ -1,5 +1,12 @@
-//! Assembler and disassembler for the queue machine assembly language
-//! (thesis §5.3.4).
+//! Assembler, linker, printer and disassembler for the queue machine
+//! assembly language (thesis §5.3.4).
+//!
+//! A [`Listing`] is where text and code meet: labels, instructions and
+//! data directives on numbered lines. [`assemble`] parses text into a
+//! listing and [`Listing::link`]s it into an [`Object`]; the OCCAM
+//! compiler builds its listing directly and links it the same way, and a
+//! listing's `Display` prints the text. Only qm-isa knows the syntax:
+//! this module and [`Instruction`]'s `Display`.
 //!
 //! Syntax, one instruction per line:
 //!
@@ -21,18 +28,20 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
-use crate::isa::{Instruction, Opcode, SrcMode, REG_DUMMY};
+use crate::isa::{write_num, Instruction, Opcode, SrcMode, REG_DUMMY};
+use crate::mem::{CODE_BASE, CODE_LIMIT};
 use crate::{IsaError, Result, UWord, Word};
 
-/// Output of the assembler: raw words plus the symbol table.
+/// Output of [`Listing::link`]: raw words plus the symbol table.
 ///
-/// Freshly assembled objects also carry *verification metadata* — the
+/// Linked objects also carry *verification metadata* — the
 /// byte address of every instruction start and a map from instruction
 /// addresses back to source lines — consumed by static analyses
 /// (`qm-verify`) to walk the code without guessing where data words end
 /// and instructions begin, and to report diagnostics against the
-/// original source. Objects rebuilt from raw parts (snapshots) have no
+/// original source. Objects rebuilt from raw parts have no
 /// metadata; see [`Object::has_verify_meta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Object {
@@ -50,14 +59,14 @@ impl Object {
     /// Reassemble an object from its parts (words, symbol table, base
     /// address). The inverse of the accessors below; used by external
     /// serializers (e.g. simulator snapshots) to round-trip an object
-    /// without re-running the assembler. Such objects carry no
+    /// without linking a listing. Such objects carry no
     /// verification metadata.
     #[must_use]
     pub fn from_parts(words: Vec<u32>, symbols: HashMap<String, UWord>, base: UWord) -> Self {
         Object { words, symbols, base, instr_addrs: Vec::new(), line_map: Vec::new() }
     }
 
-    /// True when the assembler recorded verification metadata
+    /// True when linking recorded verification metadata
     /// ([`instr_addrs`](Self::instr_addrs) / [`line_for`](Self::line_for)).
     /// False for objects rebuilt by [`Object::from_parts`].
     #[must_use]
@@ -112,226 +121,220 @@ impl Object {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum SrcSpec<'a> {
-    Mode(SrcMode),
-    AbsLabel(&'a str),
-    RelLabel(&'a str),
+/// A label named by a source operand, resolved by [`Listing::link`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LabelRef<'a> {
+    /// `#label`: the label's byte address.
+    Abs(&'a str),
+    /// `@label`: the label's address relative to the next instruction
+    /// (branch offsets).
+    Rel(&'a str),
 }
 
-/// The operands of one side of a statement: the first two, plus how
-/// many were written (more than two is reported when encoding).
-#[derive(Debug, Clone, Copy)]
-struct Operands<T> {
-    first: [T; 2],
-    len: usize,
-}
-
-impl<T: Copy> Operands<T> {
-    fn new(fill: T) -> Self {
-        Operands { first: [fill; 2], len: 0 }
-    }
-
-    fn push(&mut self, v: T) {
-        if self.len < 2 {
-            self.first[self.len] = v;
-        }
-        self.len += 1;
-    }
-
-    /// The kept operands (all of them when there are at most two).
-    fn kept(&self) -> &[T] {
-        &self.first[..self.len.min(2)]
-    }
-
-    fn get(&self, i: usize) -> Option<T> {
-        self.kept().get(i).copied()
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Item<'a> {
-    Instr {
-        line: usize,
-        op: Opcode,
-        srcs: Operands<SrcSpec<'a>>,
-        dsts: Operands<u8>,
-        qp_inc: u8,
-        cont: bool,
-    },
-    Word(WordSpec<'a>),
+/// One entry of a [`Listing`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Item<'a> {
+    /// `name:` — the address of whatever follows.
+    Label(&'a str),
+    /// An instruction. A basic instruction's source `i` is the label
+    /// `labels[i]` when one is given: a full-word immediate filled in by
+    /// [`Listing::link`].
+    Instr(Instruction, [Option<LabelRef<'a>>; 2]),
+    /// `.word n`.
+    Word(Word),
+    /// `.word label`: the label's byte address.
+    WordLabel(&'a str),
+    /// `.space n`: `n` zero words.
     Space(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
-enum WordSpec<'a> {
-    Value(Word),
-    Label(&'a str),
+/// A program as the assembler's parser and the OCCAM compiler's emitter
+/// both produce it: labels, instructions and data directives, each on a
+/// 1-based source line. [`link`](Listing::link) turns it into an
+/// [`Object`]; `Display` prints it as assembly text, which
+/// [`assemble`] reads back to the same object, lines included.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Listing<'a> {
+    /// `(line, item)` pairs, lines ascending.
+    items: Vec<(usize, Item<'a>)>,
+    /// Lines ended so far: the next item goes on line `line + 1`.
+    line: usize,
 }
 
-/// Assemble a source text at base address [`crate::mem::CODE_BASE`].
+impl<'a> Listing<'a> {
+    /// Append `item`. A label shares the line of the statement that
+    /// follows it; every other item ends its line.
+    pub fn push(&mut self, mut item: Item<'a>) {
+        if let Item::Instr(Instruction::Basic { src1, src2, .. }, labels) = &mut item {
+            for (src, label) in [src1, src2].into_iter().zip(labels.iter()) {
+                if label.is_some() {
+                    *src = SrcMode::ImmWord(0);
+                }
+            }
+        }
+        let ends = !matches!(item, Item::Label(_));
+        self.items.push((self.line + 1, item));
+        self.line += usize::from(ends);
+    }
+
+    /// Lay the listing out at [`CODE_BASE`], resolve its labels and
+    /// encode it.
+    ///
+    /// # Errors
+    ///
+    /// [`IsaError::Asm`] at the offending line for a duplicate or
+    /// undefined label, an object that would end past [`CODE_LIMIT`]
+    /// (checked before anything is allocated) or an instruction field
+    /// out of range.
+    pub fn link(&self) -> Result<Object> {
+        let err = |line: usize, msg: String| IsaError::Asm { line, msg };
+        let base = CODE_BASE;
+        let max_words = ((CODE_LIMIT - base) / 4) as usize;
+
+        // Pass 1: lay out labels and bound the object's size.
+        let mut symbols: HashMap<&str, UWord> = HashMap::new();
+        let (mut len, mut n_instrs) = (0usize, 0usize);
+        for (line, item) in &self.items {
+            let size = match item {
+                Item::Label(name) => {
+                    if symbols.insert(name, base + 4 * len as UWord).is_some() {
+                        return Err(err(*line, format!("duplicate label {name}")));
+                    }
+                    continue;
+                }
+                Item::Instr(instr, _) => {
+                    n_instrs += 1;
+                    instr.size_words()
+                }
+                Item::Word(_) | Item::WordLabel(_) => 1,
+                Item::Space(n) => *n,
+            };
+            len = len.checked_add(size).filter(|&l| l <= max_words).ok_or_else(|| {
+                err(*line, format!("object ends past the code segment at {CODE_LIMIT:#x}"))
+            })?;
+        }
+
+        // Pass 2: encode with resolved labels.
+        let mut words: Vec<u32> = Vec::with_capacity(len);
+        let mut instr_addrs: Vec<UWord> = Vec::with_capacity(n_instrs);
+        let mut line_map: Vec<(UWord, usize)> = Vec::with_capacity(n_instrs);
+        let lookup = |name: &str, line: usize| -> Result<UWord> {
+            symbols.get(name).copied().ok_or_else(|| err(line, format!("undefined label {name}")))
+        };
+        for (line, item) in &self.items {
+            let line = *line;
+            let addr = base + 4 * words.len() as UWord;
+            match item {
+                Item::Label(_) => {}
+                Item::Word(v) => words.push(*v as u32),
+                Item::WordLabel(name) => words.push(lookup(name, line)?),
+                Item::Space(n) => words.resize(words.len() + n, 0),
+                Item::Instr(instr, labels) => {
+                    instr_addrs.push(addr);
+                    line_map.push((addr, line));
+                    let mut instr = instr.clone();
+                    let next_pc = addr + 4 * instr.size_words() as UWord;
+                    if let Instruction::Basic { src1, src2, .. } = &mut instr {
+                        for (src, label) in [src1, src2].into_iter().zip(labels) {
+                            match *label {
+                                Some(LabelRef::Abs(name)) => {
+                                    *src = SrcMode::ImmWord(lookup(name, line)? as Word);
+                                }
+                                Some(LabelRef::Rel(name)) => {
+                                    let offset = lookup(name, line)?.wrapping_sub(next_pc);
+                                    *src = SrcMode::ImmWord(offset as Word);
+                                }
+                                None => {}
+                            }
+                        }
+                    }
+                    instr.encode_into(&mut words).map_err(|e| err(line, e.to_string()))?;
+                }
+            }
+        }
+        let symbols = symbols.into_iter().map(|(name, addr)| (name.to_string(), addr)).collect();
+        Ok(Object { words, symbols, base, instr_addrs, line_map })
+    }
+}
+
+impl fmt::Display for Listing<'_> {
+    /// One text line per listing line: its labels as `name:`, then its
+    /// statement, indented four spaces when no label precedes it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Each line is built in `text` and written whole.
+        let (mut line, mut text) = (1, String::with_capacity(64));
+        for (at, item) in &self.items {
+            for _ in line..*at {
+                text.push('\n');
+                f.write_str(&text)?;
+                text.clear();
+            }
+            line = *at;
+            text.push_str(match (text.is_empty(), item) {
+                (false, _) => " ",
+                (true, Item::Label(_)) => "",
+                (true, _) => "    ",
+            });
+            match item {
+                Item::Label(name) => write!(text, "{name}:"),
+                Item::Instr(instr, labels) => {
+                    instr.write_with(&mut text, |t, i, src| match labels[i] {
+                        Some(LabelRef::Abs(name)) => write!(t, "#{name}"),
+                        Some(LabelRef::Rel(name)) => write!(t, "@{name}"),
+                        None => src.write_to(t),
+                    })
+                }
+                Item::Word(v) => write_num(&mut text, ".word ", *v),
+                Item::WordLabel(name) => write!(text, ".word {name}"),
+                Item::Space(n) => write!(text, ".space {n}"),
+            }?;
+        }
+        if !text.is_empty() {
+            text.push('\n');
+            f.write_str(&text)?;
+        }
+        Ok(())
+    }
+}
+
+/// Assemble a source text at base address [`CODE_BASE`]: parse it into
+/// a [`Listing`], then [`link`](Listing::link) it.
 ///
 /// # Errors
 ///
 /// [`IsaError::Asm`] with a line number for any syntax or range problem.
 pub fn assemble(src: &str) -> Result<Object> {
-    assemble_at(src, crate::mem::CODE_BASE)
+    parse(src)?.link()
 }
 
-/// Assemble at an explicit base address.
-///
-/// # Errors
-///
-/// See [`assemble`].
-pub fn assemble_at(src: &str, base: UWord) -> Result<Object> {
-    let err = |line: usize, msg: String| IsaError::Asm { line, msg };
-
-    // Pass 1: parse lines into items and lay out labels. Labels and
-    // operands borrow from `src` until the final symbol table.
-    let mut items: Vec<Item<'_>> = Vec::new();
-    let mut symbols: HashMap<&str, UWord> = HashMap::new();
-    let mut pc = base;
+/// Parse a source text into a listing, every item on the line it was
+/// written on. Labels and operands borrow from `src`.
+fn parse(src: &str) -> Result<Listing<'_>> {
+    let mut listing = Listing::default();
     for (lineno, raw) in src.lines().enumerate() {
-        let line = lineno + 1;
-        let mut text = raw;
-        if let Some(pos) = text.find(';') {
-            text = &text[..pos];
-        }
+        listing.line = lineno;
+        let text = raw.find(';').map_or(raw, |pos| &raw[..pos]);
         let mut text = text.trim();
         // Labels (possibly several) before the statement.
         while let Some(colon) = text.find(':') {
             let (name, rest) = text.split_at(colon);
             // A label's colon is adjacent to the identifier; an operand
             // colon (`dup1 :r30`) is preceded by whitespace.
-            if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            if !is_ident(name) {
                 break;
             }
-            if symbols.insert(name, pc).is_some() {
-                return Err(err(line, format!("duplicate label {name}")));
-            }
+            listing.push(Item::Label(name));
             text = rest[1..].trim();
         }
-        if text.is_empty() {
-            continue;
+        if !text.is_empty() {
+            listing.push(parse_statement(text, lineno + 1)?);
         }
-        let item = parse_statement(text, line)?;
-        pc += 4 * item_size(&item) as UWord;
-        items.push(item);
     }
-
-    // Pass 2: encode with resolved labels.
-    let n_instrs = items.iter().filter(|i| matches!(i, Item::Instr { .. })).count();
-    let mut words: Vec<u32> = Vec::with_capacity(items.iter().map(item_size).sum());
-    let mut instr_addrs: Vec<UWord> = Vec::with_capacity(n_instrs);
-    let mut line_map: Vec<(UWord, usize)> = Vec::with_capacity(n_instrs);
-    let lookup = |name: &str, line: usize| -> Result<UWord> {
-        symbols.get(name).copied().ok_or_else(|| err(line, format!("undefined label {name}")))
-    };
-    let mut addr = base;
-    for item in &items {
-        let size = item_size(item) as UWord;
-        match *item {
-            Item::Word(spec) => {
-                let v = match spec {
-                    WordSpec::Value(v) => v,
-                    #[allow(clippy::cast_possible_wrap)]
-                    WordSpec::Label(name) => lookup(name, 0)? as Word,
-                };
-                #[allow(clippy::cast_sign_loss)]
-                words.push(v as u32);
-            }
-            Item::Space(n) => words.extend(std::iter::repeat_n(0u32, n)),
-            Item::Instr { line, op, srcs, dsts, qp_inc, cont } => {
-                instr_addrs.push(addr);
-                line_map.push((addr, line));
-                let next_pc = addr + 4 * size;
-                let resolve = |spec: SrcSpec<'_>| -> Result<SrcMode> {
-                    Ok(match spec {
-                        SrcSpec::Mode(m) => m,
-                        #[allow(clippy::cast_possible_wrap)]
-                        SrcSpec::AbsLabel(name) => SrcMode::ImmWord(lookup(name, line)? as Word),
-                        #[allow(clippy::cast_possible_wrap)]
-                        SrcSpec::RelLabel(name) => {
-                            let target = lookup(name, line)?;
-                            SrcMode::ImmWord(target.wrapping_sub(next_pc) as Word)
-                        }
-                    })
-                };
-                let instr = if op.is_dup() {
-                    let two = op == Opcode::Dup2;
-                    // dup2 stores at both offsets; dup1 stores at the first
-                    // but may carry a (don't-care) second offset in the
-                    // encoding, so accept one or two destinations.
-                    let ok = if two { dsts.len == 2 } else { (1..=2).contains(&dsts.len) };
-                    if !ok || srcs.len > 0 {
-                        let need = if two { "2" } else { "1 or 2" };
-                        return Err(err(
-                            line,
-                            format!("{op} takes no sources and {need} destination(s)"),
-                        ));
-                    }
-                    Instruction::Dup {
-                        two,
-                        off1: dsts.first[0],
-                        off2: dsts.get(1).unwrap_or(0),
-                        cont,
-                    }
-                } else {
-                    if srcs.len > 2 {
-                        return Err(err(line, "at most two sources".into()));
-                    }
-                    if dsts.len > 2 {
-                        return Err(err(line, "at most two destinations".into()));
-                    }
-                    if dsts.kept().iter().any(|&d| d > 31) {
-                        return Err(err(line, "destination register > r31".into()));
-                    }
-                    let src1 = srcs.get(0).map_or(Ok(SrcMode::Imm(0)), resolve)?;
-                    let src2 = srcs.get(1).map_or(Ok(SrcMode::Imm(0)), resolve)?;
-                    Instruction::Basic {
-                        op,
-                        src1,
-                        src2,
-                        dst1: dsts.get(0).unwrap_or(REG_DUMMY),
-                        dst2: dsts.get(1).unwrap_or(REG_DUMMY),
-                        qp_inc,
-                        cont,
-                    }
-                };
-                let before = words.len();
-                instr.encode_into(&mut words).map_err(|e| err(line, e.to_string()))?;
-                debug_assert_eq!((words.len() - before) as UWord, size, "size estimate must match");
-            }
-        }
-        addr += 4 * size;
-    }
-    let symbols = symbols.into_iter().map(|(name, addr)| (name.to_string(), addr)).collect();
-    Ok(Object { words, symbols, base, instr_addrs, line_map })
+    Ok(listing)
 }
 
-fn item_size(item: &Item<'_>) -> usize {
-    match item {
-        Item::Word(_) => 1,
-        Item::Space(n) => *n,
-        Item::Instr { op, srcs, .. } => {
-            if op.is_dup() {
-                1
-            } else {
-                1 + srcs
-                    .kept()
-                    .iter()
-                    .filter(|s| {
-                        matches!(
-                            s,
-                            SrcSpec::AbsLabel(_)
-                                | SrcSpec::RelLabel(_)
-                                | SrcSpec::Mode(SrcMode::ImmWord(_))
-                        )
-                    })
-                    .count()
-            }
-        }
-    }
+fn is_ident(name: &str) -> bool {
+    !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
 fn parse_statement(text: &str, line: usize) -> Result<Item<'_>> {
@@ -339,9 +342,9 @@ fn parse_statement(text: &str, line: usize) -> Result<Item<'_>> {
     if let Some(rest) = text.strip_prefix(".word") {
         let arg = rest.trim();
         return if let Some(v) = parse_int(arg) {
-            Ok(Item::Word(WordSpec::Value(v)))
-        } else if arg.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') && !arg.is_empty() {
-            Ok(Item::Word(WordSpec::Label(arg)))
+            Ok(Item::Word(v))
+        } else if is_ident(arg) {
+            Ok(Item::WordLabel(arg))
         } else {
             Err(err(format!("bad .word argument {arg:?}")))
         };
@@ -388,42 +391,64 @@ fn parse_statement(text: &str, line: usize) -> Result<Item<'_>> {
         Some(i) => (&tail[..i], &tail[i + 1..]),
         None => (tail, ""),
     };
-    let mut srcs = Operands::new(SrcSpec::Mode(SrcMode::Imm(0)));
+    // Two of each over defaults, and how many were written (more than
+    // two is an error, so a third may overwrite the second).
+    let (mut srcs, mut n_srcs) = ([(SrcMode::Imm(0), None); 2], 0);
     for tok in src_part.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        srcs.push(parse_src(tok, line)?);
+        srcs[n_srcs.min(1)] = parse_src(tok, line)?;
+        n_srcs += 1;
     }
-    let mut dsts = Operands::new(0);
+    let (mut dsts, mut n_dsts) = ([REG_DUMMY; 2], 0);
     for tok in dst_part.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        dsts.push(parse_reg(tok, 255).ok_or_else(|| err(format!("bad destination {tok:?}")))?);
+        dsts[n_dsts.min(1)] =
+            parse_reg(tok, 255).ok_or_else(|| err(format!("bad destination {tok:?}")))?;
+        n_dsts += 1;
     }
-    #[allow(clippy::cast_possible_truncation)]
-    Ok(Item::Instr { line, op, srcs, dsts, qp_inc: qp_inc as u8, cont })
+    if op.is_dup() {
+        let two = op == Opcode::Dup2;
+        // dup2 stores at both offsets; dup1 stores at the first but may
+        // carry a (don't-care) second offset in the encoding, so accept
+        // one or two destinations.
+        let ok = if two { n_dsts == 2 } else { (1..=2).contains(&n_dsts) };
+        if !ok || n_srcs > 0 {
+            let need = if two { "2" } else { "1 or 2" };
+            return Err(err(format!("{op} takes no sources and {need} destination(s)")));
+        }
+        let off2 = if n_dsts == 2 { dsts[1] } else { 0 };
+        return Ok(Item::Instr(Instruction::Dup { two, off1: dsts[0], off2, cont }, [None; 2]));
+    }
+    if n_srcs > 2 {
+        return Err(err("at most two sources".into()));
+    }
+    if n_dsts > 2 {
+        return Err(err("at most two destinations".into()));
+    }
+    if dsts.iter().any(|&d| d > 31) {
+        return Err(err("destination register > r31".into()));
+    }
+    let [(src1, label1), (src2, label2)] = srcs;
+    let [dst1, dst2] = dsts;
+    let qp_inc = qp_inc as u8;
+    let instr = Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, cont };
+    Ok(Item::Instr(instr, [label1, label2]))
 }
 
-fn parse_src(tok: &str, line: usize) -> Result<SrcSpec<'_>> {
-    let err = |msg: String| IsaError::Asm { line, msg };
+/// A source operand, and the label it names if any.
+fn parse_src(tok: &str, line: usize) -> Result<(SrcMode, Option<LabelRef<'_>>)> {
     if let Some(rest) = tok.strip_prefix('#') {
-        if let Some(v) = parse_int(rest) {
-            return Ok(SrcSpec::Mode(if (-15..=15).contains(&v) {
-                #[allow(clippy::cast_possible_truncation)]
-                SrcMode::Imm(v as i8)
-            } else {
-                SrcMode::ImmWord(v)
-            }));
-        }
-        return Ok(SrcSpec::AbsLabel(rest));
+        return Ok(match parse_int(rest) {
+            Some(v) => (SrcMode::imm(v), None),
+            None => (SrcMode::ImmWord(0), Some(LabelRef::Abs(rest))),
+        });
     }
     if let Some(rest) = tok.strip_prefix('@') {
-        return Ok(SrcSpec::RelLabel(rest));
+        return Ok((SrcMode::ImmWord(0), Some(LabelRef::Rel(rest))));
     }
-    if let Some(reg) = parse_reg(tok, 31) {
-        return Ok(SrcSpec::Mode(if reg < 16 {
-            SrcMode::Window(reg)
-        } else {
-            SrcMode::Global(reg)
-        }));
+    match parse_reg(tok, 31) {
+        Some(reg) if reg < 16 => Ok((SrcMode::Window(reg), None)),
+        Some(reg) => Ok((SrcMode::Global(reg), None)),
+        None => Err(IsaError::Asm { line, msg: format!("bad source operand {tok:?}") }),
     }
-    Err(err(format!("bad source operand {tok:?}")))
 }
 
 fn parse_reg(tok: &str, max: u16) -> Option<u8> {
@@ -592,6 +617,66 @@ mod tests {
     #[test]
     fn undefined_label_rejected() {
         assert!(assemble("bne r0,@nowhere\n").is_err());
+        // Operands and `.word` both report the line that names the label.
+        for src in ["main: trap #3,#0\n plus #nowhere,#0", "main: trap #3,#0\n .word nowhere"] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(e.to_string(), "assembly error at line 2: undefined label nowhere", "{src}");
+        }
+    }
+
+    #[test]
+    fn objects_end_inside_the_code_segment() {
+        let limit = (CODE_LIMIT / 4) as usize;
+        let fits = assemble(&format!("main: trap #3,#0\n .space {}", limit - 1)).unwrap();
+        assert_eq!(fits.size_bytes(), CODE_LIMIT);
+        for n in [limit, 1 << 30, usize::MAX] {
+            let e = assemble(&format!("main: trap #3,#0\n .space {n}")).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                "assembly error at line 2: object ends past the code segment at 0x100000",
+                ".space {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn printed_listing_reassembles_to_the_same_object() {
+        let src = "; header\n\
+                   start: fetch #data,#0 :r0 ; comment\n\
+                   \n\
+                   a: b:  bne r0,@start\n\
+                   dup2 :r3,r4 >\n\
+                   tail:\n\
+                   data: .word 77\n\
+                   .word start\n\
+                   .space 2\n";
+        let listing = parse(src).unwrap();
+        let printed = listing.to_string();
+        assert_eq!(
+            printed,
+            "\nstart: fetch #data,#0 :r0\n\na: b: bne r0,@start\n    dup2 :r3,r4 >\ntail:\n\
+             data: .word 77\n    .word start\n    .space 2\n"
+        );
+        let obj = listing.link().unwrap();
+        assert_eq!(assemble(&printed).unwrap(), obj, "same words, symbols and lines");
+        assert_eq!(obj.line_for(8), Some(4), "bne follows the two-word fetch");
+    }
+
+    #[test]
+    fn pushed_items_number_their_lines() {
+        let mut listing = Listing::default();
+        listing.push(Item::Label("main"));
+        listing.push(Item::Instr(
+            Instruction::basic(Opcode::Plus, SrcMode::Imm(0), SrcMode::Imm(0)),
+            [Some(LabelRef::Abs("main")), None],
+        ));
+        listing.push(Item::Instr(
+            Instruction::basic(Opcode::Trap, SrcMode::Imm(2), SrcMode::Imm(0)),
+            [None; 2],
+        ));
+        let text = listing.to_string();
+        assert_eq!(text, "main: plus #main,#0\n    trap #2,#0\n");
+        assert_eq!(listing.link().unwrap(), assemble(&text).unwrap());
     }
 
     #[test]

@@ -249,25 +249,6 @@ impl Opcode {
         matches!(self, Opcode::Dup1 | Opcode::Dup2)
     }
 
-    /// True for two's-complement or unsigned comparison operations
-    /// (Boolean result: all-ones true, all-zeroes false).
-    #[must_use]
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            Opcode::Ge
-                | Opcode::Ne
-                | Opcode::Gt
-                | Opcode::Lt
-                | Opcode::Eq
-                | Opcode::Le
-                | Opcode::His
-                | Opcode::Hi
-                | Opcode::Lo
-                | Opcode::Los
-        )
-    }
-
     /// Apply a pure two-operand ALU/compare operation.
     ///
     /// Returns `None` for operations with side effects (memory, channel,
@@ -386,21 +367,44 @@ impl SrcMode {
         }
     }
 
+    /// Write the operand in assembly syntax (`rN` or `#n`).
+    pub(crate) fn write_to(self, w: &mut impl std::fmt::Write) -> std::fmt::Result {
+        match self {
+            SrcMode::Window(n) | SrcMode::Global(n) => write_num(w, "r", n.into()),
+            SrcMode::Imm(v) => write_num(w, "#", v.into()),
+            SrcMode::ImmWord(v) => write_num(w, "#", v),
+        }
+    }
+
     /// True when an immediate word follows the instruction.
     #[must_use]
     pub fn needs_word(self) -> bool {
         matches!(self, SrcMode::ImmWord(_))
     }
+
+    /// The immediate `#v`: small when it fits −15…15, else a full word.
+    #[must_use]
+    pub fn imm(v: Word) -> SrcMode {
+        match i8::try_from(v) {
+            Ok(small) if (-15..=15).contains(&small) => SrcMode::Imm(small),
+            _ => SrcMode::ImmWord(v),
+        }
+    }
 }
 
 impl std::fmt::Display for SrcMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SrcMode::Window(n) => write!(f, "r{n}"),
-            SrcMode::Global(n) => write!(f, "r{n}"),
-            SrcMode::Imm(v) => write!(f, "#{v}"),
-            SrcMode::ImmWord(v) => write!(f, "#{v}"),
-        }
+        self.write_to(f)
+    }
+}
+
+/// Write `prefix`, then `n` in decimal; a single digit skips the integer
+/// formatter (the printer writes many small register numbers).
+pub(crate) fn write_num(w: &mut impl std::fmt::Write, prefix: &str, n: Word) -> std::fmt::Result {
+    w.write_str(prefix)?;
+    match u8::try_from(n) {
+        Ok(d) if d < 10 => w.write_char(char::from(b'0' + d)),
+        _ => write!(w, "{n}"),
     }
 }
 
@@ -451,29 +455,6 @@ impl Instruction {
             dst2: REG_DUMMY,
             qp_inc: 0,
             cont: false,
-        }
-    }
-
-    /// The opcode of the instruction.
-    #[must_use]
-    pub fn opcode(&self) -> Opcode {
-        match self {
-            Instruction::Basic { op, .. } => *op,
-            Instruction::Dup { two, .. } => {
-                if *two {
-                    Opcode::Dup2
-                } else {
-                    Opcode::Dup1
-                }
-            }
-        }
-    }
-
-    /// The continue flag.
-    #[must_use]
-    pub fn cont(&self) -> bool {
-        match self {
-            Instruction::Basic { cont, .. } | Instruction::Dup { cont, .. } => *cont,
         }
     }
 
@@ -608,46 +589,51 @@ impl Instruction {
             used,
         ))
     }
+
+    /// Write the instruction in assembly syntax, with `src(f, i, mode)`
+    /// writing source operand `i` (0 or 1).
+    pub(crate) fn write_with<W: std::fmt::Write>(
+        &self,
+        f: &mut W,
+        src: impl Fn(&mut W, usize, SrcMode) -> std::fmt::Result,
+    ) -> std::fmt::Result {
+        match self {
+            Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, cont } => {
+                f.write_str(op.mnemonic())?;
+                if *qp_inc > 0 {
+                    write_num(f, "+", (*qp_inc).into())?;
+                }
+                f.write_str(" ")?;
+                src(f, 0, *src1)?;
+                f.write_str(",")?;
+                src(f, 1, *src2)?;
+                if *dst1 != REG_DUMMY || *dst2 != REG_DUMMY {
+                    write_num(f, " :r", (*dst1).into())?;
+                }
+                if *dst2 != REG_DUMMY {
+                    write_num(f, ",r", (*dst2).into())?;
+                }
+                f.write_str(if *cont { " >" } else { "" })
+            }
+            Instruction::Dup { two, off1, off2, cont } => {
+                f.write_str(if *two { "dup2" } else { "dup1" })?;
+                write_num(f, " :r", (*off1).into())?;
+                // dup1 ignores the second offset, but it is encoded in the
+                // word; keep it visible so the disassembly reassembles to
+                // the same bits.
+                if *two || *off2 != 0 {
+                    write_num(f, ",r", (*off2).into())?;
+                }
+                f.write_str(if *cont { " >" } else { "" })
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for Instruction {
     /// Thesis assembly syntax: `opcode+n src1,src2 :dst1,dst2 >`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Instruction::Basic { op, src1, src2, dst1, dst2, qp_inc, cont } => {
-                write!(f, "{op}")?;
-                if *qp_inc > 0 {
-                    write!(f, "+{qp_inc}")?;
-                }
-                write!(f, " {src1},{src2}")?;
-                match (*dst1 != REG_DUMMY, *dst2 != REG_DUMMY) {
-                    (true, true) => write!(f, " :r{dst1},r{dst2}")?,
-                    (true, false) => write!(f, " :r{dst1}")?,
-                    (false, true) => write!(f, " :r{REG_DUMMY},r{dst2}")?,
-                    (false, false) => {}
-                }
-                if *cont {
-                    write!(f, " >")?;
-                }
-                Ok(())
-            }
-            Instruction::Dup { two, off1, off2, cont } => {
-                if *two {
-                    write!(f, "dup2 :r{off1},r{off2}")?;
-                } else if *off2 != 0 {
-                    // dup1 ignores the second offset, but it is encoded in
-                    // the word; keep it visible so the disassembly
-                    // reassembles to the same bits.
-                    write!(f, "dup1 :r{off1},r{off2}")?;
-                } else {
-                    write!(f, "dup1 :r{off1}")?;
-                }
-                if *cont {
-                    write!(f, " >")?;
-                }
-                Ok(())
-            }
-        }
+        self.write_with(f, |f, _, src| src.write_to(f))
     }
 }
 

@@ -30,10 +30,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt::Display;
 
 use qm_core::dfg::analysis;
+use qm_isa::asm::Listing;
 use qm_isa::Opcode;
 
 use crate::ast::{BinOp, Decl, Expr, Lvalue, Param, Process, Replicator};
-use crate::emit::{wire_end, EmitError, Emitter};
+use crate::emit::{wire_end, Emitter};
 use crate::graph::{Actor, ChanRef, ContextGraph, NodeId, ValueRef};
 use crate::sema::{Resolved, SymKind};
 use crate::Options;
@@ -45,8 +46,14 @@ pub enum CodegenError {
     /// a procedure body capturing an outer variable) or an error it
     /// detects (e.g. a constant index out of bounds).
     Program(String),
-    /// A context outgrew its queue page.
-    PageOverflow(EmitError),
+    /// A result offset exceeds the queue page: the context is too large
+    /// for one page.
+    PageOverflow {
+        /// Label of the context.
+        label: String,
+        /// The largest result offset.
+        offset: usize,
+    },
 }
 
 impl std::fmt::Display for CodegenError {
@@ -54,45 +61,54 @@ impl std::fmt::Display for CodegenError {
         f.write_str("codegen error: ")?;
         match self {
             CodegenError::Program(msg) => f.write_str(msg),
-            CodegenError::PageOverflow(e) => e.describe(f),
+            CodegenError::PageOverflow { label, offset } => write!(
+                f,
+                "context {label} too large: result offset {offset} exceeds the queue page"
+            ),
         }
     }
 }
 
 impl std::error::Error for CodegenError {}
 
-impl From<EmitError> for CodegenError {
-    fn from(e: EmitError) -> Self {
-        CodegenError::PageOverflow(e)
-    }
-}
-
-/// Generate assembly for a resolved program.
+/// Generate assembly for a resolved program: its [`with_listing`]
+/// listing, printed.
 ///
 /// # Errors
 ///
 /// [`CodegenError`] for unsupported shapes (e.g. procedure bodies
 /// capturing outer variables) or contexts exceeding the queue page.
 pub fn generate(resolved: &Resolved, opts: &Options) -> Result<String, CodegenError> {
-    match generate_once(resolved, opts) {
-        Err(CodegenError::PageOverflow(_)) if opts.loop_unrolling => {
-            // Unrolling inflated a context past its queue page: degrade
-            // gracefully by recompiling with loops kept as contexts (the
-            // §4.3 granularity trade-off, resource-pressure edition).
-            generate_once(resolved, &Options { loop_unrolling: false, ..*opts })
-        }
-        other => other,
-    }
+    with_listing(resolved, opts, |listing, _| listing.to_string())
 }
 
-fn generate_once(resolved: &Resolved, opts: &Options) -> Result<String, CodegenError> {
+/// Emit every context of a resolved program into one listing, whose
+/// labels borrow from the context graphs, and pass it with the number of
+/// contexts to `f`.
+///
+/// # Errors
+///
+/// Same failures as [`generate`]; `f` runs only on success.
+pub fn with_listing<R>(
+    resolved: &Resolved,
+    opts: &Options,
+    f: impl FnOnce(&Listing<'_>, usize) -> R,
+) -> Result<R, CodegenError> {
     let graphs = context_graphs(resolved, opts)?;
-    let mut asm = String::new();
+    let mut listing = Listing::default();
     let mut emitter = Emitter::default();
     for (label, graph) in &graphs {
-        emitter.emit(&mut asm, label, graph, opts.priority_scheduling)?;
+        match emitter.emit(&mut listing, label, graph, opts.priority_scheduling) {
+            Err(_) if opts.loop_unrolling => {
+                // Unrolling inflated a context past its queue page: degrade
+                // gracefully by recompiling with loops kept as contexts (the
+                // §4.3 granularity trade-off, resource-pressure edition).
+                return with_listing(resolved, &Options { loop_unrolling: false, ..*opts }, f);
+            }
+            emitted => emitted?,
+        }
     }
-    Ok(asm)
+    Ok(f(&listing, graphs.len()))
 }
 
 /// Build the per-context data-flow graphs without emitting code (used by

@@ -1,4 +1,6 @@
-//! Assembly emission: context graph → queue machine instructions.
+//! Instruction emission: context graph → typed [`Instruction`]s pushed
+//! into a qm-isa [`Listing`], which is linked into object code directly
+//! and printed as assembly text by qm-isa.
 //!
 //! Implements the §3.6 queue-position construction: instruction `i`
 //! consumes its operands at absolute queue positions `o_i … o_i+A−1`
@@ -9,64 +11,34 @@
 //! instructions; the two results of `rfork` are staged through the
 //! scratch globals `r19`/`r20`.
 
-use std::fmt::{self, Display, Write as _};
+use qm_isa::asm::{Item, LabelRef, Listing};
+use qm_isa::isa::REG_DUMMY;
+use qm_isa::{Instruction, Opcode, SrcMode};
 
+use crate::codegen::CodegenError;
 use crate::graph::{Actor, ChanRef, ContextGraph, NodeId};
-
-/// Emission failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EmitError {
-    /// A result offset exceeds the queue page: the context is too large
-    /// for one page.
-    PageOverflow {
-        /// Label of the context.
-        label: String,
-        /// The largest result offset.
-        offset: usize,
-    },
-}
-
-impl EmitError {
-    /// The description without the "emit error" prefix.
-    pub(crate) fn describe(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EmitError::PageOverflow { label, offset } => write!(
-                f,
-                "context {label} too large: result offset {offset} exceeds the queue page"
-            ),
-        }
-    }
-}
-
-impl Display for EmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("emit error: ")?;
-        self.describe(f)
-    }
-}
-
-impl std::error::Error for EmitError {}
 
 /// Maximum queue offset a result can be stored at (queue page size − 1).
 pub const MAX_OFFSET: usize = 255;
 
-/// Emit one context as assembly text, starting with `label:` and ending
-/// with the context-terminating `trap #2,#0`.
+/// Emit one context into a fresh listing, starting with `label:` and
+/// ending with the context-terminating `trap #2,#0`.
 ///
 /// `priorities` selects the Fig. 4.20 scheduling heuristic; plain
 /// topological order otherwise (the Table 6.6 ablation).
 ///
 /// # Errors
 ///
-/// [`EmitError`] if a result offset exceeds the queue page.
-pub fn emit_context(
-    label: &str,
-    graph: &ContextGraph,
+/// [`CodegenError::PageOverflow`] if a result offset exceeds the queue
+/// page.
+pub fn emit_context<'a>(
+    label: &'a str,
+    graph: &'a ContextGraph,
     priorities: bool,
-) -> Result<String, EmitError> {
-    let mut text = String::new();
-    Emitter::default().emit(&mut text, label, graph, priorities)?;
-    Ok(text)
+) -> Result<Listing<'a>, CodegenError> {
+    let mut listing = Listing::default();
+    Emitter::default().emit(&mut listing, label, graph, priorities)?;
+    Ok(listing)
 }
 
 /// Scratch tables for emitting contexts, reused from one context to the
@@ -87,15 +59,15 @@ pub(crate) struct Emitter {
 }
 
 impl Emitter {
-    /// Append the context's assembly text to `out`; see [`emit_context`].
-    /// On error `out` ends in a partial context.
-    pub(crate) fn emit(
+    /// Append the context's label and instructions to `out`; see
+    /// [`emit_context`]. On error `out` ends in a partial context.
+    pub(crate) fn emit<'a>(
         &mut self,
-        out: &mut String,
-        label: &str,
-        graph: &ContextGraph,
+        out: &mut Listing<'a>,
+        label: &'a str,
+        graph: &'a ContextGraph,
         priorities: bool,
-    ) -> Result<(), EmitError> {
+    ) -> Result<(), CodegenError> {
         self.dead_code(graph);
 
         // --- Schedule live nodes; keep End last. ---
@@ -115,74 +87,55 @@ impl Emitter {
             acc += graph.payload(id).value_ins();
         }
 
-        let mut w = Lines { out, label, first: true };
+        out.push(Item::Label(label));
         for &id in &order {
             let actor = graph.payload(id);
-            let qp = Qp(actor.value_ins());
+            let op = |op, src1, src2| basic(op, actor.value_ins(), src1, src2);
             // Output 0's offsets; none for actors without a result.
             self.rel_offsets(graph, label, id, 0)?;
             let offs = &self.offs;
-            match actor {
-                Actor::Const(v) => emit_value(&mut w, format_args!("plus #{v},#0"), offs),
-                Actor::Label(l) => emit_value(&mut w, format_args!("plus #{l},#0"), offs),
-                Actor::Copy => emit_value(&mut w, "plus+1 r0,#0", offs),
-                Actor::Neg => emit_value(&mut w, "minus+1 #0,r0", offs),
-                Actor::Not => emit_value(&mut w, "xor+1 r0,#-1", offs),
-                Actor::Bin(op) => {
-                    emit_value(&mut w, format_args!("{}+2 r0,r1", op.mnemonic()), offs)
+            let (value, read) = match actor {
+                Actor::Const(v) => (op(Opcode::Plus, SrcMode::imm(*v), ZERO), None),
+                Actor::Label(l) => (op(Opcode::Plus, ZERO, ZERO), Some(LabelRef::Abs(l.as_str()))),
+                Actor::Copy => (op(Opcode::Plus, R0, ZERO), None),
+                Actor::Neg => (op(Opcode::Minus, ZERO, R0), None),
+                Actor::Not => (op(Opcode::Xor, R0, SrcMode::Imm(-1)), None),
+                Actor::Bin(bin) => (op(*bin, R0, R1), None),
+                Actor::Fetch => (op(Opcode::Fetch, R0, ZERO), None),
+                Actor::Recv(cr) => (op(Opcode::Recv, chan(*cr), ZERO), None),
+                Actor::Store => (op(Opcode::Store, R0, R1), None),
+                Actor::Send(cr) => {
+                    let v = if *cr == ChanRef::Value { R1 } else { R0 };
+                    (op(Opcode::Send, chan(*cr), v), None)
                 }
-                Actor::Fetch => emit_value(&mut w, "fetch+1 r0,#0", offs),
-                Actor::Store => w.line("store+2 r0,r1"),
-                Actor::Recv(cr) => {
-                    let base = match cr {
-                        ChanRef::InReg => "recv r17,#0",
-                        ChanRef::OutReg => "recv r18,#0",
-                        ChanRef::Value => "recv+1 r0,#0",
+                Actor::Wait => (op(Opcode::Trap, SrcMode::Imm(5), R0), None),
+                Actor::End => (op(Opcode::Trap, SrcMode::Imm(2), ZERO), None),
+                Actor::Fork { iterative, local } => {
+                    // `ifork` yields its in channel, `rfork` in and out.
+                    let (entry, dst2) = match (iterative, local) {
+                        (true, _) => (1, REG_DUMMY),
+                        (false, local) => (if *local { 7 } else { 0 }, SCRATCH2),
                     };
-                    emit_value(&mut w, base, offs);
-                }
-                Actor::Send(cr) => w.line(match cr {
-                    ChanRef::InReg => "send+1 r17,r0",
-                    ChanRef::OutReg => "send+1 r18,r0",
-                    ChanRef::Value => "send+2 r0,r1",
-                }),
-                Actor::Fork { iterative: true, .. } => {
-                    w.line(format_args!("trap{qp} #1,r0 :r19"));
-                    if !offs.is_empty() {
-                        emit_value(&mut w, "plus r19,#0", offs);
-                    }
-                }
-                Actor::Fork { iterative: false, local } => {
-                    let entry = if *local { 7 } else { 0 };
-                    w.line(format_args!("trap{qp} #{entry},r0 :r19,r20"));
-                    if !offs.is_empty() {
-                        emit_value(&mut w, "plus r19,#0", offs);
-                    }
+                    let fork = op(Opcode::Trap, SrcMode::Imm(entry), R0);
+                    out.push(instr(with_dsts(fork, SCRATCH1, dst2)));
+                    staged(out, SCRATCH1, offs);
                     self.rel_offsets(graph, label, id, 1)?;
-                    if !self.offs.is_empty() {
-                        emit_value(&mut w, "plus r20,#0", &self.offs);
-                    }
+                    staged(out, SCRATCH2, &self.offs);
+                    continue;
                 }
                 Actor::ChanNew | Actor::Now => {
                     let entry = if *actor == Actor::ChanNew { 6 } else { 4 };
-                    match offs.as_slice() {
-                        [] => w.line(format_args!("trap #{entry},#0")),
-                        [single] if *single < 16 => {
-                            w.line(format_args!("trap #{entry},#0 :r{single}"));
-                        }
-                        _ => {
-                            w.line(format_args!("trap #{entry},#0 :r19"));
-                            emit_value(&mut w, "plus r19,#0", offs);
-                        }
+                    let trap = op(Opcode::Trap, SrcMode::Imm(entry), ZERO);
+                    // One small offset rides in the trap; more go through r19.
+                    if offs.len() > 1 || offs.iter().any(|&o| o >= 16) {
+                        out.push(instr(with_dsts(trap, SCRATCH1, REG_DUMMY)));
+                        staged(out, SCRATCH1, offs);
+                        continue;
                     }
+                    (trap, None)
                 }
-                Actor::Wait => w.line(format_args!("trap{qp} #5,r0")),
-                Actor::End => w.line(format_args!("trap{qp} #2,#0")),
-            }
-        }
-        if w.first {
-            // A graph with nothing live is one empty line.
-            out.push('\n');
+            };
+            emit_value(out, value, read, offs);
         }
         Ok(())
     }
@@ -227,7 +180,7 @@ impl Emitter {
         label: &str,
         id: NodeId,
         out: u8,
-    ) -> Result<(), EmitError> {
+    ) -> Result<(), CodegenError> {
         let front = self.base[id] + graph.payload(id).value_ins();
         self.offs.clear();
         for (c, slot) in graph.consumers(id, out) {
@@ -239,67 +192,84 @@ impl Emitter {
         self.offs.dedup();
         match self.offs.last() {
             Some(&max) if max > MAX_OFFSET => {
-                Err(EmitError::PageOverflow { label: label.to_string(), offset: max })
+                Err(CodegenError::PageOverflow { label: label.to_string(), offset: max })
             }
             _ => Ok(()),
         }
     }
 }
 
-/// Assembly lines written straight into the output text: the first
-/// carries the context's label, the rest are indented.
-struct Lines<'a> {
-    out: &'a mut String,
-    label: &'a str,
-    first: bool,
+/// Window registers `r0`/`r1`: the instruction's first two operands.
+const R0: SrcMode = SrcMode::Window(0);
+const R1: SrcMode = SrcMode::Window(1);
+/// The immediate `#0`.
+const ZERO: SrcMode = SrcMode::Imm(0);
+/// The scratch globals `r19`/`r20` that stage kernel results.
+const SCRATCH1: u8 = 19;
+const SCRATCH2: u8 = 20;
+
+/// A basic instruction consuming `value_ins` queue words, with no
+/// destinations and no continue flag.
+fn basic(op: Opcode, value_ins: usize, src1: SrcMode, src2: SrcMode) -> Instruction {
+    let qp_inc = value_ins as u8;
+    Instruction::Basic { op, src1, src2, dst1: REG_DUMMY, dst2: REG_DUMMY, qp_inc, cont: false }
 }
 
-impl Lines<'_> {
-    fn line(&mut self, text: impl Display) {
-        // Writing into a `String` cannot fail.
-        let _ = if std::mem::take(&mut self.first) {
-            writeln!(self.out, "{}: {text}", self.label)
-        } else {
-            writeln!(self.out, "    {text}")
-        };
+/// `instr` with its destination registers set.
+fn with_dsts(mut instr: Instruction, d1: u8, d2: u8) -> Instruction {
+    if let Instruction::Basic { dst1, dst2, .. } = &mut instr {
+        (*dst1, *dst2) = (d1, d2);
+    }
+    instr
+}
+
+/// A listing item for an instruction that names no label.
+fn instr<'a>(instr: Instruction) -> Item<'a> {
+    Item::Instr(instr, [None; 2])
+}
+
+/// The channel operand: the context's own in (`r17`) or out (`r18`)
+/// channel, or the first queue operand.
+fn chan(cr: ChanRef) -> SrcMode {
+    match cr {
+        ChanRef::InReg => SrcMode::Global(17),
+        ChanRef::OutReg => SrcMode::Global(18),
+        ChanRef::Value => R0,
     }
 }
 
-/// A queue-pointer increment suffix: `+N`, or nothing for 0.
-struct Qp(usize);
-
-impl Display for Qp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 > 0 {
-            write!(f, "+{}", self.0)
-        } else {
-            Ok(())
-        }
+/// Copy a kernel result out of scratch register `reg` to `offsets`, if
+/// anything reads it.
+fn staged(out: &mut Listing<'_>, reg: u8, offsets: &[usize]) {
+    if !offsets.is_empty() {
+        emit_value(out, basic(Opcode::Plus, 0, SrcMode::Global(reg), ZERO), None, offsets);
     }
 }
 
-/// Emit a value-producing instruction plus the `dup`s distributing its
-/// result to every offset (ascending). Up to two offsets < 16 ride in
-/// the destination fields; the rest go through `dup1`/`dup2` with the
-/// continue flag linking the group.
-fn emit_value(w: &mut Lines<'_>, base: impl Display, offsets: &[usize]) {
+/// Emit a value-producing instruction, reading `label` as its first
+/// source if given, plus the `dup`s distributing its result to every
+/// offset (ascending). Up to two offsets < 16 ride in the destination
+/// fields; the rest go through `dup1`/`dup2` with the continue flag
+/// linking the group. An instruction without a result has no offsets.
+fn emit_value<'a>(
+    out: &mut Listing<'a>,
+    base: Instruction,
+    label: Option<LabelRef<'a>>,
+    offsets: &[usize],
+) {
     let direct = offsets.iter().take(2).filter(|&&o| o < 16).count();
     let (direct, rest) = offsets.split_at(direct);
-    let cont = if rest.is_empty() { "" } else { " >" };
-    match direct {
-        [] => w.line(format_args!("{base}{cont}")),
-        [a] => w.line(format_args!("{base} :r{a}{cont}")),
-        [a, b] => w.line(format_args!("{base} :r{a},r{b}{cont}")),
-        _ => unreachable!("take(2)"),
+    let dst = |i: usize| direct.get(i).map_or(REG_DUMMY, |&o| o as u8);
+    let mut base = with_dsts(base, dst(0), dst(1));
+    if let Instruction::Basic { cont, .. } = &mut base {
+        *cont = !rest.is_empty();
     }
+    out.push(Item::Instr(base, [label, None]));
     let mut chunks = rest.chunks(2).peekable();
     while let Some(chunk) = chunks.next() {
-        let more = if chunks.peek().is_some() { " >" } else { "" };
-        match chunk {
-            [a] => w.line(format_args!("dup1 :r{a}{more}")),
-            [a, b] => w.line(format_args!("dup2 :r{a},r{b}{more}")),
-            _ => unreachable!("chunks(2)"),
-        }
+        let cont = chunks.peek().is_some();
+        let (off1, off2) = (chunk[0] as u8, chunk.get(1).map_or(0, |&o| o as u8));
+        out.push(instr(Instruction::Dup { two: chunk.len() == 2, off1, off2, cont }));
     }
 }
 
@@ -442,20 +412,22 @@ mod tests {
         let b = g.add(Actor::Const(3), &[], &[]);
         let s = g.add(Actor::Bin(Opcode::Plus), &[ValueRef::of(a), ValueRef::of(b)], &[]);
         let _ = g.add(Actor::Send(ChanRef::OutReg), &[ValueRef::of(s)], &[]);
-        let asm = emit_context("t", &finish(g), true).unwrap();
+        let g = finish(g);
+        let listing = emit_context("t", &g, true).unwrap();
+        let asm = listing.to_string();
         assert!(asm.starts_with("t: "), "{asm}");
         assert!(asm.contains("plus+2 r0,r1"), "{asm}");
         assert!(asm.contains("send+1 r18,r0"), "{asm}");
         assert!(asm.trim_end().ends_with("trap #2,#0"), "{asm}");
-        // It must assemble.
-        qm_isa::asm::assemble(&asm).unwrap();
+        // The printed text assembles to the linked listing.
+        assert_eq!(qm_isa::asm::assemble(&asm).unwrap(), listing.link().unwrap());
     }
 
     #[test]
     fn dead_constants_are_dropped() {
         let mut g = ContextGraph::new();
         let _unused = g.add(Actor::Const(42), &[], &[]);
-        let asm = emit_context("t", &finish(g), true).unwrap();
+        let asm = emit_context("t", &finish(g), true).unwrap().to_string();
         assert!(!asm.contains("#42"), "{asm}");
     }
 
@@ -475,7 +447,7 @@ mod tests {
                 &ctrl,
             ));
         }
-        let asm = emit_context("t", &finish(g), true).unwrap();
+        let asm = emit_context("t", &finish(g), true).unwrap().to_string();
         qm_isa::asm::assemble(&asm).unwrap();
         assert!(asm.contains("dup"), "wide fanout needs dups: {asm}");
     }
@@ -496,7 +468,7 @@ mod tests {
         // Dummy child label target so assembly resolves.
         let end = g.len();
         let _ = end;
-        let asm = emit_context("t", &g, true).unwrap();
+        let asm = emit_context("t", &g, true).unwrap().to_string();
         assert!(asm.contains("trap+1 #0,r0 :r19,r20"), "{asm}");
         assert!(asm.contains("plus r19,#0"), "{asm}");
         assert!(asm.contains("plus r20,#0"), "{asm}");
@@ -520,16 +492,10 @@ mod tests {
             ));
         }
         let err = emit_context("t", &finish(g), true).unwrap_err();
-        let EmitError::PageOverflow { ref label, offset } = err;
+        let CodegenError::PageOverflow { ref label, offset } = err else { panic!("{err:?}") };
         assert_eq!((label.as_str(), offset > MAX_OFFSET), ("t", true));
         assert_eq!(
             err.to_string(),
-            format!(
-                "emit error: context t too large: result offset {offset} exceeds the queue page"
-            )
-        );
-        assert_eq!(
-            crate::codegen::CodegenError::from(err).to_string(),
             format!(
                 "codegen error: context t too large: result offset {offset} exceeds the queue page"
             )
@@ -542,7 +508,7 @@ mod tests {
         let addr = g.add(Actor::Const(0x0010_0000), &[], &[]);
         let v = g.add(Actor::Const(1), &[], &[]);
         let _st = g.add(Actor::Store, &[ValueRef::of(addr), ValueRef::of(v)], &[]);
-        let asm = emit_context("t", &finish(g), true).unwrap();
+        let asm = emit_context("t", &finish(g), true).unwrap().to_string();
         let store_line = asm.lines().position(|l| l.contains("store")).unwrap();
         let end_line = asm.lines().position(|l| l.contains("trap")).unwrap();
         assert!(store_line < end_line, "{asm}");

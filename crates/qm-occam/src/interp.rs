@@ -102,12 +102,6 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Pre-load an array (mirrors the host initialisation the simulator
-    /// runner performs).
-    pub fn poke_array(&mut self, unique_name: &str, values: &[i32]) {
-        self.arrays.insert(unique_name.to_string(), values.to_vec());
-    }
-
     /// Run the program to completion.
     ///
     /// # Errors

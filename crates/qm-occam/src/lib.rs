@@ -15,10 +15,14 @@
 //!   `if`, `par`, replication and procedure calls (§4.2).
 //! * [`emit`] — *sequencer* + *coder*: the Fig. 4.20 priority scheduling
 //!   heuristic ([`qm_core::dfg::Dag::schedule_by`]), queue-position
-//!   assignment (§3.6) and assembly emission.
+//!   assignment (§3.6) and instruction emission into one
+//!   [`qm_isa::asm::Listing`].
 //!
-//! The output is queue-machine assembly accepted by [`qm_isa::asm`] and
-//! runnable on [`qm_sim`](../qm_sim/index.html).
+//! [`compile`] links that listing straight into object code runnable on
+//! [`qm_sim`](../qm_sim/index.html); no text is parsed on the way.
+//! The assembly text ([`Compiled::asm`], [`codegen::generate`]) is the
+//! listing printed by qm-isa, which [`qm_isa::asm::assemble`] reads back
+//! to the same object.
 //!
 //! # Example
 //!
@@ -80,11 +84,12 @@ impl Default for Options {
 /// A compiled program.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// Queue machine assembly text (one context per label).
+    /// Queue machine assembly text (one context per label): the printed
+    /// listing the object was linked from.
     pub asm: String,
-    /// Assembled object code.
+    /// Linked object code.
     pub object: qm_isa::asm::Object,
-    /// Number of contexts (code-generating graph partitions).
+    /// Number of contexts emitted (code-generating graph partitions).
     pub context_count: usize,
     /// Bytes of global data allocated to arrays.
     pub data_bytes: u32,
@@ -99,10 +104,9 @@ pub enum CompileError {
     Parse(String),
     /// Semantic analysis failed.
     Sema(String),
-    /// Code generation failed.
+    /// Code generation failed, or its output does not fit the code
+    /// segment.
     Codegen(String),
-    /// The emitted assembly failed to assemble (compiler bug).
-    Assemble(String),
 }
 
 impl std::fmt::Display for CompileError {
@@ -111,14 +115,14 @@ impl std::fmt::Display for CompileError {
             CompileError::Parse(m) => write!(f, "parse: {m}"),
             CompileError::Sema(m) => write!(f, "sema: {m}"),
             CompileError::Codegen(m) => write!(f, "codegen: {m}"),
-            CompileError::Assemble(m) => write!(f, "assemble: {m}"),
         }
     }
 }
 
 impl std::error::Error for CompileError {}
 
-/// Compile OCCAM source to queue-machine object code.
+/// Compile OCCAM source to queue-machine object code: the emitted
+/// listing is linked directly, and printed for [`Compiled::asm`].
 ///
 /// # Errors
 ///
@@ -126,10 +130,12 @@ impl std::error::Error for CompileError {}
 pub fn compile(src: &str, options: &Options) -> Result<Compiled, CompileError> {
     let ast = parse::parse(src).map_err(|e| CompileError::Parse(e.to_string()))?;
     let resolved = sema::analyse(&ast).map_err(|e| CompileError::Sema(e.to_string()))?;
-    let asm =
-        codegen::generate(&resolved, options).map_err(|e| CompileError::Codegen(e.to_string()))?;
-    let object = qm_isa::asm::assemble(&asm).map_err(|e| CompileError::Assemble(e.to_string()))?;
-    let context_count = asm.matches("trap #2,#0").count();
+    let linked = codegen::with_listing(&resolved, options, |listing, n| {
+        let object = listing.link().map_err(|e| e.to_string())?;
+        Ok((object, listing.to_string(), n))
+    });
+    let (object, asm, context_count) =
+        linked.map_err(|e| e.to_string()).and_then(|r| r).map_err(CompileError::Codegen)?;
     Ok(Compiled {
         asm,
         object,

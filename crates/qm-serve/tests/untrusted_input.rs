@@ -9,8 +9,10 @@
 //! must decode to `Ok` or a typed error and must never panic. A failing
 //! case replays from the `Gen::new(seed, size)` the harness reports.
 //!
-//! Hostile programs get one more check: two tenants whose programs
-//! collide under a 64-bit checksum must each get their own result.
+//! Hostile programs get two more checks: two tenants whose programs
+//! collide under a 64-bit checksum must each get their own result, and
+//! a program too large for the code segment fails as a job without
+//! taking the server down.
 
 mod inputs;
 
@@ -149,8 +151,8 @@ fn colliding_programs() -> (String, String) {
 }
 
 /// Submit `text` as a Warn-verified assembly job and wait for it:
-/// `(host output, cache_hit)`.
-fn run_assembly(addr: &str, text: &str) -> (JsonValue, JsonValue) {
+/// `(host output, cache_hit)`, or the job's `error` object when it fails.
+fn run_assembly(addr: &str, text: &str) -> Result<(JsonValue, JsonValue), JsonValue> {
     let body = format!(r#"{{"assembly":"{}","verify":"warn"}}"#, text.replace('\n', "\\n"));
     let (status, reply) = request(addr, "POST", "/v1/jobs", &body).unwrap();
     assert_eq!(status, 202, "{reply}");
@@ -158,11 +160,16 @@ fn run_assembly(addr: &str, text: &str) -> (JsonValue, JsonValue) {
     for _ in 0..3000 {
         let (_, reply) = request(addr, "GET", &format!("/v1/jobs/{id}"), "").unwrap();
         let data = json::parse(&reply).unwrap().get("data").cloned().unwrap();
-        if data.get("status").and_then(JsonValue::as_str) == Some("done") {
-            let output = data.get("result").and_then(|r| r.get("outcome")?.get("output").cloned());
-            return (output.unwrap(), data.get("cache_hit").cloned().unwrap());
+        match data.get("status").and_then(JsonValue::as_str) {
+            Some("done") => {
+                let result = data.get("result").and_then(|r| r.get("outcome")?.get("output"));
+                return Ok((result.cloned().unwrap(), data.get("cache_hit").cloned().unwrap()));
+            }
+            Some("failed") => {
+                return Err(data.get("error").cloned().expect("a failed job has an error"))
+            }
+            _ => {}
         }
-        assert_ne!(data.get("status").and_then(JsonValue::as_str), Some("failed"), "{reply}");
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!("job {id} did not settle");
@@ -183,7 +190,26 @@ fn programs_with_colliding_checksums_keep_their_own_results() {
     let server = Server::start(&ServeConfig::default()).expect("bind");
     let addr = server.addr().to_string();
     let num = |n: f64| JsonValue::Arr(vec![JsonValue::Num(n)]);
-    assert_eq!(run_assembly(&addr, &a), (num(7.0), JsonValue::Bool(false)));
-    assert_eq!(run_assembly(&addr, &b), (num(9.0), JsonValue::Bool(false)), "{b:?}");
+    assert_eq!(run_assembly(&addr, &a), Ok((num(7.0), JsonValue::Bool(false))));
+    assert_eq!(run_assembly(&addr, &b), Ok((num(9.0), JsonValue::Bool(false))), "{b:?}");
+    server.shutdown();
+}
+
+/// A program whose `.space` runs past the code segment fails as a job
+/// with a structured error, before any of it is allocated, and the
+/// server answers the next job.
+#[test]
+fn an_object_past_the_code_segment_fails_and_the_server_carries_on() {
+    let server = Server::start(&ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let error = run_assembly(&addr, "main: trap #3,#0\n .space 1073741824").unwrap_err();
+    let field = |key| error.get(key).and_then(JsonValue::as_str);
+    assert_eq!(field("code"), Some("compile_error"), "{error:?}");
+    assert_eq!(
+        field("message"),
+        Some("assembly error at line 2: object ends past the code segment at 0x100000")
+    );
+    let answer = run_assembly(&addr, "main: send+3 #0,#5\n trap #3,#0");
+    assert_eq!(answer, Ok((JsonValue::Arr(vec![JsonValue::Num(5.0)]), JsonValue::Bool(false))));
     server.shutdown();
 }

@@ -1,10 +1,13 @@
 //! Pipeline properties over the compiler's own back half: random
 //! acyclic data-flow graphs of context actors (folded to one sink, sent
 //! on channel 0), emitted by `qm_occam::emit::emit_context` with the
-//! Fig. 4.20 priorities on and off, then assembled:
+//! Fig. 4.20 priorities on and off, then linked:
 //!
-//! `ContextGraph` → `emit_context` → `assemble` → `verify_object` /
+//! `ContextGraph` → `emit_context` → `Listing::link` → `verify_object` /
 //! `deep_verify`.
+//!
+//! Every linked listing equals the object the assembler makes from its
+//! printed text.
 //!
 //! [`check_pipeline`] pins that every such program passes the static
 //! verifier under `Strict` (no findings at all).
@@ -15,10 +18,9 @@
 //! and deadlock fixtures cover the corners the generator cannot reach.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use qm_core::rng::check;
-use qm_isa::asm::{assemble, Object};
+use qm_isa::asm::{assemble, Item, Object};
 use qm_isa::Opcode;
 use qm_occam::emit::{emit_context, wire_end};
 use qm_occam::graph::{Actor, ChanRef, ContextGraph, NodeId, ValueRef};
@@ -112,14 +114,20 @@ fn build_graph(specs: &[Spec]) -> Program {
     b.finish()
 }
 
-/// The assembly of `p` with the Fig. 4.20 priorities on or off,
-/// followed by its data words, assembled.
+/// The listing of `p` with the Fig. 4.20 priorities on or off,
+/// followed by its data words: its printed text and its linked object,
+/// which must equal the text's assembled object.
 fn assemble_program(p: &Program, priorities: bool) -> (String, Object) {
-    let mut src = emit_context("main", &p.graph, priorities).expect("fits the queue page");
-    for name in &p.names {
-        let _ = writeln!(src, "d_{name}: .word 0");
+    let data: Vec<String> = p.names.iter().map(|name| format!("d_{name}")).collect();
+    let mut listing = emit_context("main", &p.graph, priorities).expect("fits the queue page");
+    for label in &data {
+        listing.push(Item::Label(label));
+        listing.push(Item::Word(0));
     }
-    let obj = assemble(&src).unwrap_or_else(|e| panic!("emitted program assembles: {e}\n{src}"));
+    let src = listing.to_string();
+    let obj = listing.link().unwrap_or_else(|e| panic!("emitted program links: {e}\n{src}"));
+    let assembled = assemble(&src).unwrap_or_else(|e| panic!("printed text assembles: {e}\n{src}"));
+    assert_eq!(obj, assembled, "linked listing and assembled text differ:\n{src}");
     (src, obj)
 }
 

@@ -1,13 +1,15 @@
 //! Bound on the front end's heap traffic: `codegen::generate` makes at
 //! most [`MAX_ALLOCS_PER_NODE`] allocations per data-flow graph node,
-//! and `asm::assemble` at most [`MAX_ALLOCS_PER_LINE`] per source line.
+//! and both `asm::assemble` and linking the emitted listing at most
+//! [`MAX_ALLOCS_PER_LINE`] per source line.
 //!
 //! The context graphs keep their consumer and successor lists as edges
-//! are added, the emitter writes every context straight into one
-//! `String`, and the assembler borrows labels and keeps operands in
-//! fixed arrays. A regression that puts a per-node scan result, a
-//! per-line `format!` or a per-instruction `Vec` back costs several
-//! allocations per node or line and fails here.
+//! are added, the emitter pushes every context's instructions into one
+//! `Listing` whose labels borrow from the graphs, `generate` prints that
+//! listing into one `String`, and the parser borrows labels from the
+//! text and keeps operands in fixed arrays. A regression that puts a
+//! per-node scan result, a per-line `format!` or a per-instruction `Vec`
+//! back costs several allocations per node or line and fails here.
 //!
 //! The test installs a counting `#[global_allocator]`; this file is its
 //! own test binary and holds exactly one `#[test]`, so no sibling test
@@ -55,9 +57,12 @@ fn front_end_allocations_are_bounded() {
         let lines = text.lines().count();
         let per_node = allocs(|| codegen::generate(&resolved, &opts)) as f64 / nodes as f64;
         let per_line = allocs(|| assemble(&text)) as f64 / lines as f64;
+        let link = codegen::with_listing(&resolved, &opts, |listing, _| allocs(|| listing.link()))
+            .expect("generates") as f64
+            / lines as f64;
         println!(
             "{}: generate {per_node:.2} allocations per node ({nodes} nodes), \
-             assemble {per_line:.2} per line ({lines} lines)",
+             assemble {per_line:.2} and link {link:.2} per line ({lines} lines)",
             w.name
         );
         assert!(
@@ -68,6 +73,11 @@ fn front_end_allocations_are_bounded() {
         assert!(
             per_line <= MAX_ALLOCS_PER_LINE,
             "{}: assemble makes {per_line:.2} allocations per line (bound {MAX_ALLOCS_PER_LINE})",
+            w.name
+        );
+        assert!(
+            link <= MAX_ALLOCS_PER_LINE,
+            "{}: linking makes {link:.2} allocations per line (bound {MAX_ALLOCS_PER_LINE})",
             w.name
         );
     }

@@ -10,8 +10,12 @@
 //! take `generate`'s retry without unrolling.
 //!
 //! One checksum covers every `codegen::generate` text, one every
-//! assembled `Object`: its words, its symbols sorted by name, its
-//! instruction addresses and the source line of each instruction. The
+//! `Object`: its words, its symbols sorted by name, its instruction
+//! addresses and the source line of each instruction. The object digest
+//! holds twice over: for the object `compile` links from its emitted
+//! listing, and for the assembler's object from the printed text, so the
+//! assembler is the emitter's oracle. `compile`'s text is `generate`'s,
+//! and its context count is the number of `trap #2,#0` lines in it. The
 //! code generator and the assembler may change freely inside; these
 //! digests may not.
 //!
@@ -21,9 +25,9 @@
 
 use queue_machine::core::rng::checksum;
 use queue_machine::isa::asm::{assemble, Object};
-use queue_machine::occam::emit::{emit_context, EmitError};
+use queue_machine::occam::emit::emit_context;
 use queue_machine::occam::sema::Resolved;
-use queue_machine::occam::{codegen, parse, sema, Options};
+use queue_machine::occam::{codegen, compile, parse, sema, Options};
 use queue_machine::workloads::{cholesky, congruence, fft, matmul, reduction, Workload};
 
 /// Digest of every `generate` text, in corpus order.
@@ -87,28 +91,35 @@ fn object_bytes(obj: &Object, out: &mut Vec<u8>) {
 fn front_end_output_matches_the_golden_digests() {
     let corpus = corpus();
     assert_eq!(corpus.len(), 282);
-    let mut texts = Vec::new();
-    let mut objects = Vec::new();
+    let (mut texts, mut emitted, mut assembled) = (Vec::new(), Vec::new(), Vec::new());
     for (w, mask) in &corpus {
-        let resolved = resolve(w);
-        let text = codegen::generate(&resolved, &options(*mask))
-            .unwrap_or_else(|e| panic!("{} mask {mask}: {e}", w.name));
-        let obj = assemble(&text).unwrap_or_else(|e| panic!("{} mask {mask}: {e}", w.name));
+        let (at, opts) = (format!("{} mask {mask}", w.name), options(*mask));
+        let text = codegen::generate(&resolve(w), &opts).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let obj = assemble(&text).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let compiled = compile(&w.source, &opts).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert!(compiled.asm == text, "{at}: compile prints generate's text");
+        assert!(compiled.object == obj, "{at}: the emitted object is the assembled one");
+        assert_eq!(compiled.context_count, text.matches("trap #2,#0").count(), "{at}");
         texts.extend(text.as_bytes());
         texts.push(b'\n');
-        object_bytes(&obj, &mut objects);
+        object_bytes(&compiled.object, &mut emitted);
+        object_bytes(&obj, &mut assembled);
     }
-    let (text, object) = (checksum(&texts), checksum(&objects));
+    let digests = (checksum(&texts), checksum(&emitted), checksum(&assembled));
     assert_eq!(
-        (text, object),
-        (TEXT_DIGEST, OBJECT_DIGEST),
-        "front-end output changed: (text, object) digests are ({text:#018x}, {object:#018x})"
+        digests,
+        (TEXT_DIGEST, OBJECT_DIGEST, OBJECT_DIGEST),
+        "front-end output changed: (text, emitted object, assembled object) digests are \
+         ({:#018x}, {:#018x}, {:#018x})",
+        digests.0,
+        digests.1,
+        digests.2
     );
 }
 
 /// The first, unrolled attempt at the program: `Err` when a context
 /// overflows its queue page.
-fn unrolled_attempt(resolved: &Resolved) -> Result<(), EmitError> {
+fn unrolled_attempt(resolved: &Resolved) -> Result<(), codegen::CodegenError> {
     let opts = Options::default();
     let graphs = codegen::context_graphs(resolved, &opts).expect("builds");
     for (label, graph) in &graphs {
