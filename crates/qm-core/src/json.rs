@@ -10,10 +10,20 @@
 //! specially, `qm-bench` did not; wall-clock floats were formatted with
 //! `{:.3}` in some emitters and free-form in others).
 //!
+//! Both directions allocate per document rather than per member, since
+//! a finished job's reply carries thousands of small objects (its
+//! `channel_high_water` marks). [`JsonBuf`] escapes strings and formats
+//! integers straight into its one buffer. [`parse`] builds each object
+//! and array in one allocation of its exact size, from member stacks
+//! shared by the whole document, and reads plain integers without a
+//! float parser.
+//!
 //! [`parse`] takes untrusted input (`qm-serve` request bodies of up to
 //! 1 MiB), so its cost is linear in the input: the cursor scans each
 //! input byte once, and a string is decoded run by run, each run of
-//! plain bytes between escapes validated and copied as one slice.
+//! plain bytes between escapes validated and copied as one slice. It
+//! accepts the RFC 8259 grammar: no leading zeros, no bare `.` or
+//! exponent, and no raw control characters inside strings.
 //!
 //! # The `qm-api/v1` envelope
 //!
@@ -29,28 +39,61 @@
 //! `docs/API.md` specifies each body; golden-file tests in `qm-bench`
 //! pin the exact bytes.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
 /// The versioned envelope schema identifier every report serialises
 /// under.
 pub const API_SCHEMA: &str = "qm-api/v1";
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Append `s` to `out` escaped for a JSON string literal: quotes,
+/// backslash and control characters (as `\u00xx`); everything else
+/// passes through verbatim, run by run.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Append the decimal digits of `v` to `out`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        // `v % 10` is a single digit.
+        #[allow(clippy::cast_possible_truncation)]
+        let d = (v % 10) as u8;
+        digits[at] = b'0' + d;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
 
 /// Escape `s` for inclusion in a JSON string literal (quotes, backslash
 /// and control characters; everything else passes through verbatim).
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
@@ -136,7 +179,9 @@ impl JsonBuf {
     /// Write a member key; the next value written becomes its value.
     pub fn key(&mut self, k: &str) {
         self.comma();
-        let _ = write!(self.out, "\"{}\":", escape(k));
+        self.out.push('"');
+        escape_into(&mut self.out, k);
+        self.out.push_str("\":");
         // The value that follows must not emit its own comma.
         if let Some(has) = self.has_member.last_mut() {
             *has = false;
@@ -152,25 +197,30 @@ impl JsonBuf {
     /// Write a string value.
     pub fn str_val(&mut self, v: &str) {
         self.comma();
-        let _ = write!(self.out, "\"{}\"", escape(v));
+        self.out.push('"');
+        escape_into(&mut self.out, v);
+        self.out.push('"');
     }
 
     /// Write an unsigned integer value.
     pub fn u64_val(&mut self, v: u64) {
         self.comma();
-        let _ = write!(self.out, "{v}");
+        push_u64(&mut self.out, v);
     }
 
     /// Write a signed integer value.
     pub fn i64_val(&mut self, v: i64) {
         self.comma();
-        let _ = write!(self.out, "{v}");
+        if v < 0 {
+            self.out.push('-');
+        }
+        push_u64(&mut self.out, v.unsigned_abs());
     }
 
     /// Write a boolean value.
     pub fn bool_val(&mut self, v: bool) {
         self.comma();
-        let _ = write!(self.out, "{v}");
+        self.out.push_str(if v { "true" } else { "false" });
     }
 
     /// Write a `null` value.
@@ -249,9 +299,7 @@ impl Envelope {
 // Parser.
 // ---------------------------------------------------------------------
 
-/// A parsed JSON value ([`parse`]). Objects keep their members in a
-/// `BTreeMap` — key order is irrelevant to every consumer in this
-/// workspace, and sorted iteration keeps behaviour deterministic.
+/// A parsed JSON value ([`parse`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -266,7 +314,7 @@ pub enum JsonValue {
     /// An array.
     Arr(Vec<JsonValue>),
     /// An object.
-    Obj(BTreeMap<String, JsonValue>),
+    Obj(JsonObject),
 }
 
 impl JsonValue {
@@ -308,6 +356,58 @@ impl JsonValue {
     }
 }
 
+/// The members of a JSON object, in document order.
+///
+/// A key that appears more than once reads as its last member, as in a
+/// map that each later member overwrites. Two objects are equal when
+/// they read the same keys as equal values, whatever their member order.
+#[derive(Clone, Default)]
+pub struct JsonObject {
+    members: Vec<(String, JsonValue)>,
+}
+
+impl JsonObject {
+    /// The value of `key`'s last member.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        self.members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Remove every member named `key`; the value of the last one.
+    pub fn remove(&mut self, key: &str) -> Option<JsonValue> {
+        let last = self.members.iter().rposition(|(k, _)| k == key)?;
+        let (_, value) = self.members.remove(last);
+        self.members.retain(|(k, _)| k != key);
+        Some(value)
+    }
+
+    /// Every member, duplicates included, in document order.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (&str, &JsonValue)> {
+        self.members.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// The members [`get`](Self::get) can answer with, sorted by key.
+    fn by_key(&self) -> Vec<(&str, &JsonValue)> {
+        // Reversed, a stable sort puts each key's last member first.
+        let mut members: Vec<_> = self.iter().rev().collect();
+        members.sort_by_key(|&(k, _)| k);
+        members.dedup_by_key(|&mut (k, _)| k);
+        members
+    }
+}
+
+impl PartialEq for JsonObject {
+    fn eq(&self, other: &Self) -> bool {
+        self.by_key() == other.by_key()
+    }
+}
+
+impl std::fmt::Debug for JsonObject {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Parse error: a message and the byte offset it was raised at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -338,11 +438,20 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 
 const MAX_DEPTH: usize = 64;
 
+/// Most integer digits read without the float parser: every 19-digit
+/// number fits a `u64`.
+const MAX_FAST_DIGITS: usize = 19;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
-    /// Decode strings with [`Parser::string_oracle`].
+    /// Members of the objects still open, innermost last; a closing
+    /// object takes its own off the top in one exact allocation.
+    members: Vec<(String, JsonValue)>,
+    /// Items of the arrays still open, the same way.
+    items: Vec<JsonValue>,
+    /// Decode strings, objects and numbers with the `*_oracle` routines.
     #[cfg(test)]
     oracle: bool,
 }
@@ -353,6 +462,8 @@ impl<'a> Parser<'a> {
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
+            members: Vec::new(),
+            items: Vec::new(),
             #[cfg(test)]
             oracle: false,
         }
@@ -417,60 +528,57 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
+        #[cfg(test)]
+        if self.oracle {
+            return self.object_oracle();
+        }
         self.eat(b'{')?;
         self.depth += 1;
-        let mut map = BTreeMap::new();
+        let base = self.members.len();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Obj(map));
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.eat(b':')?;
+                self.skip_ws();
+                let val = self.value()?;
+                self.members.push((key, val));
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(self.err("expected ',' or '}'")),
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(JsonValue::Obj(JsonObject { members: self.members.split_off(base) }))
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
         self.eat(b'[')?;
         self.depth += 1;
-        let mut arr = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Arr(arr));
-        }
-        loop {
-            self.skip_ws();
-            arr.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Arr(arr));
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                let item = self.value()?;
+                self.items.push(item);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(self.err("expected ',' or ']'")),
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(JsonValue::Arr(self.items.split_off(base)))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -481,21 +589,32 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash in one
-            // piece. It starts and ends on char boundaries (the input is
-            // a &str and both stop bytes are ASCII), so it is valid UTF-8.
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece. It starts and ends on char boundaries
+            // (the input is a &str and the stop bytes are ASCII), so it
+            // is valid UTF-8.
             let rest = &self.bytes[self.pos..];
-            let len = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let len = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
             let run = std::str::from_utf8(&rest[..len]).map_err(|_| self.err("bad utf-8"))?;
-            out.push_str(run);
             self.pos += len;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
+                    if out.is_empty() {
+                        return Ok(run.to_owned());
+                    }
+                    out.push_str(run);
                     return Ok(out);
                 }
-                Some(_) => out.push(self.unescape()?),
+                Some(b'\\') => {
+                    out.push_str(run);
+                    out.push(self.unescape()?);
+                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -531,6 +650,100 @@ impl<'a> Parser<'a> {
         };
         self.pos += 1;
         Ok(c)
+    }
+
+    /// Skip one or more digits.
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err(format!("expected a digit {what}")));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A plain
+    /// integer of up to [`MAX_FAST_DIGITS`] digits is accumulated in a
+    /// `u64`, whose conversion to `f64` rounds exactly as the float
+    /// parser would; anything else goes to the float parser.
+    fn number(&mut self) -> Result<JsonValue, JsonError> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in a number"));
+            }
+        } else {
+            self.digits("in a number")?;
+        }
+        let int_digits = &self.bytes[int_start..self.pos];
+        let mut integral = true;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("after '.'")?;
+            integral = false;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("in an exponent")?;
+            integral = false;
+        }
+        #[cfg(test)]
+        let integral = integral && !self.oracle;
+        if integral && int_digits.len() <= MAX_FAST_DIGITS {
+            let magnitude = int_digits.iter().fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+            #[allow(clippy::cast_precision_loss)]
+            let magnitude = magnitude as f64;
+            return Ok(JsonValue::Num(if negative { -magnitude } else { magnitude }));
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        text.parse::<f64>()
+            .map(JsonValue::Num)
+            .map_err(|_| JsonError { message: format!("bad number {text:?}"), at: start })
+    }
+
+    /// The object routine this parser had before objects kept document
+    /// order: members go into a `BTreeMap`, a later duplicate replacing
+    /// an earlier one. Kept as the differential tests' oracle.
+    #[cfg(test)]
+    fn object_oracle(&mut self) -> Result<JsonValue, JsonError> {
+        self.eat(b'{')?;
+        self.depth += 1;
+        let mut map = std::collections::BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(JsonValue::Obj(JsonObject { members: map.into_iter().collect() }));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            map.insert(key, val);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(JsonValue::Obj(JsonObject { members: map.into_iter().collect() }));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
     }
 
     /// The string routine this parser had before it decoded runs in one
@@ -584,25 +797,14 @@ impl<'a> Parser<'a> {
                     let rest = &self.bytes[self.pos..];
                     let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
                     let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    if c < ' ' {
+                        return Err(self.err("control character in string"));
+                    }
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
             }
         }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| JsonError { message: format!("bad number {text:?}"), at: start })
     }
 }
 
@@ -610,6 +812,7 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::rng::{check, Gen};
+    use std::fmt::Write as _;
 
     fn parse_oracle(text: &str) -> Result<JsonValue, JsonError> {
         Parser { oracle: true, ..Parser::new(text) }.document()
@@ -715,12 +918,65 @@ mod tests {
         assert_eq!(parse(r#""""#), str_val(""));
         assert_eq!(parse(r#""a\"b\\c\/d\n\t\r\b\f""#), str_val("a\"b\\c/d\n\t\r\u{8}\u{c}"));
         assert_eq!(parse("\"é€😀\\u00e9x\""), str_val("é€😀éx"));
-        assert_eq!(parse("\"raw\ncontrol\""), str_val("raw\ncontrol"), "raw controls pass");
+        assert_eq!(parse("\"\u{7f}\""), str_val("\u{7f}"), "DEL is not a control character");
         assert_eq!(parse(r#""\ud83d""#), str_val("\u{fffd}"), "lone surrogate");
         assert_eq!(parse(r#""abc"#), err("unterminated string", 4));
         assert_eq!(parse(r#""ab\"#), err("bad escape", 4));
         assert_eq!(parse(r#""ab\x""#), err("bad escape", 4));
         assert_eq!(parse(r#""ab\u12"#), err("truncated \\u escape", 4));
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        assert_eq!(parse("01"), err("leading zero in a number", 1));
+        assert_eq!(parse("00"), err("leading zero in a number", 1));
+        assert_eq!(parse("-01"), err("leading zero in a number", 2));
+        assert_eq!(parse("[01]"), err("leading zero in a number", 2));
+        assert_eq!(parse("1."), err("expected a digit after '.'", 2));
+        assert_eq!(parse("1.e3"), err("expected a digit after '.'", 2));
+        assert_eq!(parse("-"), err("expected a digit in a number", 1));
+        assert_eq!(parse("-x"), err("expected a digit in a number", 1));
+        assert_eq!(parse("1e"), err("expected a digit in an exponent", 2));
+        assert_eq!(parse("1e+"), err("expected a digit in an exponent", 3));
+        for (text, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-1.5e3", -1500.0),
+            ("1E-2", 0.01),
+            ("2e+2", 200.0),
+            ("9999999999999999999", 9_999_999_999_999_999_999.0),
+            ("-9223372036854775808", -9_223_372_036_854_775_808.0),
+            ("18446744073709551616", 18_446_744_073_709_551_616.0),
+        ] {
+            assert_eq!(parse(text), Ok(JsonValue::Num(want)), "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_reject_raw_control_characters() {
+        assert_eq!(parse("\"a\nb\""), err("control character in string", 2));
+        assert_eq!(parse("\"a\tb\""), err("control character in string", 2));
+        assert_eq!(parse("\"\u{0}\""), err("control character in string", 1));
+        assert_eq!(parse("\"\\n\u{1f}\""), err("control character in string", 3));
+        assert_eq!(parse_oracle("\"a\nb\""), err("control character in string", 2));
+    }
+
+    #[test]
+    fn objects_keep_document_order_and_read_the_last_duplicate() {
+        let Ok(JsonValue::Obj(mut obj)) = parse(r#"{"b":1,"a":2,"b":3}"#) else { panic!() };
+        let keys: Vec<&str> = obj.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["b", "a", "b"]);
+        assert_eq!(obj.get("b"), Some(&JsonValue::Num(3.0)));
+        assert_eq!(format!("{obj:?}"), r#"{"b": Num(1.0), "a": Num(2.0), "b": Num(3.0)}"#);
+        assert_eq!(parse(r#"{"a":2,"b":3}"#), Ok(JsonValue::Obj(obj.clone())), "order is ignored");
+        assert_ne!(parse(r#"{"a":2,"b":1}"#), Ok(JsonValue::Obj(obj.clone())));
+        assert_ne!(parse(r#"{"a":2}"#), Ok(JsonValue::Obj(obj.clone())));
+        assert_eq!(obj.remove("b"), Some(JsonValue::Num(3.0)));
+        assert_eq!(obj.get("b"), None, "every duplicate goes");
+        assert_eq!(obj.remove("b"), None);
+        assert_eq!(JsonValue::Obj(obj).get("a"), Some(&JsonValue::Num(2.0)));
     }
 
     #[test]
@@ -800,16 +1056,31 @@ mod tests {
             0 => gen_string(g, 0, bad, out),
             1 => out.push_str(g.pick::<&str>(&[
                 "0",
+                "-0",
                 "-7",
                 "123456789",
+                "9007199254740993",
+                "9999999999999999999",
+                "-9223372036854775808",
+                "123456789012345678901234",
                 "1.5e3",
                 "-0.25",
+                "1E+2",
                 "1e999",
                 "true",
                 "false",
                 "null",
             ])),
-            2 => out.push_str(&g.range(0u64..).to_string()),
+            2 if bad > 0 && g.below(4) == 0 => {
+                out.push_str(g.pick::<&str>(&["01", "-", "1.", "1.e3", "1e", "-01", "2e+"]));
+            }
+            2 => {
+                // Up to 20 digits: either side of the integer fast path.
+                let digits = g.range(1..=20u32);
+                let n = g.range(0u64..) % 10u64.checked_pow(digits).unwrap_or(u64::MAX);
+                let sign = if g.below(2) == 0 { "-" } else { "" };
+                out.push_str(&format!("{sign}{n}"));
+            }
             3 => {
                 out.push('[');
                 for i in 0..g.range(0..5) {
@@ -827,7 +1098,12 @@ mod tests {
                         out.push(',');
                     }
                     ws(g, out);
-                    gen_string(g, 0, bad, out);
+                    if g.below(3) == 0 {
+                        // A small key set, so that keys repeat.
+                        out.push_str(g.pick::<&str>(&["\"a\"", "\"b\""]));
+                    } else {
+                        gen_string(g, 0, bad, out);
+                    }
                     ws(g, out);
                     out.push(':');
                     gen_value(g, depth - 1, bad, out);
@@ -885,6 +1161,167 @@ mod tests {
             let (got, want) = (parse(&doc), parse_oracle(&doc));
             let head: String = doc.chars().take(200).collect();
             assert_eq!(got, want, "{} bytes, starting {head:?}", doc.len());
+        });
+    }
+
+    /// The writer this module had before [`JsonBuf`] escaped and
+    /// formatted in place: every key and string goes through a fresh
+    /// [`escape_oracle`] `String` and every scalar through `write!`.
+    /// Kept as the writer property's oracle.
+    #[derive(Default)]
+    struct OracleBuf {
+        out: String,
+        has_member: Vec<bool>,
+    }
+
+    fn escape_oracle(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    impl OracleBuf {
+        fn comma(&mut self) {
+            if let Some(has) = self.has_member.last_mut() {
+                if *has {
+                    self.out.push(',');
+                }
+                *has = true;
+            }
+        }
+
+        fn begin(&mut self, open: char) {
+            self.comma();
+            self.out.push(open);
+            self.has_member.push(false);
+        }
+
+        fn end(&mut self, close: char) {
+            self.has_member.pop();
+            self.out.push(close);
+        }
+
+        fn key(&mut self, k: &str) {
+            self.comma();
+            let _ = write!(self.out, "\"{}\":", escape_oracle(k));
+            if let Some(has) = self.has_member.last_mut() {
+                *has = false;
+            }
+        }
+
+        fn str_val(&mut self, v: &str) {
+            self.comma();
+            let _ = write!(self.out, "\"{}\"", escape_oracle(v));
+        }
+
+        fn scalar(&mut self, v: impl std::fmt::Display) {
+            self.comma();
+            let _ = write!(self.out, "{v}");
+        }
+    }
+
+    /// Text for keys and strings: quotes, backslashes, every control
+    /// character, DEL and 2–4-byte UTF-8 among plain ASCII.
+    fn gen_text(g: &mut Gen) -> String {
+        const SPECIAL: [char; 8] = ['"', '\\', '\u{7f}', 'é', '€', '😀', '\u{10ffff}', '/'];
+        (0..g.range(0..12))
+            .map(|_| match g.below(3) {
+                0 => char::from(g.range(0u8..0x20)),
+                1 => *g.pick(&SPECIAL),
+                _ => char::from(g.range(b' '..=b'~')),
+            })
+            .collect()
+    }
+
+    fn gen_u64(g: &mut Gen) -> u64 {
+        match g.below(4) {
+            0 => *g.pick(&[0, 1, 9, 10, u64::MAX, u64::MAX - 1, 1 << 53, i64::MAX as u64]),
+            1 => g.range(0u64..1000),
+            _ => g.range(0u64..) >> g.range(0..64u32),
+        }
+    }
+
+    fn gen_i64(g: &mut Gen) -> i64 {
+        match g.below(3) {
+            0 => *g.pick(&[0, -1, 1, i64::MIN, i64::MIN + 1, i64::MAX]),
+            _ => gen_u64(g) as i64,
+        }
+    }
+
+    /// Write one generated value to both writers.
+    fn write_both(g: &mut Gen, depth: u32, new: &mut JsonBuf, old: &mut OracleBuf) {
+        match g.below(if depth == 0 { 6 } else { 8 }) {
+            0 => {
+                let s = gen_text(g);
+                new.str_val(&s);
+                old.str_val(&s);
+            }
+            1 => {
+                let v = gen_u64(g);
+                new.u64_val(v);
+                old.scalar(v);
+            }
+            2 => {
+                let v = gen_i64(g);
+                new.i64_val(v);
+                old.scalar(v);
+            }
+            3 => {
+                let v = g.below(2) == 0;
+                new.bool_val(v);
+                old.scalar(v);
+            }
+            4 => {
+                new.null_val();
+                old.scalar("null");
+            }
+            5 => {
+                let v = f64::from(g.range(0u32..)) / 64.0;
+                new.ms_val(v);
+                old.comma();
+                old.out.push_str(&f3(v));
+            }
+            6 => {
+                new.begin_arr();
+                old.begin('[');
+                for _ in 0..g.range(0..5) {
+                    write_both(g, depth - 1, new, old);
+                }
+                new.end_arr();
+                old.end(']');
+            }
+            _ => {
+                new.begin_obj();
+                old.begin('{');
+                for _ in 0..g.range(0..5) {
+                    let k = gen_text(g);
+                    new.key(&k);
+                    old.key(&k);
+                    write_both(g, depth - 1, new, old);
+                }
+                new.end_obj();
+                old.end('}');
+            }
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_write_and_escape_oracle() {
+        check(512, |g| {
+            let (mut new, mut old) = (JsonBuf::new(), OracleBuf::default());
+            write_both(g, 4, &mut new, &mut old);
+            let text = new.finish();
+            assert_eq!(text, old.out);
+            assert!(parse(&text).is_ok(), "the writer's output parses: {text:?}");
         });
     }
 }

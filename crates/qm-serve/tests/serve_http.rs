@@ -1,5 +1,11 @@
 //! Integration tests against a real listening server: routing, error
-//! envelopes, job lifecycle and health counters over actual sockets.
+//! envelopes, job lifecycle and health counters over actual sockets,
+//! and persistent connections with bounded waits.
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use qm_core::json::{parse, JsonValue};
 use qm_serve::http::request;
@@ -274,5 +280,226 @@ fn the_program_cache_is_bounded() {
     assert_eq!(again.get("cache_hit"), Some(&JsonValue::Bool(false)), "the first fill was evicted");
     assert_eq!(Some(cycles_and_digest(&again)), first, "and recompiles to the same result");
     assert_eq!(cache_counter(&addr, "entries"), CACHE_CAP as u64);
+    server.shutdown();
+}
+
+/// One response from a raw socket: status and body, framed by the
+/// `Content-Length` the server always sends.
+fn read_raw_response(r: &mut impl BufRead) -> (u16, String) {
+    let mut status = 0;
+    let mut length = 0;
+    loop {
+        let mut line = String::new();
+        assert!(r.read_line(&mut line).unwrap() > 0, "connection closed mid-head");
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        if let Some(code) = line.strip_prefix("HTTP/1.1 ") {
+            status = code[..3].parse().unwrap();
+        } else if let Some(n) = line.strip_prefix("Content-Length: ") {
+            length = n.parse().unwrap();
+        }
+    }
+    let mut body = vec![0; length];
+    r.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+/// One connection carries requests back to back, pipelined or not, and
+/// closes after the response to a `Connection: close` request.
+#[test]
+fn a_connection_carries_many_requests_until_it_asks_to_close() {
+    let (server, addr) = start();
+    let stream = TcpStream::connect(&addr).unwrap();
+    let mut r = BufReader::new(stream.try_clone().unwrap());
+    let mut w = stream;
+    let get = |extra: &str| format!("GET /v1/health HTTP/1.1\r\nHost: x\r\n{extra}\r\n");
+    w.write_all(get("").as_bytes()).unwrap();
+    assert_eq!(read_raw_response(&mut r).0, 200);
+    w.write_all(format!("{}{}", get(""), get("")).as_bytes()).unwrap();
+    assert_eq!(read_raw_response(&mut r).0, 200);
+    assert_eq!(read_raw_response(&mut r).0, 200);
+    let post = r#"{"workload":"reduction","param":8}"#;
+    let submit = format!("POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{post}", post.len());
+    w.write_all(submit.as_bytes()).unwrap();
+    let (status, body) = read_raw_response(&mut r);
+    assert_eq!(status, 202, "{body}");
+    w.write_all(get("Connection: close\r\n").as_bytes()).unwrap();
+    assert_eq!(read_raw_response(&mut r).0, 200);
+    let mut rest = Vec::new();
+    r.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the server closes after Connection: close");
+    server.shutdown();
+}
+
+/// A framing error gets its answer and ends the connection.
+#[test]
+fn a_framing_error_is_answered_and_closes_the_connection() {
+    let (server, addr) = start();
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.write_all(b"GET /v1/health HTTP/1.1\r\nno colon here\r\n\r\n").unwrap();
+    let mut r = BufReader::new(stream.try_clone().unwrap());
+    let (status, body) = read_raw_response(&mut r);
+    assert_eq!(status, 400, "{body}");
+    let mut rest = Vec::new();
+    r.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty());
+    server.shutdown();
+}
+
+/// Two clients that connect and say nothing and one that stops halfway
+/// through its request line do not stall the handler pool (two
+/// handlers by default): a health check answers within 2 s. Shutdown
+/// does not wait for those clients either.
+#[test]
+fn silent_and_half_sent_connections_do_not_stall_requests() {
+    let (server, addr) = start();
+    let silent = [TcpStream::connect(&addr).unwrap(), TcpStream::connect(&addr).unwrap()];
+    let mut half = TcpStream::connect(&addr).unwrap();
+    half.write_all(b"GET /v1/hea").unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let client = addr.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(request(&client, "GET", "/v1/health", ""));
+    });
+    let answer = rx.recv_timeout(Duration::from_secs(2));
+    let Ok(Ok((status, body))) = answer else {
+        panic!("no answer within 2 s behind idle connections: {answer:?}")
+    };
+    assert_eq!(status, 200, "{body}");
+
+    let t = Instant::now();
+    server.shutdown();
+    assert!(t.elapsed() < Duration::from_secs(1), "shutdown took {:?}", t.elapsed());
+    drop((silent, half));
+}
+
+/// A client per handler that stops partway through its request, one
+/// in the request line and one in the body, holds no handler: a health
+/// check answers within 2 s. Each request is kept as far as it came,
+/// and is answered once its last bytes arrive.
+#[test]
+fn half_sent_requests_on_every_handler_do_not_stall_requests() {
+    let (server, addr) = start();
+    let post = r#"{"workload":"reduction","param":8}"#;
+    let parts = [
+        ("GET /v1/hea".to_string(), "lth HTTP/1.1\r\n\r\n", 200),
+        (
+            format!(
+                "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
+                post.len(),
+                &post[..9]
+            ),
+            &post[9..],
+            202,
+        ),
+    ];
+    assert_eq!(parts.len(), ServeConfig::default().http_workers);
+    let mut halves: Vec<TcpStream> = parts
+        .iter()
+        .map(|(first, _, _)| {
+            let mut half = TcpStream::connect(&addr).unwrap();
+            half.write_all(first.as_bytes()).unwrap();
+            half
+        })
+        .collect();
+    // Let the handlers take up the half-sent requests first.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (tx, rx) = mpsc::channel();
+    let client = addr.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(request(&client, "GET", "/v1/health", ""));
+    });
+    let answer = rx.recv_timeout(Duration::from_secs(2));
+    let Ok(Ok((status, body))) = answer else {
+        panic!("no answer within 2 s behind half-sent requests: {answer:?}")
+    };
+    assert_eq!(status, 200, "{body}");
+
+    for (half, (_, rest, expected)) in halves.iter_mut().zip(&parts) {
+        half.write_all(rest.as_bytes()).unwrap();
+        let (status, body) = read_raw_response(&mut BufReader::new(&*half));
+        assert_eq!(status, *expected, "{body}");
+    }
+    server.shutdown();
+}
+
+/// Six clients, each on its own persistent connection, and four silent
+/// connections share the two default handlers: every request is
+/// answered and each client's job is accepted once. The 5 s bound only
+/// guards against a stall; the latencies are in EXPERIMENTS.md
+/// ("Connections outnumbering handlers").
+#[test]
+fn connections_outnumbering_handlers_are_all_served() {
+    let (server, addr) = start();
+    let silent: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+    let t = Instant::now();
+    let clients: Vec<_> = (0..6)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                for _ in 0..20 {
+                    let (status, body) = request(&addr, "GET", "/v1/health", "").unwrap();
+                    assert_eq!(status, 200, "{body}");
+                }
+                let job = format!(r#"{{"workload":"reduction","param":8,"tenant":"t{i}"}}"#);
+                submit(&addr, &job).0
+            })
+        })
+        .collect();
+    for client in clients {
+        assert_eq!(client.join().unwrap(), 202);
+    }
+    assert!(t.elapsed() < Duration::from_secs(5), "took {:?}", t.elapsed());
+    let (_, body) = request(&addr, "GET", "/v1/health", "").unwrap();
+    let accepted =
+        parse(&body).unwrap().get("data").and_then(|d| d.get("jobs")?.get("accepted")?.as_u64());
+    assert_eq!(accepted, Some(6), "{body}");
+    server.shutdown();
+    drop(silent);
+}
+
+/// The client reuses its connection, and when the server has closed
+/// that connection in the meantime it resends on a new one: the `POST`
+/// is applied exactly once.
+#[test]
+fn the_client_resends_once_when_its_idle_connection_was_closed() {
+    let (server, addr) = start();
+    let (status, _) = request(&addr, "GET", "/v1/health", "").unwrap();
+    assert_eq!(status, 200);
+    server.shutdown();
+
+    // The same port again; this thread's idle connection went to the
+    // first server, which closed it on shutdown.
+    let server = Server::start(&ServeConfig { addr: addr.clone(), ..ServeConfig::default() })
+        .expect("rebind the same port");
+    let (status, v) = submit(&addr, r#"{"workload":"reduction","param":8}"#);
+    assert_eq!(status, 202, "{v:?}");
+    let (_, body) = request(&addr, "GET", "/v1/health", "").unwrap();
+    let accepted =
+        parse(&body).unwrap().get("data").and_then(|d| d.get("jobs")?.get("accepted")?.as_u64());
+    assert_eq!(accepted, Some(1), "{body}");
+    server.shutdown();
+}
+
+/// A connection that stays silent is closed after the server's 5 s idle
+/// bound, without a response.
+#[test]
+fn an_idle_connection_is_closed_after_the_idle_bound() {
+    let (server, addr) = start();
+    let mut idle = TcpStream::connect(&addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+    let t = Instant::now();
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest).unwrap();
+    let waited = t.elapsed();
+    assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest));
+    assert!(
+        (Duration::from_millis(4900)..Duration::from_secs(9)).contains(&waited),
+        "closed after {waited:?}"
+    );
     server.shutdown();
 }
