@@ -9,7 +9,31 @@ use qm_bench::sweep::{
     channel_ablation_grid, run_parallel, run_serial, same_metrics, SweepFlags, SweepPoint,
 };
 use qm_sim::config::{Placement, SystemConfig};
-use qm_workloads::WorkloadRun;
+use qm_sim::snapshot::Snapshot;
+use qm_sim::system::{RunStatus, System};
+use qm_workloads::{BenchResult, Workload, WorkloadError, WorkloadRun};
+
+/// [`WorkloadRun::run`], but paused at cycle `pause_at`, captured in a
+/// [`Snapshot`] and finished on a system restored from it. By the
+/// snapshot replay guarantee the result is bit-identical to a plain
+/// run; a run that completes before `pause_at` is a plain run.
+fn run_with_checkpoint(
+    run: &WorkloadRun,
+    w: &Workload,
+    pause_at: u64,
+) -> Result<BenchResult, WorkloadError> {
+    let (mut sys, compiled) = run.prepare(w)?;
+    let sim = |e: qm_sim::SimError| WorkloadError::Sim(e.to_string());
+    let (sys, outcome) = match sys.run_until(pause_at).map_err(sim)? {
+        RunStatus::Done(outcome) => (sys, outcome),
+        RunStatus::Paused { .. } => {
+            let mut restored = System::restore(&Snapshot::capture(&sys));
+            let outcome = restored.run().map_err(sim)?;
+            (restored, outcome)
+        }
+    };
+    run.evaluate(w, &sys, &compiled.syms, outcome)
+}
 
 /// Fig. 6.8 golden values from the seed simulator: matmul 8×8 cycles at
 /// 1/2/4/8 PEs (see `EXPERIMENTS.md`).
@@ -100,10 +124,10 @@ fn checkpointed_runs_are_bit_identical_on_worker_threads() {
             let (w, rr, ll_run) = (&w, &plain_rr, &plain_ll);
             scope.spawn(move || {
                 let pause = rr.outcome.elapsed_cycles * (worker + 1) / 4;
-                let ck = WorkloadRun::with_pes(2).run_with_checkpoint(w, pause).unwrap();
+                let ck = run_with_checkpoint(&WorkloadRun::with_pes(2), w, pause).unwrap();
                 assert_eq!(ck.outcome, rr.outcome, "round-robin, pause {pause}");
                 let pause = ll_run.outcome.elapsed_cycles * (worker + 1) / 4;
-                let ck = ll().run_with_checkpoint(w, pause).unwrap();
+                let ck = run_with_checkpoint(&ll(), w, pause).unwrap();
                 assert_eq!(ck.outcome, ll_run.outcome, "least-loaded, pause {pause}");
             });
         }

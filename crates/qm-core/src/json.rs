@@ -229,12 +229,6 @@ impl JsonBuf {
         self.out.push_str("null");
     }
 
-    /// Write a wall-clock float value in the canonical [`f3`] format.
-    pub fn ms_val(&mut self, v: f64) {
-        self.comma();
-        self.out.push_str(&f3(v));
-    }
-
     /// `key: "string"` member.
     pub fn str_field(&mut self, k: &str, v: &str) {
         self.key(k);
@@ -1286,7 +1280,7 @@ mod tests {
             }
             5 => {
                 let v = f64::from(g.range(0u32..)) / 64.0;
-                new.ms_val(v);
+                new.raw(&f3(v));
                 old.comma();
                 old.out.push_str(&f3(v));
             }

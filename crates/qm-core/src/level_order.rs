@@ -4,13 +4,11 @@
 //! tree from the **deepest to the shallowest** level, left-to-right within
 //! each level. Evaluating that sequence on a simple queue machine computes
 //! the expression the tree denotes (thesis lemma + corollaries 1–2 of
-//! §3.3); this module provides two independent implementations plus the
-//! precedence relation `π_T` they both linearise:
-//!
-//! * [`level_order_naive`] — sort the nodes by `(depth desc, left-to-right)`.
-//! * [`level_order_sequence`] — the thesis's linear-time algorithm
-//!   (Fig. 3.3): build the *level-order conjugate tree* by a reverse
-//!   post-order walk, then emit it with an in-order walk.
+//! §3.3). [`level_order_sequence`] is the thesis's linear-time
+//! algorithm (Fig. 3.3): build the *level-order conjugate tree* by a
+//! reverse post-order walk, then emit it with an in-order walk. The
+//! tests check it against a plain sort of the nodes by `(depth desc,
+//! left-to-right)`.
 
 use crate::expr::{Op, ParseTree};
 
@@ -96,46 +94,46 @@ pub fn level_order_sequence(tree: &ParseTree) -> Vec<Op> {
     in_order(&conjugate_tree(tree))
 }
 
-/// Reference implementation of `Π(T)`: explicitly collect `(level,
-/// left-to-right rank)` pairs and sort by the level-order relation `π_T`.
-#[must_use]
-pub fn level_order_naive(tree: &ParseTree) -> Vec<Op> {
-    let mut nodes: Vec<(usize, usize, Op)> = Vec::with_capacity(tree.node_count());
-    let mut rank = 0usize;
-    collect(tree, 0, &mut rank, &mut nodes);
-    // Deeper levels first; stable left-to-right rank within a level.
-    nodes.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    nodes.into_iter().map(|(_, _, op)| op).collect()
-}
-
-fn collect(tree: &ParseTree, level: usize, rank: &mut usize, out: &mut Vec<(usize, usize, Op)>) {
-    // In-order ranking gives the left-to-right order within every level.
-    if let Some(l) = tree.left() {
-        collect(l, level + 1, rank, out);
-    }
-    out.push((level, *rank, tree.op().clone()));
-    *rank += 1;
-    if let Some(r) = tree.right() {
-        collect(r, level + 1, rank, out);
-    }
-}
-
-/// The level `Γ_T(n)` of every node, in in-order visitation order.
-///
-/// Exposed for tests and for the pipelined-ALU study, which needs per-level
-/// operand counts.
-#[must_use]
-pub fn levels_in_order(tree: &ParseTree) -> Vec<usize> {
-    let mut nodes = Vec::new();
-    let mut rank = 0;
-    collect(tree, 0, &mut rank, &mut nodes);
-    nodes.into_iter().map(|(lvl, _, _)| lvl).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::ParseTree;
+
+    /// Reference implementation of `Π(T)`: explicitly collect `(level,
+    /// left-to-right rank)` pairs and sort by the level-order relation `π_T`.
+    fn level_order_naive(tree: &ParseTree) -> Vec<Op> {
+        let mut nodes: Vec<(usize, usize, Op)> = Vec::with_capacity(tree.node_count());
+        let mut rank = 0usize;
+        collect(tree, 0, &mut rank, &mut nodes);
+        // Deeper levels first; stable left-to-right rank within a level.
+        nodes.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        nodes.into_iter().map(|(_, _, op)| op).collect()
+    }
+
+    fn collect(
+        tree: &ParseTree,
+        level: usize,
+        rank: &mut usize,
+        out: &mut Vec<(usize, usize, Op)>,
+    ) {
+        // In-order ranking gives the left-to-right order within every level.
+        if let Some(l) = tree.left() {
+            collect(l, level + 1, rank, out);
+        }
+        out.push((level, *rank, tree.op().clone()));
+        *rank += 1;
+        if let Some(r) = tree.right() {
+            collect(r, level + 1, rank, out);
+        }
+    }
+
+    /// The level `Γ_T(n)` of every node, in in-order visitation order.
+    fn levels_in_order(tree: &ParseTree) -> Vec<usize> {
+        let mut nodes = Vec::new();
+        let mut rank = 0;
+        collect(tree, 0, &mut rank, &mut nodes);
+        nodes.into_iter().map(|(lvl, _, _)| lvl).collect()
+    }
 
     fn mnemonics(ops: &[Op]) -> Vec<String> {
         ops.iter().map(Op::mnemonic).collect()

@@ -74,20 +74,16 @@ pub fn evaluate_tree(tree: &ParseTree, env: &dyn Fn(&str) -> Word) -> Result<Wor
     evaluate(&tree.post_order(), env)
 }
 
-/// Maximum stack depth needed to evaluate `ops`.
-///
-/// # Errors
-///
-/// Same failure modes as [`crate::simple::evaluate`].
-pub fn max_stack_depth(ops: &[Op], env: &dyn Fn(&str) -> Word) -> Result<usize> {
-    let t = trace(ops, env)?;
-    Ok(t.states.iter().map(|s| s.stack.len()).max().unwrap_or(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::ParseTree;
+
+    /// Maximum stack depth needed to evaluate `ops`.
+    fn max_stack_depth(ops: &[Op], env: &dyn Fn(&str) -> Word) -> Result<usize> {
+        let t = trace(ops, env)?;
+        Ok(t.states.iter().map(|s| s.stack.len()).max().unwrap_or(0))
+    }
 
     fn env(n: &str) -> Word {
         match n {

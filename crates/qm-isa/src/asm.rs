@@ -1,5 +1,5 @@
-//! Assembler, linker, printer and disassembler for the queue machine
-//! assembly language (thesis §5.3.4).
+//! Assembler, linker and printer for the queue machine assembly
+//! language (thesis §5.3.4).
 //!
 //! A [`Listing`] is where text and code meet: labels, instructions and
 //! data directives on numbered lines. [`assemble`] parses text into a
@@ -29,6 +29,7 @@
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use crate::isa::{write_num, Instruction, Opcode, SrcMode, REG_DUMMY};
 use crate::mem::{CODE_BASE, CODE_LIMIT};
@@ -41,10 +42,17 @@ use crate::{IsaError, Result, UWord, Word};
 /// addresses back to source lines — consumed by static analyses
 /// (`qm-verify`) to walk the code without guessing where data words end
 /// and instructions begin, and to report diagnostics against the
-/// original source. Objects rebuilt from raw parts have no
-/// metadata; see [`Object::has_verify_meta`].
+/// original source.
+///
+/// An object is immutable once linked, and its parts sit behind one
+/// shared allocation: `Clone` copies a pointer, so a program cache, the
+/// simulator that loaded the program and every snapshot of that
+/// simulator hold the same words and symbols.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Object {
+pub struct Object(Arc<Parts>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct Parts {
     words: Vec<u32>,
     symbols: HashMap<String, UWord>,
     base: UWord,
@@ -56,59 +64,42 @@ pub struct Object {
 }
 
 impl Object {
-    /// Reassemble an object from its parts (words, symbol table, base
-    /// address). The inverse of the accessors below; used by external
-    /// serializers (e.g. simulator snapshots) to round-trip an object
-    /// without linking a listing. Such objects carry no
-    /// verification metadata.
-    #[must_use]
-    pub fn from_parts(words: Vec<u32>, symbols: HashMap<String, UWord>, base: UWord) -> Self {
-        Object { words, symbols, base, instr_addrs: Vec::new(), line_map: Vec::new() }
-    }
-
-    /// True when linking recorded verification metadata
-    /// ([`instr_addrs`](Self::instr_addrs) / [`line_for`](Self::line_for)).
-    /// False for objects rebuilt by [`Object::from_parts`].
-    #[must_use]
-    pub fn has_verify_meta(&self) -> bool {
-        !self.instr_addrs.is_empty()
-    }
-
-    /// Byte addresses of instruction starts, ascending. Empty when the
-    /// object carries no verification metadata.
+    /// Byte addresses of instruction starts, ascending. Empty for an
+    /// object of data directives alone.
     #[must_use]
     pub fn instr_addrs(&self) -> &[UWord] {
-        &self.instr_addrs
+        &self.0.instr_addrs
     }
 
     /// 1-based source line of the instruction at `addr`, when known.
     #[must_use]
     pub fn line_for(&self, addr: UWord) -> Option<usize> {
-        self.line_map.binary_search_by_key(&addr, |&(a, _)| a).ok().map(|i| self.line_map[i].1)
+        let map = &self.0.line_map;
+        map.binary_search_by_key(&addr, |&(a, _)| a).ok().map(|i| map[i].1)
     }
 
     /// The encoded instruction/data words.
     #[must_use]
     pub fn words(&self) -> &[u32] {
-        &self.words
+        &self.0.words
     }
 
     /// Byte address of a label.
     #[must_use]
     pub fn symbol(&self, name: &str) -> Option<UWord> {
-        self.symbols.get(name).copied()
+        self.0.symbols.get(name).copied()
     }
 
     /// All defined symbols.
     #[must_use]
     pub fn symbols(&self) -> &HashMap<String, UWord> {
-        &self.symbols
+        &self.0.symbols
     }
 
     /// Base (load) address of the object.
     #[must_use]
     pub fn base(&self) -> UWord {
-        self.base
+        self.0.base
     }
 
     /// Size in bytes.
@@ -116,7 +107,7 @@ impl Object {
     pub fn size_bytes(&self) -> UWord {
         #[allow(clippy::cast_possible_truncation)]
         {
-            (self.words.len() as UWord) * 4
+            (self.0.words.len() as UWord) * 4
         }
     }
 }
@@ -253,7 +244,7 @@ impl<'a> Listing<'a> {
             }
         }
         let symbols = symbols.into_iter().map(|(name, addr)| (name.to_string(), addr)).collect();
-        Ok(Object { words, symbols, base, instr_addrs, line_map })
+        Ok(Object(Arc::new(Parts { words, symbols, base, instr_addrs, line_map })))
     }
 }
 
@@ -486,31 +477,30 @@ fn parse_int(s: &str) -> Option<Word> {
     Word::try_from(if neg { v.checked_neg()? } else { v }).ok()
 }
 
-/// Disassemble a block of instruction words into assembly text, one
-/// instruction per line.
-#[must_use]
-pub fn disassemble(words: &[u32]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < words.len() {
-        match Instruction::decode(&words[i..]) {
-            Ok((instr, used)) => {
-                out.push(instr.to_string());
-                i += used;
-            }
-            Err(_) => {
-                out.push(format!(".word {:#010x}", words[i]));
-                i += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::{Instruction, Opcode, SrcMode};
+
+    /// Disassemble a block of instruction words into assembly text, one
+    /// instruction per line.
+    fn disassemble(words: &[u32]) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < words.len() {
+            match Instruction::decode(&words[i..]) {
+                Ok((instr, used)) => {
+                    out.push(instr.to_string());
+                    i += used;
+                }
+                Err(_) => {
+                    out.push(format!(".word {:#010x}", words[i]));
+                    i += 1;
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn thesis_example_assembles() {
@@ -744,7 +734,6 @@ mod tests {
              data:  .word 77\n",
         )
         .unwrap();
-        assert!(obj.has_verify_meta());
         // plus at 0 (1 word), fetch at 4 (2 words: the imm word at 8 is
         // not an instruction start), data at 12 is data, not code.
         assert_eq!(obj.instr_addrs(), &[0, 4]);
@@ -752,8 +741,6 @@ mod tests {
         assert_eq!(obj.line_for(4), Some(2));
         assert_eq!(obj.line_for(8), None, "immediate word is not an instruction");
         assert_eq!(obj.line_for(12), None, "data word is not an instruction");
-        let bare = Object::from_parts(obj.words().to_vec(), obj.symbols().clone(), obj.base());
-        assert!(!bare.has_verify_meta(), "from_parts objects carry no metadata");
     }
 
     #[test]

@@ -168,8 +168,8 @@ impl DecodedInstr {
     /// compare ops, memory accesses and branches. Channel ops can
     /// block, traps and returns hand control to the kernel — those are
     /// the scheduling points a batching run loop must surface.
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
+    #[cfg(test)]
+    fn is_sequential(&self) -> bool {
         !matches!(
             self.op,
             Opcode::Send

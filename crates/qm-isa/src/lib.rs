@@ -3,8 +3,8 @@
 //! * [`isa`] — the 32-bit instruction set: four-address basic format,
 //!   `dup` format, source operand modes (Table 5.1) and the opcode set
 //!   (Table 5.2).
-//! * [`asm`] — assembler and disassembler for the thesis assembly syntax
-//!   (`opcode[+n] [src1[,src2]] [:dst1[,dst2]] [>]`).
+//! * [`asm`] — assembler, linker and printer for the thesis assembly
+//!   syntax (`opcode[+n] [src1[,src2]] [:dst1[,dst2]] [>]`).
 //! * [`regs`] — the register file: 16 sliding *window registers* with
 //!   presence bits, 16 global registers (PC, QP, POM, NAR among them),
 //!   virtual→physical register translation and queue paging (Figs 5.1–5.5).

@@ -261,8 +261,8 @@ impl RegisterFile {
     }
 
     /// Number of presence bits currently set.
-    #[must_use]
-    pub fn present_count(&self) -> usize {
+    #[cfg(test)]
+    fn present_count(&self) -> usize {
         self.presence.count_ones() as usize
     }
 

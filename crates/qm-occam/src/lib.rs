@@ -24,6 +24,18 @@
 //! listing printed by qm-isa, which [`qm_isa::asm::assemble`] reads back
 //! to the same object.
 //!
+//! # Limits
+//!
+//! A program may nest at most [`parse::MAX_NESTING`] (64) levels:
+//! constructs, declaration scopes, expression levels and the bodies of
+//! called procedures, counted from the outermost process. Every pass
+//! after the parser walks the syntax tree recursively; at the cap each
+//! fits a 2 MiB thread stack with room to spare, debug builds included,
+//! so a deeper program fails with [`CompileError::Parse`] at its
+//! offending line instead of overflowing the compiling thread's stack.
+//! Source length is the caller's to bound: `qm-serve` takes request
+//! bodies of at most 1 MiB. The bundled workloads nest 13 to 18 levels.
+//!
 //! # Example
 //!
 //! ```
@@ -49,7 +61,6 @@ pub mod ift;
 pub mod interp;
 pub mod lex;
 pub mod parse;
-pub mod pretty;
 pub mod sema;
 
 /// Compiler options (the Table 6.6 optimization toggles).

@@ -91,6 +91,12 @@ fn bad(message: impl Into<String>) -> ApiError {
 /// [`ApiError`] (`bad_request`) for unknown names and for sizes outside
 /// the workload's range (its constructor would panic on them).
 pub fn bundled_workload(name: &str, param: usize) -> Result<Workload, ApiError> {
+    Ok(bundled_constructor(name, param)?(param))
+}
+
+/// The constructor of the bundled workload `name`, once `param` is
+/// checked against its size range; nothing is built.
+fn bundled_constructor(name: &str, param: usize) -> Result<fn(usize) -> Workload, ApiError> {
     let (make, fits, sizes): (fn(usize) -> Workload, bool, &str) = match name {
         "matmul" => (qm_workloads::matmul, (1..=16).contains(&param), "1..=16"),
         "fft" => (
@@ -110,7 +116,7 @@ pub fn bundled_workload(name: &str, param: usize) -> Result<Workload, ApiError> 
     if !fits {
         return Err(bad(format!("{name} param must be {sizes}, not {param}")));
     }
-    Ok(make(param))
+    Ok(make)
 }
 
 fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, ApiError> {
@@ -147,9 +153,9 @@ pub fn parse_job(body: &[u8]) -> Result<JobSpec, ApiError> {
             usize::try_from(param).map_err(|_| bad("param out of range"))?;
             #[allow(clippy::cast_possible_truncation)]
             let param = param as usize;
-            // Validate the name eagerly so submission, not execution,
-            // reports the typo.
-            bundled_workload(name, param)?;
+            // Validate the name and size eagerly so submission, not
+            // execution, reports the typo; the worker builds the workload.
+            bundled_constructor(name, param)?;
             Program::Workload { name: name.to_string(), param }
         }
         (None, None, None) => {

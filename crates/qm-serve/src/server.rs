@@ -53,6 +53,12 @@ const KEPT_BUF_BYTES: usize = 64 * 1024;
 /// and to notice shutdown and the bounds.
 const POLL: Duration = Duration::from_millis(1);
 
+/// Stack size of a job worker thread, which compiles, verifies and runs
+/// submitted programs. The OCCAM parser's nesting budget
+/// (`qm_occam::parse::MAX_NESTING`) keeps every compiler pass well
+/// inside it, debug builds included.
+pub const WORKER_STACK_BYTES: usize = 2 << 20;
+
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -160,6 +166,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("qm-serve-job-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || job_worker(&s))?,
             );
         }

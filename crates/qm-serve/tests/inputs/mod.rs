@@ -98,3 +98,71 @@ pub fn mutant(g: &mut Gen, seeds: &[Vec<u8>]) -> Vec<u8> {
     }
     bytes
 }
+
+#[allow(dead_code)] // only untrusted_input.rs nests programs
+/// `k` nested levels of `open` (one per line, each indented below the
+/// last) around `leaf`.
+fn nested(k: usize, open: impl Fn(usize) -> String, leaf: &str) -> String {
+    let mut src = String::new();
+    for i in 0..k {
+        src += &format!("{}{}\n", "  ".repeat(i), open(i));
+    }
+    src + &format!("{}{leaf}\n", "  ".repeat(k))
+}
+
+/// Builds a program that nests one construct `k` deep.
+pub type Nest = fn(usize) -> String;
+
+/// Program builders that nest one construct `k` deep, one per
+/// construct the OCCAM nesting budget covers: expressions
+/// (parentheses, unary operators, operator chains, index brackets),
+/// constructs (`seq`, `par`, `if`, `while`, replicators, declaration
+/// scopes, procedure bodies) and chains of procedure calls.
+#[allow(dead_code)] // only untrusted_input.rs nests programs
+pub const HOSTILE_STRUCTURES: [(&str, Nest); 14] = [
+    ("parentheses", |k| assign(&format!("{}1{}", "(".repeat(k), ")".repeat(k)))),
+    ("unary minus", |k| assign(&format!("{}x", "- ".repeat(k)))),
+    ("not", |k| assign(&format!("{}x", "not ".repeat(k)))),
+    ("left operator chain", |k| assign(&format!("x{}", " + x".repeat(k)))),
+    ("right operator chain", |k| assign(&format!("{}x{}", "x * (".repeat(k), ")".repeat(k)))),
+    ("index", |k| assign(&format!("{}0{}", "v[".repeat(k), "]".repeat(k)))),
+    ("seq", |k| nested(k, |_| "seq".into(), "skip")),
+    ("par", |k| nested(k, |_| "par".into(), "skip")),
+    ("if", |k| nested(2 * k, |i| if i % 2 == 0 { "if" } else { "true" }.into(), "skip")),
+    ("while", |k| {
+        let body = |i: usize| format!("while x < {i}\n{}x := 1", "  ".repeat(i + 1));
+        format!("var x:\n{}", nested(k, body, "skip"))
+    }),
+    ("replicator", |k| nested(k, |i| format!("seq i{i} = [0 for 2]"), "skip")),
+    ("scope", |k| {
+        let mut src = String::new();
+        for i in 0..k {
+            src += &format!("{0}seq\n{1}var y{i}:\n", "  ".repeat(i), "  ".repeat(i + 1));
+        }
+        src + &format!("{}skip\n", "  ".repeat(k))
+    }),
+    ("procedure body", |k| {
+        let mut src = String::new();
+        for i in 0..k {
+            src += &format!("{}proc p{i}() =\n", "  ".repeat(i));
+        }
+        src += &format!("{}skip\n", "  ".repeat(k));
+        for i in (0..k).rev() {
+            src += &format!("{}p{i}()\n", "  ".repeat(i));
+        }
+        src
+    }),
+    ("call chain", |k| {
+        let mut src = String::from("proc p0() =\n  skip\n");
+        for i in 1..k {
+            src += &format!("proc p{i}() =\n  p{}()\n", i - 1);
+        }
+        src + &format!("p{}()\n", k.max(1) - 1)
+    }),
+];
+
+/// `x := expr` in a scope declaring `x` and an array `v`.
+#[allow(dead_code)] // only untrusted_input.rs nests programs
+fn assign(expr: &str) -> String {
+    format!("var x, v[4]:\nx := {expr}\n")
+}

@@ -157,6 +157,25 @@ fn a_store_into_code_fails_the_job_with_the_fault() {
 }
 
 #[test]
+fn deeply_nested_source_fails_the_job_and_the_server_lives() {
+    // 20 000 nested parentheses: a 40 KB body. The parser refuses it
+    // past its nesting budget instead of overflowing a job worker's
+    // stack, which would abort the whole process.
+    let (server, addr) = start();
+    let expr = format!("{}1{}", "(".repeat(20_000), ")".repeat(20_000));
+    let id = submit_id(&addr, &format!(r#"{{"occam":"var x:\nx := {expr}\n"}}"#));
+    let done = wait_done(&addr, id);
+    assert_eq!(done.get("status").and_then(JsonValue::as_str), Some("failed"), "{done:?}");
+    let error = done.get("error").expect("error");
+    assert_eq!(error.get("code").and_then(JsonValue::as_str), Some("compile_error"));
+    let message = error.get("message").and_then(JsonValue::as_str).unwrap_or_default();
+    assert!(message.contains("nesting deeper than"), "{message}");
+    let (status, body) = request(&addr, "GET", "/v1/health", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn health_reports_progress_and_cache_counters() {
     let (server, addr) = start();
     let (status, body) = request(&addr, "GET", "/v1/health", "").unwrap();

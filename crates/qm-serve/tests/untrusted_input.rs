@@ -9,21 +9,26 @@
 //! must decode to `Ok` or a typed error and must never panic. A failing
 //! case replays from the `Gen::new(seed, size)` the harness reports.
 //!
-//! Hostile programs get two more checks: two tenants whose programs
-//! collide under a 64-bit checksum must each get their own result, and
-//! a program too large for the code segment fails as a job without
-//! taking the server down.
+//! Hostile programs get three more checks: two tenants whose programs
+//! collide under a 64-bit checksum must each get their own result, a
+//! program too large for the code segment fails as a job without
+//! taking the server down, and every construct nested to the OCCAM
+//! nesting budget compiles on a job worker's stack while one level
+//! more fails to parse.
 
 mod inputs;
 
 use std::io::Cursor;
 use std::time::{Duration, Instant};
 
-use inputs::{http_seeds, json_seeds, mutant, SUBMISSIONS};
+use inputs::{http_seeds, json_seeds, mutant, HOSTILE_STRUCTURES, SUBMISSIONS};
 use qm_core::json::{self, JsonValue};
 use qm_core::rng::{check, checksum, mix};
+use qm_occam::parse::{parse, MAX_NESTING};
+use qm_occam::{compile, CompileError, Options};
 use qm_serve::api::parse_job;
 use qm_serve::http::{read_request, request, MAX_BODY_BYTES};
+use qm_serve::server::WORKER_STACK_BYTES;
 use qm_serve::{Program, ServeConfig, Server};
 
 /// JSON decoding of `bytes` must end in a value or a typed error that
@@ -212,4 +217,38 @@ fn an_object_past_the_code_segment_fails_and_the_server_carries_on() {
     let answer = run_assembly(&addr, "main: send+3 #0,#5\n trap #3,#0");
     assert_eq!(answer, Ok((JsonValue::Arr(vec![JsonValue::Num(5.0)]), JsonValue::Bool(false))));
     server.shutdown();
+}
+
+#[test]
+fn nesting_past_the_budget_fails_to_parse_and_the_budget_fits_a_worker_stack() {
+    for (name, make) in HOSTILE_STRUCTURES {
+        // The deepest program of this shape the parser admits.
+        let deepest = (1..=2 * MAX_NESTING).take_while(|&k| parse(&make(k)).is_ok()).last();
+        let k = deepest.unwrap_or_else(|| panic!("{name}: the shallowest case parses"));
+        assert!(k >= MAX_NESTING / 4, "{name}: only {k} levels parse");
+        match compile(&make(k + 1), &Options::default()) {
+            Err(CompileError::Parse(m)) => {
+                assert!(m.contains(&format!("nesting deeper than {MAX_NESTING} levels")), "{m}");
+            }
+            other => panic!("{name}: {} levels: {other:?}", k + 1),
+        }
+        // Every pass over the syntax tree, on a job worker's stack: an
+        // overflow aborts this test binary.
+        let src = make(k);
+        std::thread::Builder::new()
+            .stack_size(WORKER_STACK_BYTES)
+            .spawn(move || {
+                let compiled = compile(&src, &Options::default());
+                let compiled = compiled.unwrap_or_else(|e| panic!("{name} at {k}: {e}"));
+                let _ = qm_verify::verify_object(&compiled.object, &Default::default());
+                let ast = parse(&src).expect("parsed above");
+                drop(qm_occam::ift::Ift::build(&ast));
+                let resolved = qm_occam::sema::analyse(&ast).expect("analysed by compile");
+                // Its step budget may stop it (replicators multiply).
+                let _ = qm_occam::interp::Interp::new(&resolved, Vec::new()).run();
+            })
+            .expect("spawns")
+            .join()
+            .expect("passes");
+    }
 }

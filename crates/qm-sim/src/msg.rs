@@ -417,8 +417,7 @@ pub struct ChannelTable {
     /// sending PE)`, consumed by the re-executed receive.
     ready: Vec<Option<(Word, Word, usize)>>,
     /// Diagnostic-collection scan counter: bumped by the wait-for report
-    /// paths ([`ChannelTable::blocked_infos`] /
-    /// [`ChannelTable::blocked_contexts`]), which walk every channel.
+    /// path ([`ChannelTable::blocked_infos`]), which walks every channel.
     /// Stays zero across a clean run — the run loop only reaches them
     /// from error paths, a property pinned by a system test.
     pub(crate) diag_scans: AtomicU64,
@@ -762,8 +761,8 @@ impl ChannelTable {
 
     /// Total full-table diagnostic scans performed so far (see
     /// `diag_scans`).
-    #[must_use]
-    pub fn diag_scan_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn diag_scan_count(&self) -> u64 {
         self.diag_scans.load(Ordering::Relaxed)
     }
 
@@ -849,11 +848,9 @@ impl ChannelTable {
         }
     }
 
-    /// Contexts currently blocked on any channel (for deadlock reports).
-    /// Diagnostic-only, like [`ChannelTable::blocked_infos`].
-    #[must_use]
-    #[cold]
-    pub fn blocked_contexts(&self) -> Vec<CtxId> {
+    /// Contexts currently blocked on any channel.
+    #[cfg(test)]
+    fn blocked_contexts(&self) -> Vec<CtxId> {
         self.diag_scans.fetch_add(1, Ordering::Relaxed);
         let mut out: Vec<CtxId> = self
             .iter_touched()

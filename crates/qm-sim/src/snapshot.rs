@@ -102,28 +102,6 @@ struct CtxSnap {
     ready_at: u64,
 }
 
-/// The loaded object's symbol information (words, sorted symbol table,
-/// base address). Immutable once loaded, so [`System`] caches one behind
-/// an `Arc` at load time and every capture clones the pointer —
-/// snapshot cost does not scale with program size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ObjSnap {
-    pub(crate) base: UWord,
-    pub(crate) words: Vec<u32>,
-    pub(crate) symbols: Vec<(String, UWord)>,
-}
-
-impl ObjSnap {
-    /// The snapshot view of a loaded object: code words plus the symbol
-    /// table sorted by `(name, address)` (the canonical export order).
-    pub(crate) fn of(obj: &Object) -> Self {
-        let mut syms: Vec<(String, UWord)> =
-            obj.symbols().iter().map(|(k, &v)| (k.clone(), v)).collect();
-        syms.sort_unstable();
-        ObjSnap { base: obj.base(), words: obj.words().to_vec(), symbols: syms }
-    }
-}
-
 /// A complete, self-contained capture of a [`System`] at a step
 /// boundary. Obtain one with [`Snapshot::capture`]; turn it back into a
 /// running system with [`System::restore`]. Equality compares every
@@ -150,7 +128,8 @@ pub struct Snapshot {
     created: u64,
     peak_live: u64,
     instr_count: u64,
-    symbols: Option<std::sync::Arc<ObjSnap>>,
+    /// The loaded program: the system's own handle, shared, not copied.
+    object: Option<Object>,
 }
 
 impl Snapshot {
@@ -162,9 +141,6 @@ impl Snapshot {
     pub fn capture(sys: &System) -> Snapshot {
         let (global_mem, local_mem) = sys.memory.export_planes();
         let (ready, sched_seq) = sys.sched.export_ready();
-        // The object is immutable after load: share the cached snapshot
-        // view instead of re-copying names and code words per capture.
-        let symbols = sys.symbol_snap.clone();
         Snapshot {
             cfg: sys.cfg.clone(),
             global_mem,
@@ -214,7 +190,7 @@ impl Snapshot {
             created: sys.created,
             peak_live: sys.peak_live,
             instr_count: sys.instr_count,
-            symbols,
+            object: sys.object.clone(),
         }
     }
 
@@ -475,16 +451,7 @@ impl System {
         for (alloc, (next, free)) in sys.pages.iter_mut().zip(&snap.pages) {
             alloc.restore_state(*next, free.clone());
         }
-        if let Some(o) = &snap.symbols {
-            sys.set_symbols(Object::from_parts(
-                o.words.clone(),
-                o.symbols.iter().cloned().collect(),
-                o.base,
-            ));
-            // Share the snapshot's view directly; set_symbols derived an
-            // identical one, this just drops the duplicate storage.
-            sys.symbol_snap = Some(o.clone());
-        }
+        sys.object = snap.object.clone();
         #[allow(clippy::cast_possible_truncation)]
         {
             sys.rr = snap.rr as usize;

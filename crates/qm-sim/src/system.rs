@@ -229,17 +229,10 @@ pub struct System {
     pub(crate) sched: Scheduler,
     pub(crate) contexts: Vec<Context>,
     pub(crate) pages: Vec<PageAllocator>,
-    pub(crate) symbols: Option<Object>,
-    /// Snapshot-ready view of the loaded object (code words + sorted
-    /// symbols), built once at load. Repeated captures (qm-serve's
-    /// per-job digest, the replay bisection's probes) clone the `Arc`
-    /// instead of re-copying names and words, so a capture's cost does
-    /// not scale with program size.
-    pub(crate) symbol_snap: Option<std::sync::Arc<crate::snapshot::ObjSnap>>,
-    /// Symbol table sorted by `(address, name)` — the shape the
-    /// `qm_verify::names` span helpers take — cached at load so wait-for
-    /// reports borrow it instead of re-cloning every name.
-    pub(crate) symbol_addr_table: Vec<(String, UWord)>,
+    /// The loaded program. Cloning an [`Object`] copies a pointer, so
+    /// the system, the program cache it came from and every snapshot
+    /// share one copy of its words and symbols.
+    pub(crate) object: Option<Object>,
     pub(crate) rr: usize,
     pub(crate) halted: bool,
     pub(crate) live: usize,
@@ -371,9 +364,7 @@ impl System {
             pes,
             contexts: Vec::new(),
             pages,
-            symbols: None,
-            symbol_snap: None,
-            symbol_addr_table: Vec::new(),
+            object: None,
             rr: 0,
             halted: false,
             live: 0,
@@ -402,13 +393,6 @@ impl System {
         self.memory.trace.set_enabled(true);
     }
 
-    /// Remove the trace sink and stop buffering events.
-    pub fn clear_trace_sink(&mut self) {
-        self.tracer = Tracer::off();
-        self.channels.trace.set_enabled(false);
-        self.memory.trace.set_enabled(false);
-    }
-
     /// Assemble `src`, load it, and spawn the main context at label
     /// `main` (or the first instruction when no such label exists).
     ///
@@ -419,30 +403,23 @@ impl System {
         System::builder().config(cfg).assembly(src).build()
     }
 
-    /// Record the loaded object for symbol lookup and translation,
-    /// caching the derived views — the snapshot `ObjSnap` and the
-    /// address-sorted symbol table — once, so neither is rebuilt per
-    /// capture or per report.
-    pub(crate) fn set_symbols(&mut self, obj: Object) {
-        self.symbol_snap = Some(std::sync::Arc::new(crate::snapshot::ObjSnap::of(&obj)));
-        let mut table: Vec<(String, UWord)> =
-            obj.symbols().iter().map(|(n, &a)| (n.clone(), a)).collect();
-        table.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.symbol_addr_table = table;
-        self.symbols = Some(obj);
-    }
-
-    /// Load an assembled object into code memory and record it for
-    /// symbol lookup, snapshots and translation.
+    /// Load an assembled object into code memory and keep it for
+    /// symbol lookup and snapshots.
     pub fn load_object(&mut self, obj: &Object) {
         self.memory.load_words(obj.base(), obj.words());
-        self.set_symbols(obj.clone());
+        self.object = Some(obj.clone());
+    }
+
+    /// The loaded program, when one was loaded.
+    #[must_use]
+    pub fn object(&self) -> Option<&Object> {
+        self.object.as_ref()
     }
 
     /// Address of a label in the loaded object.
     #[must_use]
     pub fn symbol(&self, name: &str) -> Option<UWord> {
-        self.symbols.as_ref().and_then(|o| o.symbol(name))
+        self.object.as_ref().and_then(|o| o.symbol(name))
     }
 
     /// Pre-load host input (read by `recv` on channel 0).
@@ -1157,26 +1134,25 @@ impl System {
         }
     }
 
-    /// The program's symbol table as sorted `(name, address)` pairs —
-    /// the shape the `qm_verify::names` span helpers take. A borrow of
-    /// the table cached at load time: nothing is cloned per report.
-    fn symbol_table(&self) -> &[(String, UWord)] {
-        &self.symbol_addr_table
-    }
-
     /// The wait-for report for a detected deadlock: every context parked
     /// on a channel, with direction, blocked PC and channel occupancy.
     /// Contexts are labelled through [`qm_verify::names::ctx_label`]
     /// with the symbol covering the blocked PC, matching trace lanes and
     /// the static deadlock lint.
     fn deadlock_report(&self) -> Vec<BlockedCtx> {
-        let syms = self.symbol_table();
+        // The `(name, address)` table the `qm_verify::names` helpers
+        // take, built only when a report is made.
+        let syms: Vec<(String, UWord)> = self
+            .object
+            .iter()
+            .flat_map(|o| o.symbols().iter().map(|(n, &a)| (n.clone(), a)))
+            .collect();
         self.channels
             .blocked_infos()
             .into_iter()
             .map(|b| {
                 let pc = self.ctx_pc(b.ctx);
-                let sym = qm_verify::names::nearest_symbol(syms, pc).map(|(n, _)| n);
+                let sym = qm_verify::names::nearest_symbol(&syms, pc).map(|(n, _)| n);
                 BlockedCtx {
                     ctx: b.ctx,
                     label: qm_verify::names::ctx_label(b.ctx, sym),

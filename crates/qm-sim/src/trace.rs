@@ -349,8 +349,8 @@ impl Recorder {
     }
 
     /// Records whose event matches `f`.
-    #[must_use]
-    pub fn matching(&self, f: impl Fn(&TraceEvent) -> bool) -> Vec<TraceRecord> {
+    #[cfg(test)]
+    pub(crate) fn matching(&self, f: impl Fn(&TraceEvent) -> bool) -> Vec<TraceRecord> {
         self.records().into_iter().filter(|r| f(&r.event)).collect()
     }
 

@@ -5,7 +5,7 @@
 use qm_sim::config::SystemConfig;
 use qm_sim::msg::ChanDir;
 use qm_sim::system::System;
-use qm_sim::trace::{ChromeTrace, Recorder, TraceEvent};
+use qm_sim::trace::{ChromeTrace, Recorder, TraceEvent, TraceRecord};
 
 /// Four children each double a value; main scatters and gathers.
 const FAN_OUT: &str = "
@@ -32,6 +32,11 @@ child:  recv r17,#0 :r0
         trap #2,#0
 ";
 
+/// The recorded events that match `f`.
+fn matching(rec: &Recorder, f: impl Fn(&TraceEvent) -> bool) -> Vec<TraceRecord> {
+    rec.records().into_iter().filter(|r| f(&r.event)).collect()
+}
+
 fn traced_system(pes: usize, capacity: usize) -> (System, Recorder) {
     let mut cfg = SystemConfig::with_pes(pes);
     cfg.channel_capacity = capacity;
@@ -47,34 +52,34 @@ fn fan_out_run_produces_a_complete_event_stream() {
     let out = sys.run().unwrap();
     assert_eq!(out.output, vec![20]);
 
-    let forks = rec.matching(|e| matches!(e, TraceEvent::Fork { .. }));
+    let forks = matching(&rec, |e| matches!(e, TraceEvent::Fork { .. }));
     assert_eq!(forks.len(), 4, "one fork event per child");
     for f in &forks {
         assert!(matches!(f.event, TraceEvent::Fork { parent: 0, .. }));
     }
 
-    let retires = rec.matching(|e| matches!(e, TraceEvent::CtxRetire { .. }));
+    let retires = matching(&rec, |e| matches!(e, TraceEvent::CtxRetire { .. }));
     assert_eq!(retires.len(), 5, "main and all four children retire");
 
     // Every completed channel transfer shows up as a send and a recv
     // event; child results plus the host report.
-    let sends = rec.matching(|e| matches!(e, TraceEvent::ChanSend { .. }));
-    let recvs = rec.matching(|e| matches!(e, TraceEvent::ChanRecv { .. }));
+    let sends = matching(&rec, |e| matches!(e, TraceEvent::ChanSend { .. }));
+    let recvs = matching(&rec, |e| matches!(e, TraceEvent::ChanRecv { .. }));
     assert_eq!(sends.len() as u64, out.pes.iter().map(|p| p.stats.sends).sum::<u64>());
     assert_eq!(recvs.len() as u64, out.pes.iter().map(|p| p.stats.recvs).sum::<u64>());
 
     // With message-cache slots free, scattered sends park as cache hits.
-    let hits = rec.matching(|e| matches!(e, TraceEvent::CacheHit { .. }));
+    let hits = matching(&rec, |e| matches!(e, TraceEvent::CacheHit { .. }));
     assert!(!hits.is_empty(), "capacity-8 sends park in the message cache");
 
     // Kernel traps cover the forks, the retires and the halt-free end.
-    let traps = rec.matching(|e| matches!(e, TraceEvent::KernelTrap { .. }));
+    let traps = matching(&rec, |e| matches!(e, TraceEvent::KernelTrap { .. }));
     assert_eq!(traps.len() as u64, out.pes.iter().map(|p| p.stats.traps).sum::<u64>());
 
     // Every block names the channel it parked on and is eventually
     // matched by a wake on the same channel (no lost wakeups).
-    let blocks = rec.matching(|e| matches!(e, TraceEvent::CtxBlock { .. }));
-    let wakes = rec.matching(|e| matches!(e, TraceEvent::CtxWake { .. }));
+    let blocks = matching(&rec, |e| matches!(e, TraceEvent::CtxBlock { .. }));
+    let wakes = matching(&rec, |e| matches!(e, TraceEvent::CtxWake { .. }));
     for b in &blocks {
         let TraceEvent::CtxBlock { ctx, chan, dir, pc, .. } = b.event else { unreachable!() };
         assert!(pc > 0, "blocked PC recorded");
@@ -94,17 +99,17 @@ fn pure_rendezvous_run_records_rendezvous_events() {
     let (mut sys, rec) = traced_system(2, 0);
     let out = sys.run().unwrap();
     assert_eq!(out.output, vec![20]);
-    let rendezvous = rec.matching(|e| matches!(e, TraceEvent::Rendezvous { .. }));
+    let rendezvous = matching(&rec, |e| matches!(e, TraceEvent::Rendezvous { .. }));
     assert!(!rendezvous.is_empty(), "capacity-0 transfers complete as rendezvous");
-    let spills = rec.matching(|e| matches!(e, TraceEvent::CacheSpill { .. }));
-    let hits = rec.matching(|e| matches!(e, TraceEvent::CacheHit { .. }));
+    let spills = matching(&rec, |e| matches!(e, TraceEvent::CacheSpill { .. }));
+    let hits = matching(&rec, |e| matches!(e, TraceEvent::CacheHit { .. }));
     assert!(hits.is_empty(), "no cache slots, no hits");
     // A blocked send on an empty rendezvous channel parks as a spill.
     assert!(!spills.is_empty(), "sender-first transfers spill to the blocked queue");
     for s in &spills {
         assert!(matches!(s.event, TraceEvent::CacheSpill { senders: 1, .. }));
     }
-    let blocks = rec.matching(|e| matches!(e, TraceEvent::CtxBlock { dir: ChanDir::Send, .. }));
+    let blocks = matching(&rec, |e| matches!(e, TraceEvent::CtxBlock { dir: ChanDir::Send, .. }));
     assert!(!blocks.is_empty(), "the spilling sender blocks");
 }
 

@@ -16,9 +16,8 @@ use qm_isa::UWord;
 struct Entry {
     /// The instruction starting at this word and its size in bytes.
     instr: Option<(Instruction, UWord)>,
-    /// A valid branch/fork target: an assembler-recorded instruction
-    /// start when the object carries metadata, any decodable word
-    /// otherwise.
+    /// A valid branch/fork target: an instruction start recorded by
+    /// the linker.
     start: bool,
 }
 
@@ -40,8 +39,7 @@ impl<'a> DecodedCode<'a> {
                 let instr = Instruction::decode(&words[i..(i + 3).min(words.len())])
                     .ok()
                     .map(|(instr, used)| (instr, 4 * used as UWord));
-                let start = !obj.has_verify_meta() && instr.is_some();
-                Entry { instr, start }
+                Entry { instr, start: false }
             })
             .collect();
         let mut symbols: Vec<(String, UWord)> =

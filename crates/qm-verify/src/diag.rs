@@ -163,7 +163,7 @@ pub struct Diagnostic {
     pub ctx: Option<String>,
     /// Byte address of the offending program point.
     pub pc: Option<UWord>,
-    /// 1-based source line (when the object carries assembler metadata).
+    /// 1-based source line (when the point is an instruction start).
     pub line: Option<usize>,
     /// Human-readable message.
     pub message: String,

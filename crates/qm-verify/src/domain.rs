@@ -269,15 +269,6 @@ impl AbsV {
         let hi = if hi_j > hi_old { i64::from(Word::MAX) } else { hi_j };
         range(lo, hi, stride)
     }
-
-    /// Interpret as a set of fork-target constants, when exact.
-    #[must_use]
-    pub fn constants(&self) -> Option<&[Word]> {
-        match self {
-            AbsV::OneOf(v) => Some(v.as_slice()),
-            _ => None,
-        }
-    }
 }
 
 /// Apply `op.alu` across two constant sets.

@@ -536,13 +536,6 @@ mod tests {
         check(400, |g| {
             let src = program(g);
             let obj = assemble(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
-            // Without assembler metadata any decodable word is a
-            // branch target.
-            let obj = if g.below(3) == 0 {
-                Object::from_parts(obj.words().to_vec(), obj.symbols().clone(), obj.base())
-            } else {
-                obj
-            };
             let opts = VerifyOptions { page_words: *g.pick(&[256, 64, 8]) };
             let full = DecodedCode::new(&obj).round_budget();
             let budget = if g.below(4) == 0 { g.range(1usize..=40) } else { full };

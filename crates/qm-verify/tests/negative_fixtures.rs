@@ -62,3 +62,18 @@ fn fixtures_render_stable_codes_in_json() {
     let r = verify_src(include_str!("fixtures/underflow.s"), &VerifyOptions::default());
     assert!(r.render_json().contains("\"code\":\"QV0001\""), "{}", r.render_json());
 }
+
+#[test]
+fn a_data_only_object_is_rejected_at_its_entry() {
+    // `.word`/`.space` alone links to an object with no instruction
+    // start. The walk from the entry decodes the first word (a zero
+    // word is a `dup`), and falling through to the next word leaves the
+    // instructions the linker recorded.
+    let r = verify_src("d: .space 3\n", &VerifyOptions::default());
+    assert_eq!(
+        r.to_json(),
+        r#"{"schema":"qm-api/v1","kind":"verify_report","data":{"clean":false,"errors":1,"warnings":1,"notes":1,"fast_path":{"eligible":false,"blocking":2,"passes":["queue","wiring"]},"diags":[{"code":"QV0303","severity":"note","message":"wiring analysis gave up: execution reaches an undecodable word","ctx":"ctx0 (d)","pc":12,"notes":["splice lints and channel facts are unavailable for this program"]},{"code":"QV0005","severity":"warning","message":"dup with no preceding value-producing instruction on some path","ctx":"d","pc":0},{"code":"QV0104","severity":"error","message":"execution continues into non-instruction words at 0x4","ctx":"d","pc":0}]}}"#
+    );
+    let r = verify_src("main: .word 7\n", &VerifyOptions::default());
+    assert_eq!(error_codes(&r), vec![Code::RunsOffEnd], "{}", r.render());
+}

@@ -21,9 +21,9 @@ pub fn from_f64(x: f64) -> i32 {
     }
 }
 
-/// Convert Q6 to a float (for diagnostics only).
-#[must_use]
-pub fn to_f64(x: i32) -> f64 {
+/// Convert Q6 to a float (for test diagnostics).
+#[cfg(test)]
+pub(crate) fn to_f64(x: i32) -> f64 {
     f64::from(x) / f64::from(ONE)
 }
 

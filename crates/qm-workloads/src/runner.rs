@@ -3,10 +3,8 @@
 //!
 //! [`WorkloadRun`] is the single entry point: configure once (system
 //! config and compiler options), then
-//! [`prepare`](WorkloadRun::prepare), [`run`](WorkloadRun::run) or
-//! [`run_with_checkpoint`](WorkloadRun::run_with_checkpoint) (the same
-//! run, paused, captured and finished on a restored system) any number
-//! of workloads. Each distinct (source, options, page size) is compiled
+//! [`prepare`](WorkloadRun::prepare) or [`run`](WorkloadRun::run) any
+//! number of workloads. Each distinct (source, options, page size) is compiled
 //! and verified once per process, through one shared
 //! [`CompileCache`], so sweeps that run a workload across many machine
 //! shapes pay the front end and the verifier once.
@@ -16,8 +14,7 @@ use std::sync::{Arc, OnceLock};
 
 use qm_occam::{sema::SymKind, Options};
 use qm_sim::config::SystemConfig;
-use qm_sim::snapshot::Snapshot;
-use qm_sim::system::{RunOutcome, RunStatus, System};
+use qm_sim::system::{RunOutcome, System};
 use qm_sim::{Simulation, VerifyLevel};
 
 use crate::cache::{CompileCache, Entry, Lang};
@@ -227,40 +224,11 @@ impl WorkloadRun {
         self.evaluate(w, &sys, &compiled.syms, outcome)
     }
 
-    /// Like [`run`](Self::run), but pause at cycle `pause_at`, capture
-    /// the machine state in a [`Snapshot`], restore a fresh system from
-    /// it and finish on that system. By the snapshot subsystem's replay
-    /// guarantee the result is bit-identical to [`run`](Self::run),
-    /// making this the one-call way to exercise checkpointing against
-    /// any workload. Runs that complete before `pause_at` degrade to a
-    /// plain run.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_with_checkpoint(
-        &self,
-        w: &Workload,
-        pause_at: u64,
-    ) -> Result<BenchResult, WorkloadError> {
-        let (mut sys, compiled) = self.prepare(w)?;
-        let status = sys.run_until(pause_at).map_err(|e| WorkloadError::Sim(e.to_string()))?;
-        let (sys, outcome) = match status {
-            RunStatus::Done(outcome) => (sys, outcome),
-            RunStatus::Paused { .. } => {
-                let mut restored = System::restore(&Snapshot::capture(&sys));
-                let outcome = restored.run().map_err(|e| WorkloadError::Sim(e.to_string()))?;
-                (restored, outcome)
-            }
-        };
-        self.evaluate(w, &sys, &compiled.syms, outcome)
-    }
-
     /// Check the result arrays and host output of a finished run against
     /// the workload's expectations. Public so external executors that
     /// drive the system themselves (e.g. `qm-serve`'s time-sliced job
-    /// runner, which pauses/restores between [`prepare`](Self::prepare)
-    /// and completion) can produce the same [`BenchResult`] as
+    /// runner, which pauses between [`prepare`](Self::prepare) and
+    /// completion) can produce the same [`BenchResult`] as
     /// [`run`](Self::run).
     ///
     /// # Errors

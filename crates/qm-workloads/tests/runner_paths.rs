@@ -2,9 +2,33 @@
 //! workload checks that don't belong to any single workload module.
 
 use qm_sim::config::{Placement, SystemConfig};
+use qm_sim::snapshot::Snapshot;
+use qm_sim::system::{RunStatus, System};
 use qm_workloads::{
-    cholesky, congruence, fft, matmul, reduction, Workload, WorkloadError, WorkloadRun,
+    cholesky, congruence, fft, matmul, reduction, BenchResult, Workload, WorkloadError, WorkloadRun,
 };
+
+/// [`WorkloadRun::run`], but paused at cycle `pause_at`, captured in a
+/// [`Snapshot`] and finished on a system restored from it. By the
+/// snapshot replay guarantee the result is bit-identical to a plain
+/// run; a run that completes before `pause_at` is a plain run.
+fn run_with_checkpoint(
+    run: &WorkloadRun,
+    w: &Workload,
+    pause_at: u64,
+) -> Result<BenchResult, WorkloadError> {
+    let (mut sys, compiled) = run.prepare(w)?;
+    let sim = |e: qm_sim::SimError| WorkloadError::Sim(e.to_string());
+    let (sys, outcome) = match sys.run_until(pause_at).map_err(sim)? {
+        RunStatus::Done(outcome) => (sys, outcome),
+        RunStatus::Paused { .. } => {
+            let mut restored = System::restore(&Snapshot::capture(&sys));
+            let outcome = restored.run().map_err(sim)?;
+            (restored, outcome)
+        }
+    };
+    run.evaluate(w, &sys, &compiled.syms, outcome)
+}
 
 #[test]
 fn unknown_input_array_is_reported() {
@@ -116,7 +140,7 @@ fn checkpointed_run_is_bit_identical_fault_free() {
     let plain = WorkloadRun::with_pes(2).run(&w).unwrap();
     assert!(plain.correct, "{:?}", plain.mismatches);
     for pause_at in [1, plain.outcome.elapsed_cycles / 2, plain.outcome.elapsed_cycles * 2] {
-        let ck = WorkloadRun::with_pes(2).run_with_checkpoint(&w, pause_at).unwrap();
+        let ck = run_with_checkpoint(&WorkloadRun::with_pes(2), &w, pause_at).unwrap();
         assert!(ck.correct, "pause {pause_at}: {:?}", ck.mismatches);
         assert_eq!(ck.outcome, plain.outcome, "pause {pause_at}");
     }
@@ -135,7 +159,18 @@ fn checkpointed_run_is_bit_identical_under_least_loaded() {
     let plain = run().run(&w).unwrap();
     assert!(plain.correct, "{:?}", plain.mismatches);
     for pause_at in [3, plain.outcome.elapsed_cycles / 2] {
-        let ck = run().run_with_checkpoint(&w, pause_at).unwrap();
+        let ck = run_with_checkpoint(&run(), &w, pause_at).unwrap();
         assert_eq!(ck.outcome, plain.outcome, "pause {pause_at}");
     }
+}
+
+#[test]
+fn a_loaded_program_is_shared_not_copied() {
+    // The cache entry, the prepared system and its snapshots hold one
+    // object: a restored system reads the very words the cache holds.
+    let (sys, entry) = WorkloadRun::with_pes(2).prepare(&matmul(3)).unwrap();
+    let words = entry.object.words().as_ptr();
+    assert_eq!(sys.object().expect("loaded").words().as_ptr(), words);
+    let restored = System::restore(&Snapshot::capture(&sys));
+    assert_eq!(restored.object().expect("restored").words().as_ptr(), words);
 }

